@@ -1,12 +1,13 @@
 """Per-call timings of the construction's kernels on a seeded vertex sample.
 
-usage: PYTHONPATH=src python kernels.py OUT.json N K SEED
+usage: PYTHONPATH=src python kernels.py OUT.json N K
 
 Times apply_f, parenthesis_match, glider_partition and match_rewrite (anchor
 0) on the same sample of K(N, K) vertices, and tau on the calls match_rewrite
-makes for its two-way rules, collected from a second sample.  Each kernel
-runs REPEATS times over its inputs; the median per-call time goes to OUT.json
-in microseconds.
+makes for its two-way rules, collected from a second sample.  Both samples
+are seeded by the instance alone, so every run and every version of the code
+times the same vertices.  Each kernel runs REPEATS times over its inputs; the
+median per-call time goes to OUT.json in microseconds.
 """
 
 import json
@@ -56,8 +57,8 @@ def _tau_calls(xs) -> list:
 
 
 def main() -> int:
-    out, n, k, seed = sys.argv[1], int(sys.argv[2]), int(sys.argv[3]), int(sys.argv[4])
-    rng = random.Random(f"kernels/{n}/{k}/{seed}")
+    out, n, k = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
+    rng = random.Random(f"kernels/{n}/{k}")
     verts = [sum(1 << i for i in c) for c in combinations(range(n), k)]
     sample = [(CyclicBitstring(n, k, b),) for b in rng.sample(verts, min(SAMPLE, len(verts)))]
     search = [CyclicBitstring(n, k, b) for b in rng.sample(verts, min(TAU_SEARCH, len(verts)))]

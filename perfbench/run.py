@@ -154,10 +154,9 @@ class Runner:
                 errors.append("the traced child wrote no span summary")
         return Outcome(req, child, errors, units, digest, spans)
 
-    def kernels(self, spec: workloads.Spec, seed: int) -> dict:
+    def kernels(self, spec: workloads.Spec) -> dict:
         out = self.work / "kernels.json"
-        child = self.launch([str(HERE / "kernels.py"), str(out), str(spec.n), str(spec.k),
-                             str(seed)])
+        child = self.launch([str(HERE / "kernels.py"), str(out), str(spec.n), str(spec.k)])
         if child.exit_code != 0:
             raise RuntimeError(f"kernel timing failed: {self.err.read_text()[-500:]}")
         return {key: value * child.speed if key.endswith("_us") else value
@@ -283,7 +282,7 @@ def _run(runner: Runner, wl: workloads.Workload, seed: int, seconds: float,
     bare_rss_mb = statistics.median(c.rss_mb for c in bare)
 
     t0 = time.monotonic()
-    kernel = runner.kernels(wl.kernel_spec, seed) if trace else None
+    kernel = runner.kernels(wl.kernel_spec) if trace else None
     rng = random.Random(f"order/{wl.name}/{seed}")
     modes = [True, False] if trace else [False]
     passes: list[tuple[bool, list[Outcome]]] = []
