@@ -7,149 +7,39 @@ analysis of its cycles through gliders and their interactions, and a gluing
 step that joins all factor cycles into one Hamilton cycle through short
 connector 4-cycles.  Reductions extend the result to generalized Johnson,
 generalized Kneser, and bipartite Kneser graphs.
+
+The package exports the public API that README.md lists; the submodules hold
+the rest of each stage.
 """
 
-from .bitstrings import (
-    Cycle,
-    CycleFactor,
-    CyclicBitstring,
-    Matching,
-    annotated,
-    apply_f,
-    apply_f_inverse,
-    cycle_factor,
-    cycle_of,
-    descent_count,
-    from_string,
-    iter_bits,
-    parenthesis_match,
-    reverse_bits,
-    rotate_bits,
-    to_string,
-    unmatched_mask,
-)
-from .dynamics import (
-    AdvanceResult,
-    CaptureAnalysis,
-    MotionTrace,
-    OrbitPeriod,
-    TauResult,
-    advance,
-    capture_analysis,
-    find_period,
-    motion_matrix,
-    motion_trace,
-    render_trace,
-    shift_glider,
-    tau,
-    trace_svg,
-)
+from .bitstrings import CyclicBitstring, apply_f, cycle_factor, parenthesis_match
+from .dynamics import advance, find_period, motion_matrix, motion_trace
 from .errors import InternalConsistencyError, ParameterError
-from .families import (
-    GraphSpec,
-    HamiltonResult,
-    fallback_backtracking,
-    hamilton_bipartite,
-    hamilton_generalized_kneser,
-    hamilton_johnson,
-    hamilton_kneser,
-    hamilton_tour,
-    verify_tour,
-)
-from .gliders import (
-    Glider,
-    GliderPartition,
-    MotzkinPath,
-    decompose_hill,
-    from_motzkin,
-    glider_partition,
-    render_gliders,
-    speed_multiset,
-    speed_multiset_direct,
-    speed_partition,
-    to_motzkin,
-    train_composition,
-)
-from .gluing import (
-    GluingPlan,
-    HamiltonCycle,
-    RewriteMatch,
-    assemble_hamilton,
-    build_gluing_plan,
-    connector_four_cycle,
-    connector_partners,
-    hamilton_cycle,
-    is_connector,
-    match_rewrite,
-    rewrite_families,
-    single_glider_vertex,
-)
+from .families import GraphSpec, HamiltonResult, hamilton_kneser, hamilton_tour, verify_tour
+from .gliders import glider_partition, speed_partition, train_composition
+from .gluing import assemble_hamilton, build_gluing_plan, connector_partners, match_rewrite
 
 __all__ = [
-    "AdvanceResult",
-    "CaptureAnalysis",
-    "Cycle",
-    "CycleFactor",
     "CyclicBitstring",
-    "Glider",
-    "GliderPartition",
-    "GluingPlan",
     "GraphSpec",
-    "HamiltonCycle",
     "HamiltonResult",
     "InternalConsistencyError",
-    "Matching",
-    "MotionTrace",
-    "MotzkinPath",
-    "OrbitPeriod",
     "ParameterError",
-    "RewriteMatch",
-    "TauResult",
     "advance",
-    "annotated",
     "apply_f",
-    "apply_f_inverse",
     "assemble_hamilton",
     "build_gluing_plan",
-    "capture_analysis",
-    "connector_four_cycle",
     "connector_partners",
     "cycle_factor",
-    "cycle_of",
-    "decompose_hill",
-    "descent_count",
-    "fallback_backtracking",
     "find_period",
-    "from_motzkin",
-    "from_string",
     "glider_partition",
-    "hamilton_bipartite",
-    "hamilton_cycle",
-    "hamilton_generalized_kneser",
-    "hamilton_johnson",
     "hamilton_kneser",
     "hamilton_tour",
-    "is_connector",
-    "iter_bits",
     "match_rewrite",
     "motion_matrix",
     "motion_trace",
     "parenthesis_match",
-    "render_gliders",
-    "render_trace",
-    "reverse_bits",
-    "rewrite_families",
-    "rotate_bits",
-    "shift_glider",
-    "single_glider_vertex",
-    "speed_multiset",
-    "speed_multiset_direct",
     "speed_partition",
-    "tau",
-    "to_motzkin",
-    "to_string",
-    "trace_svg",
     "train_composition",
-    "unmatched_mask",
     "verify_tour",
 ]

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from math import comb
 from typing import Iterator
 
-from .errors import ParameterError
+from .errors import InternalConsistencyError, ParameterError
 
 __all__ = [
     "rotate_bits",
@@ -29,6 +29,8 @@ __all__ = [
     "CyclicBitstring",
     "Matching",
     "parenthesis_match",
+    "unmatched_mask",
+    "step_types",
     "annotated",
     "apply_f",
     "apply_f_inverse",
@@ -121,9 +123,6 @@ class CyclicBitstring:
     def bit(self, i: int) -> int:
         return (self.bits >> (i % self.n)) & 1
 
-    def support(self) -> frozenset[int]:
-        return frozenset(j for j in range(self.n) if (self.bits >> j) & 1)
-
 
 def _anchor(bits: int, n: int) -> int:
     """Index of the last strict minimum of the prefix walk (+1 per 1, -1 per 0).
@@ -140,7 +139,8 @@ def _anchor(bits: int, n: int) -> int:
         if h < best:
             best = h
             anchor = i
-    assert anchor >= 0
+    if anchor < 0:
+        raise InternalConsistencyError("matching needs more zeros than ones")
     return anchor
 
 
@@ -156,7 +156,8 @@ def _scan_match(bits: int, n: int) -> tuple[int, int]:
         elif depth:
             depth -= 1
             m0 |= 1 << i
-    assert depth == 0  # every 1 is matched when zeros are in the majority
+    if depth:  # every 1 is matched when zeros are in the majority
+        raise InternalConsistencyError("a 1 is left unmatched")
     return a, m0
 
 
@@ -175,6 +176,14 @@ def unmatched_mask(bits: int, n: int) -> int:
     return ((1 << n) - 1) & ~(bits | _scan_match(bits, n)[1])
 
 
+def step_types(bits: int, n: int) -> tuple[str, ...]:
+    """Per position: U for a 1, D for a matched 0, F for an unmatched 0."""
+    _, m0 = _scan_match(bits, n)
+    return tuple(
+        "U" if (bits >> i) & 1 else "D" if (m0 >> i) & 1 else "F" for i in range(n)
+    )
+
+
 @dataclass(frozen=True)
 class Matching:
     """Full cyclic parenthesis matching of one bitstring.
@@ -190,14 +199,6 @@ class Matching:
     pairs: tuple[tuple[int, int], ...]
     visible: frozenset[tuple[int, int]]
     unmatched: frozenset[int]
-    matched_zero_mask: int
-
-    def is_unmatched(self, i: int) -> bool:
-        return (i % self.n) in self.unmatched
-
-    def is_visible_one(self, i: int) -> bool:
-        i %= self.n
-        return i in self.partner and (i, self.partner[i]) in self.visible
 
 
 def parenthesis_match(x: CyclicBitstring) -> Matching:
@@ -208,7 +209,6 @@ def parenthesis_match(x: CyclicBitstring) -> Matching:
     pairs: list[tuple[int, int]] = []
     visible: list[tuple[int, int]] = []
     unmatched: list[int] = []
-    m0 = 0
     for j in range(a + 1, a + n + 1):
         i = j % n
         if (bits >> i) & 1:
@@ -218,12 +218,12 @@ def parenthesis_match(x: CyclicBitstring) -> Matching:
             partner[o] = i
             partner[i] = o
             pairs.append((o, i))
-            m0 |= 1 << i
             if not stack:
                 visible.append((o, i))
         else:
             unmatched.append(i)
-    assert not stack and len(unmatched) == n - 2 * x.k
+    if stack or len(unmatched) != n - 2 * x.k:
+        raise InternalConsistencyError(f"matching of {x} leaves a 1 open")
     return Matching(
         n=n,
         anchor=a,
@@ -231,7 +231,6 @@ def parenthesis_match(x: CyclicBitstring) -> Matching:
         pairs=tuple(pairs),
         visible=frozenset(visible),
         unmatched=frozenset(unmatched),
-        matched_zero_mask=m0,
     )
 
 
@@ -263,10 +262,6 @@ class Cycle:
     @property
     def key(self) -> int:
         return self.vertices[0]
-
-    @property
-    def key_string(self) -> str:
-        return to_string(self.key, self.n)
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -314,5 +309,6 @@ def cycle_factor(n: int, k: int) -> CycleFactor:
     index = {
         bits: (ci, off) for ci, c in enumerate(cycles) for off, bits in enumerate(c.vertices)
     }
-    assert len(index) == comb(n, k)
+    if len(index) != comb(n, k):
+        raise InternalConsistencyError("factor cycles do not cover X(n, k)")
     return CycleFactor(n, k, tuple(cycles), index)

@@ -22,7 +22,15 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from math import comb, lcm
 
-from .bitstrings import CyclicBitstring, _f_bits, _scan_match, apply_f_inverse, to_string
+from .bitstrings import (
+    CyclicBitstring,
+    _f_bits,
+    _scan_match,
+    annotated,
+    apply_f_inverse,
+    step_types,
+    unmatched_mask,
+)
 from .errors import InternalConsistencyError, ParameterError
 from .gliders import (
     Glider,
@@ -32,7 +40,6 @@ from .gliders import (
 )
 
 __all__ = [
-    "step_types",
     "CapturedCopy",
     "CaptureAnalysis",
     "capture_analysis",
@@ -47,20 +54,11 @@ __all__ = [
     "shift_glider",
     "TauResult",
     "tau",
-    "tau_slow",
     "render_trace",
     "trace_svg",
 ]
 
 ClassKey = tuple[frozenset[int], frozenset[int]]
-
-
-def step_types(bits: int, n: int) -> tuple[str, ...]:
-    """Per position: U for a 1, D for a matched 0, F for an unmatched 0."""
-    _, m0 = _scan_match(bits, n)
-    return tuple(
-        "U" if (bits >> i) & 1 else "D" if (m0 >> i) & 1 else "F" for i in range(n)
-    )
 
 
 def _capture_walk(
@@ -504,16 +502,6 @@ def _carries(n: int, a: int, q: int, bit: int, pos: int) -> bool:
     return (pos - q - a) % n < a
 
 
-def _open_clean_carries(
-    p: GliderPartition, g: Glider, bit: int, pos: int
-) -> bool:
-    if g.inverted or not g.is_clean():
-        return False
-    if p.pos_class[(g.s2 + 1) % p.x.n] >= 0:
-        return False  # not open: the position after the glider is matched
-    return _carries(p.x.n, g.speed, g.s0 % p.x.n, bit, pos)
-
-
 def tau(
     x: CyclicBitstring,
     glider: Glider,
@@ -536,7 +524,7 @@ def tau(
         cap = n * comb(n, k)
     shifted = shift_glider(x, glider, p).bits
     prev = x.bits
-    prev_um = ((1 << n) - 1) & ~(prev | _scan_match(prev, n)[1])
+    prev_um = unmatched_mask(prev, n)
     cur = prev
     cur_shifted = shifted
     for t in range(1, cap + 2):
@@ -569,32 +557,8 @@ def tau(
             raise InternalConsistencyError("ambiguous glider reading")
         if hits:
             return TauResult(t - 1, CyclicBitstring(n, k, prev))
-        prev_um = ((1 << n) - 1) & ~(cur | _scan_match(cur, n)[1])
+        prev_um = unmatched_mask(cur, n)
         prev = cur
-    raise InternalConsistencyError("first-visit search exceeded its cap")
-
-
-def tau_slow(
-    x: CyclicBitstring,
-    glider: Glider,
-    bit: int,
-    pos: int,
-    cap: int | None = None,
-) -> TauResult:
-    """Reference implementation of tau: follow the class through advance."""
-    if cap is None:
-        cap = x.n * comb(x.n, x.k)
-    p = glider_partition(x)
-    gid = glider.id
-    cur = x
-    for t in range(cap + 1):
-        g = p.gliders[gid]
-        if _open_clean_carries(p, g, bit, pos):
-            return TauResult(t, cur)
-        adv = advance(cur, partition=p, verify=False)
-        gid = adv.bijection[gid]
-        p = adv.next_partition
-        cur = adv.fx
     raise InternalConsistencyError("first-visit search exceeded its cap")
 
 
@@ -603,16 +567,11 @@ _HUES = [0, 210, 120, 30, 270, 180, 60, 330, 150, 240, 90, 300]
 
 def render_trace(trace: MotionTrace) -> str:
     """Text table: step, string with unmatched shown as '-', class ids."""
-    n = trace.x0.n
+    n, k = trace.x0.n, trace.x0.k
     lines = []
     width = len(str(len(trace.steps)))
     for st in trace.steps:
-        _, m0 = _scan_match(st.bits, n)
-        um = ((1 << n) - 1) & ~(st.bits | m0)
-        s = "".join(
-            "1" if (st.bits >> i) & 1 else "-" if (um >> i) & 1 else "0"
-            for i in range(n)
-        )
+        s = annotated(CyclicBitstring(n, k, st.bits))
         ids = "".join(
             "." if c < 0 else ("0123456789abcdefghijklmnopqrstuvwxyz"[c % 36])
             for c in st.class_at

@@ -16,9 +16,9 @@ import time
 from dataclasses import dataclass
 from math import comb
 
-from .bitstrings import iter_bits, to_string
+from .bitstrings import iter_bits
 from .errors import InternalConsistencyError, ParameterError
-from .gluing import hamilton_cycle
+from .gluing import assemble_hamilton, build_gluing_plan
 
 __all__ = [
     "GraphSpec",
@@ -91,9 +91,6 @@ class GraphSpec:
         if a.bit_count() > b.bit_count():
             a, b = b, a
         return a.bit_count() == self.k and a & b == a
-
-    def label(self, v: int) -> str:
-        return to_string(v, self.n)
 
 
 @dataclass(frozen=True)
@@ -236,8 +233,6 @@ def _prune(verts, visited, cnt, adjset, tip, start, want_cycle) -> bool:
 
 # -- Kneser ------------------------------------------------------------------
 
-_kneser_cache: dict[tuple[int, int], HamiltonResult] = {}
-
 
 def hamilton_kneser(
     n: int,
@@ -246,14 +241,7 @@ def hamilton_kneser(
     fallback_secs: float = DEFAULT_FALLBACK_SECS,
 ) -> HamiltonResult:
     """Hamilton cycle of K(n, k), or the strongest substitute available."""
-    spec = GraphSpec("kneser", n, k)
-    key = (n, k)
-    if key in _kneser_cache:
-        return _kneser_cache[key]
-    result = _hamilton_kneser(spec, fallback_cap, fallback_secs)
-    if result.status in ("cycle", "path", "none"):
-        _kneser_cache[key] = result  # parameter-dependent outcomes stay uncached
-    return result
+    return _hamilton_kneser(GraphSpec("kneser", n, k), fallback_cap, fallback_secs)
 
 
 def _hamilton_kneser(spec: GraphSpec, cap: int, secs: float) -> HamiltonResult:
@@ -272,9 +260,8 @@ def _hamilton_kneser(spec: GraphSpec, cap: int, secs: float) -> HamiltonResult:
         return HamiltonResult(spec, "none", (), False,
                               "complementation splits the graph into disjoint edges")
     if k == 1 or n >= 2 * k + 3:
-        hc = hamilton_cycle(n, k)
-        return _checked(HamiltonResult(spec, "cycle", hc.vertices, True,
-                                       "cycle factor gluing"))
+        tour = assemble_hamilton(build_gluing_plan(n, k))
+        return _checked(HamiltonResult(spec, "cycle", tour, True, "cycle factor gluing"))
     return _search_result(spec, cap, secs, "sparse case below the gluing threshold")
 
 
@@ -367,8 +354,6 @@ def _reverse_suffix(path, pos, i: int) -> None:
 
 # -- generalized Johnson -----------------------------------------------------
 
-_johnson_cache: dict[tuple[int, int, int], HamiltonResult] = {}
-
 
 def hamilton_johnson(
     n: int,
@@ -380,17 +365,17 @@ def hamilton_johnson(
     """Hamilton cycle of J(n, k, s), built recursively on the last element."""
     spec = GraphSpec("johnson", n, k, s)
     deadline = time.monotonic() + fallback_secs
-    return _johnson(spec, fallback_cap, deadline)
+    return _johnson(spec, fallback_cap, deadline, {})
 
 
-def _johnson(spec: GraphSpec, cap: int, deadline: float) -> HamiltonResult:
-    n, k, s = spec.n, spec.k, spec.s
-    key = (n, k, s)
-    if key in _johnson_cache:
-        return _johnson_cache[key]
-    result = _johnson_build(spec, cap, deadline)
+def _johnson(spec: GraphSpec, cap: int, deadline: float,
+             memo: dict[GraphSpec, HamiltonResult]) -> HamiltonResult:
+    """One piece of the recursion; memo shares pieces within one call."""
+    if spec in memo:
+        return memo[spec]
+    result = _johnson_build(spec, cap, deadline, memo)
     if result.status in ("cycle", "path", "none"):
-        _johnson_cache[key] = result
+        memo[spec] = result  # budget-dependent outcomes are not reused
     return result
 
 
@@ -437,7 +422,8 @@ def _mask(it) -> int:
     return m
 
 
-def _johnson_build(spec: GraphSpec, cap: int, deadline: float) -> HamiltonResult:
+def _johnson_build(spec: GraphSpec, cap: int, deadline: float,
+                   memo: dict[GraphSpec, HamiltonResult]) -> HamiltonResult:
     n, k, s = spec.n, spec.k, spec.s
     count = comb(n, k)
     if count == 1:
@@ -447,11 +433,10 @@ def _johnson_build(spec: GraphSpec, cap: int, deadline: float) -> HamiltonResult
         return HamiltonResult(spec, "none", (), False,
                               "distinct k-sets cannot meet in k elements")
     if 2 * k > n:
-        inner = _johnson(GraphSpec("johnson", n, n - k, n - 2 * k + s), cap, deadline) \
-            if n - 2 * k + s >= 0 else None
-        if inner is None:
+        if n - 2 * k + s < 0:
             return HamiltonResult(spec, "none", (), False,
                                   "k-sets in a small ground set always meet in over s elements")
+        inner = _johnson(GraphSpec("johnson", n, n - k, n - 2 * k + s), cap, deadline, memo)
         full = (1 << n) - 1
         flipped = tuple(full ^ v for v in inner.vertices)
         return HamiltonResult(spec, inner.status, flipped, inner.cycle_exists,
@@ -464,8 +449,8 @@ def _johnson_build(spec: GraphSpec, cap: int, deadline: float) -> HamiltonResult
         secs = max(deadline - time.monotonic(), 1.0)
         return _search_result(spec, cap, secs, "small ground set, exhaustive search")
 
-    half1 = _johnson(GraphSpec("johnson", n - 1, k - 1, s - 1), cap, deadline)
-    half0 = _johnson(GraphSpec("johnson", n - 1, k, s), cap, deadline)
+    half1 = _johnson(GraphSpec("johnson", n - 1, k - 1, s - 1), cap, deadline, memo)
+    half0 = _johnson(GraphSpec("johnson", n - 1, k, s), cap, deadline, memo)
     for half in (half1, half0):
         if half.status != "cycle":
             return HamiltonResult(spec, half.status, (), half.cycle_exists,

@@ -1,8 +1,8 @@
-"""Motzkin paths, hills, and the glider partition of a cyclic bitstring.
+"""Motzkin paths and the glider partition of a cyclic bitstring.
 
 Read from the position after the matching anchor, a bitstring becomes a
 Motzkin path: matched 1s step up, matched 0s step down, unmatched 0s are
-flat.  The maximal non-flat excursions (hills) decompose recursively into
+flat.  The maximal non-flat excursions decompose recursively into
 gliders: staircase patterns that move rigidly under the flip map f, with a
 speed equal to their step count on each side.  The speed multiset V(x) and
 the train composition Z(x) are invariants of the factor cycle through x.
@@ -15,19 +15,21 @@ so coordinates compare left to right within one matching window.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
-from typing import Iterator
 
-from .bitstrings import CyclicBitstring, annotated, descent_count, _scan_match
+from .bitstrings import (
+    CyclicBitstring,
+    _anchor,
+    _scan_match,
+    annotated,
+    descent_count,
+    step_types,
+)
 from .errors import InternalConsistencyError
 
 __all__ = [
     "MotzkinPath",
     "to_motzkin",
     "from_motzkin",
-    "Hill",
-    "HillDecomposition",
-    "decompose_hill",
     "Glider",
     "GliderPartition",
     "glider_partition",
@@ -37,9 +39,6 @@ __all__ = [
     "TrainComposition",
     "train_composition",
     "render_gliders",
-    "partitions_lex",
-    "next_partition",
-    "previous_partition",
 ]
 
 
@@ -66,18 +65,9 @@ class MotzkinPath:
 
 
 def to_motzkin(x: CyclicBitstring) -> MotzkinPath:
-    a, m0 = _scan_match(x.bits, x.n)
-    start = (a + 1) % x.n
-    steps = []
-    for j in range(x.n):
-        i = (start + j) % x.n
-        if (x.bits >> i) & 1:
-            steps.append("U")
-        elif (m0 >> i) & 1:
-            steps.append("D")
-        else:
-            steps.append("F")
-    return MotzkinPath(x.n, start, tuple(steps))
+    start = (_anchor(x.bits, x.n) + 1) % x.n
+    types = step_types(x.bits, x.n)
+    return MotzkinPath(x.n, start, types[start:] + types[:start])
 
 
 def from_motzkin(p: MotzkinPath) -> CyclicBitstring:
@@ -86,52 +76,6 @@ def from_motzkin(p: MotzkinPath) -> CyclicBitstring:
         if s == "U":
             bits |= 1 << ((p.start + j) % p.n)
     return CyclicBitstring(p.n, sum(s == "U" for s in p.steps), bits)
-
-
-@dataclass(frozen=True)
-class Hill:
-    """One maximal non-flat excursion: a balanced U/D word, positive inside."""
-
-    start: int  # offset into the Motzkin path
-    steps: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class HillDecomposition:
-    path: MotzkinPath = field(repr=False)
-    hills: tuple[Hill, ...]
-    gaps: tuple[int, ...]  # flat-run lengths; gaps[i] precedes hills[i], last trails
-
-    def reassemble(self) -> MotzkinPath:
-        steps: list[str] = []
-        for gap, hill in zip(self.gaps, self.hills):
-            steps.extend("F" * gap)
-            steps.extend(hill.steps)
-        steps.extend("F" * self.gaps[-1])
-        return MotzkinPath(self.path.n, self.path.start, tuple(steps))
-
-
-def decompose_hill(p: MotzkinPath) -> HillDecomposition:
-    hills: list[Hill] = []
-    gaps: list[int] = []
-    gap = 0
-    run_start = None
-    run: list[str] = []
-    for i, s in enumerate(p.steps):
-        if s == "F":
-            if run:
-                hills.append(Hill(run_start, tuple(run)))
-                run, run_start = [], None
-            gap += 1
-        else:
-            if not run:
-                gaps.append(gap)
-                gap = 0
-                run_start = i
-            run.append(s)
-    assert not run  # the window ends at the anchor, a flat step
-    gaps.append(gap)
-    return HillDecomposition(p, tuple(hills), tuple(gaps))
 
 
 @dataclass(frozen=True)
@@ -177,9 +121,6 @@ class Glider:
     def free(self) -> bool:
         return not self.trapped_by
 
-    def steps(self) -> tuple[int, ...]:
-        return tuple(sorted(self.A + self.B))
-
     def is_clean(self) -> bool:
         """No foreign steps interleaved: the glider occupies 2*speed
         consecutive positions."""
@@ -203,9 +144,6 @@ class GliderPartition:
 
     def by_position(self) -> tuple[Glider, ...]:
         return tuple(sorted(self.gliders, key=lambda g: g.s0))
-
-    def free_gliders(self) -> tuple[Glider, ...]:
-        return tuple(g for g in self.by_position() if g.free)
 
     def speeds(self) -> tuple[int, ...]:
         return tuple(sorted(g.speed for g in self.gliders))
@@ -440,32 +378,3 @@ def render_gliders(p: GliderPartition) -> str:
             f"B={[b % n for b in g.B]}, {', '.join(tags)}"
         )
     return "\n".join(lines)
-
-
-def _parts(total: int, maxpart: int) -> Iterator[tuple[int, ...]]:
-    if total == 0:
-        yield ()
-        return
-    for first in range(1, min(total, maxpart) + 1):
-        for rest in _parts(total - first, first):
-            yield (first, *rest)
-
-
-@cache
-def partitions_lex(total: int) -> tuple[tuple[int, ...], ...]:
-    """Partitions of total as non-increasing tuples, ascending lex order.
-    Tuples of equal sum are never prefixes of one another, so plain tuple
-    comparison is a total order here."""
-    return tuple(_parts(total, total))
-
-
-def next_partition(part: tuple[int, ...]) -> tuple[int, ...] | None:
-    all_parts = partitions_lex(sum(part))
-    i = all_parts.index(part)
-    return all_parts[i + 1] if i + 1 < len(all_parts) else None
-
-
-def previous_partition(part: tuple[int, ...]) -> tuple[int, ...] | None:
-    all_parts = partitions_lex(sum(part))
-    i = all_parts.index(part)
-    return all_parts[i - 1] if i else None

@@ -41,9 +41,7 @@ __all__ = [
     "single_glider_vertex",
     "GluingPlan",
     "build_gluing_plan",
-    "HamiltonCycle",
     "assemble_hamilton",
-    "hamilton_cycle",
 ]
 
 
@@ -616,26 +614,12 @@ def build_gluing_plan(
     )
 
 
-@dataclass(frozen=True)
-class HamiltonCycle:
-    n: int
-    k: int
-    vertices: tuple[int, ...] = field(repr=False)
-
-    def __len__(self) -> int:
-        return len(self.vertices)
-
-    def strings(self) -> tuple[str, ...]:
-        from .bitstrings import to_string
-
-        return tuple(to_string(v, self.n) for v in self.vertices)
-
-
-def assemble_hamilton(plan: GluingPlan) -> HamiltonCycle:
+def assemble_hamilton(plan: GluingPlan) -> tuple[int, ...]:
     """Splice the selected 4-cycles into the factor and walk the result.
 
     The factor is kept as a 2-regular adjacency table; each splice swaps two
-    edges in O(1).  The final walk must visit every vertex once and close."""
+    edges in O(1).  The final walk must visit every vertex once and close;
+    it is returned as the tuple of vertex bitmasks in cycle order."""
     n = plan.n
     adj: dict[int, list[int]] = {}
     for cyc in plan.factor.cycles:
@@ -688,9 +672,4 @@ def assemble_hamilton(plan: GluingPlan) -> HamiltonCycle:
     for u, v in zip(out, out[1:] + [start]):
         if u & v:
             raise InternalConsistencyError("walk contains a non-edge")
-    return HamiltonCycle(n, plan.k, tuple(out))
-
-
-def hamilton_cycle(n: int, k: int, anchor: int = 0) -> HamiltonCycle:
-    """Hamilton cycle for k = 1 (any n >= 2k+1) or n >= 2k+3."""
-    return assemble_hamilton(build_gluing_plan(n, k, anchor))
+    return tuple(out)

@@ -3,10 +3,17 @@
 Everything here is deliberately written with different algorithms than the
 package: the matcher contracts adjacent 10 pairs instead of running a stack,
 the determinant does rational Gaussian elimination instead of fraction-free
-elimination, and the partition order is built by explicit enumeration.
+elimination, the partition order is built by explicit enumeration, and the
+first-visit search follows a glider class through `advance` step by step
+instead of reading two parallel orbits.
 """
 
 from fractions import Fraction
+from math import comb
+
+from kneser.dynamics import TauResult, advance
+from kneser.errors import InternalConsistencyError
+from kneser.gliders import glider_partition
 
 
 def naive_matching(bits: int, n: int) -> tuple[set[tuple[int, int]], set[int]]:
@@ -106,3 +113,34 @@ def cyclic_equal(a, b) -> bool:
         if a[s:] + a[:s] == b:
             return True
     return False
+
+
+def _open_clean_carries(p, g, bit: int, pos: int) -> bool:
+    """g is upright, clean and open, and carries bit at pos."""
+    n = p.x.n
+    if g.inverted or not g.is_clean():
+        return False
+    if p.pos_class[(g.s2 + 1) % n] >= 0:
+        return False  # not open: the position after the glider is matched
+    q, a = g.s0 % n, g.speed
+    if bit == 1:
+        return (pos - q) % n < a
+    return (pos - q - a) % n < a
+
+
+def tau_slow(x, glider, bit: int, pos: int, cap: int | None = None) -> TauResult:
+    """Reference implementation of tau: follow the class through advance."""
+    if cap is None:
+        cap = x.n * comb(x.n, x.k)
+    p = glider_partition(x)
+    gid = glider.id
+    cur = x
+    for t in range(cap + 1):
+        g = p.gliders[gid]
+        if _open_clean_carries(p, g, bit, pos):
+            return TauResult(t, cur)
+        adv = advance(cur, partition=p, verify=False)
+        gid = adv.bijection[gid]
+        p = adv.next_partition
+        cur = adv.fx
+    raise InternalConsistencyError("first-visit search exceeded its cap")

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -21,6 +25,7 @@ from kneser.bitstrings import (
     rotate_bits,
     to_string,
 )
+import kneser
 from kneser.errors import ParameterError
 
 SMALL = [(5, 2), (7, 2), (7, 3), (8, 3), (9, 4), (9, 3), (11, 5)]
@@ -235,3 +240,23 @@ def test_cycle_of_is_rotation_invariant_set():
 def test_factor_requires_sparse_side():
     with pytest.raises(ParameterError):
         cycle_factor(4, 2)
+
+
+# -- always-on invariants --------------------------------------------------------
+
+
+def test_matching_invariant_survives_optimized_mode():
+    """More ones than zeros must raise even under python -O, which strips asserts."""
+    code = (
+        "from kneser.bitstrings import _scan_match\n"
+        "from kneser.errors import InternalConsistencyError\n"
+        "try:\n"
+        "    _scan_match(0b111, 5)\n"
+        "except InternalConsistencyError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit('no InternalConsistencyError')\n"
+    )
+    src = str(Path(kneser.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import vertices
-from oracles import det_fractions
+from oracles import det_fractions, tau_slow
 
 from kneser.bitstrings import CyclicBitstring, apply_f, iter_bits
 from kneser.dynamics import (
@@ -15,7 +15,6 @@ from kneser.dynamics import (
     motion_trace,
     render_trace,
     tau,
-    tau_slow,
     trace_svg,
 )
 from kneser.errors import ParameterError

@@ -1,7 +1,10 @@
+import re
 from math import comb
+from pathlib import Path
 
 import pytest
 
+import kneser
 from kneser.bitstrings import from_string
 from kneser.errors import ParameterError
 from kneser.families import (
@@ -111,10 +114,8 @@ def test_kneser_posa_range():
 
 
 def test_kneser_cap_respected():
-    # a fresh computation (cached answers are returned regardless of caps)
-    from kneser import families
-
-    families._kneser_cache.pop((8, 3), None)
+    # an earlier default build must not answer a call with a tighter cap
+    assert hamilton_kneser(8, 3).status == "cycle"
     r = hamilton_kneser(8, 3, fallback_cap=10)
     assert r.status == "unsupported"
     assert r.cycle_exists is None
@@ -125,6 +126,7 @@ def test_kneser_cap_respected():
 def test_kneser_determinism():
     a = hamilton_kneser(9, 4)
     b = hamilton_kneser(9, 4)
+    assert a is not b  # two independent builds
     assert a.vertices == b.vertices
 
 
@@ -235,3 +237,17 @@ def test_hamilton_tour_dispatch():
         assert r.spec == spec
         assert r.status == "cycle"
         assert verify_tour(spec, r.vertices)
+
+
+# -- the public surface -------------------------------------------------------------------
+
+
+def test_public_names_are_documented():
+    """Everything kneser exports imports by name and is named in the README's API list."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library API", 1)[1].split("\n## ", 1)[0]
+    named = {tok for span in re.findall(r"`([^`]+)`", section)
+             for tok in re.findall(r"[A-Za-z_]\w*", span)}
+    for name in kneser.__all__:
+        assert hasattr(kneser, name), name
+        assert name in named, f"{name} is exported but not in the README's API list"

@@ -4,15 +4,10 @@ import pytest
 from hypothesis import given
 
 from conftest import vertices
-from oracles import naive_partitions
-
 from kneser.bitstrings import CyclicBitstring, descent_count, iter_bits
 from kneser.gliders import (
     from_motzkin,
     glider_partition,
-    next_partition,
-    partitions_lex,
-    previous_partition,
     render_gliders,
     speed_multiset,
     speed_multiset_direct,
@@ -154,21 +149,3 @@ def test_trains_separate_equal_speeds():
     assert coupled[1].composition == (2,)
     split = train_composition(glider_partition(v("100100")))
     assert split[1].composition == (1, 1)
-
-
-# -- the partition order -------------------------------------------------------
-
-
-@pytest.mark.parametrize("k", range(1, 9))
-def test_partitions_lex_matches_oracle(k):
-    assert list(partitions_lex(k)) == naive_partitions(k)
-
-
-@pytest.mark.parametrize("k", range(1, 9))
-def test_partition_neighbours(k):
-    plist = partitions_lex(k)
-    for a, b in zip(plist, plist[1:]):
-        assert next_partition(a) == b
-        assert previous_partition(b) == a
-    assert previous_partition(plist[0]) is None
-    assert next_partition(plist[-1]) is None

@@ -16,10 +16,10 @@ from kneser.bitstrings import (
 from kneser.errors import ParameterError
 from kneser.gliders import glider_partition, speed_multiset, speed_partition
 from kneser.gluing import (
+    assemble_hamilton,
     build_gluing_plan,
     connector_four_cycle,
     connector_partners,
-    hamilton_cycle,
     is_connector,
     match_rewrite,
     rewrite_families,
@@ -249,8 +249,8 @@ def test_branched_rewrites_occur(plans):
 def test_assembled_hamilton_cycle(n, k, hamiltons):
     ham = hamiltons(n, k)
     assert len(ham) == comb(n, k)
-    assert len(set(ham.vertices)) == len(ham)
-    ring = ham.vertices + (ham.vertices[0],)
+    assert len(set(ham)) == len(ham)
+    ring = ham + (ham[0],)
     for a, b in zip(ring, ring[1:]):
         assert a & b == 0
         assert bin(a).count("1") == k
@@ -258,13 +258,13 @@ def test_assembled_hamilton_cycle(n, k, hamiltons):
 
 def test_trivial_gluings():
     # k = 1 needs no splices: the factor is a single cycle already
-    assert len(hamilton_cycle(3, 1)) == 3
-    assert len(hamilton_cycle(6, 1)) == 6
+    assert len(assemble_hamilton(build_gluing_plan(3, 1))) == 3
+    assert len(assemble_hamilton(build_gluing_plan(6, 1))) == 6
 
 
 def test_anchor_choice_is_free():
     for anchor in (0, 2, 7):
-        ham = hamilton_cycle(9, 3, anchor=anchor)
+        ham = assemble_hamilton(build_gluing_plan(9, 3, anchor))
         assert len(ham) == comb(9, 3)
 
 
