@@ -29,7 +29,6 @@ __all__ = [
     "CyclicBitstring",
     "Matching",
     "parenthesis_match",
-    "unmatched_mask",
     "step_types",
     "annotated",
     "apply_f",
@@ -124,41 +123,41 @@ class CyclicBitstring:
         return (self.bits >> (i % self.n)) & 1
 
 
-def _anchor(bits: int, n: int) -> int:
-    """Index of the last strict minimum of the prefix walk (+1 per 1, -1 per 0).
+def _scan_match(bits: int, n: int) -> tuple[int, int, int]:
+    """(anchor, matched-zero mask, visible-end mask) in one pass.
 
-    The zero there closes nothing even cyclically, so the matching of the
-    whole cycle equals the plain linear matching of the n symbols that follow.
-    Requires more zeros than ones, which guarantees the walk ends below 0.
+    Read linearly from position 0, each 0 closes the nearest open 1.  The d
+    1s still open at the end close cyclically on the first d zeros that
+    found nothing to close, the last open 1 on the first such zero.  The
+    anchor, the last zero left unmatched, closes nothing even cyclically.
+    The visible ends are both ends of every pair that no other pair
+    encloses; the outermost wrapping pair encloses every pair before its 0.
     """
-    h = 0
-    best = 0
-    anchor = -1
-    for i in range(n):
-        h += 1 if (bits >> i) & 1 else -1
-        if h < best:
-            best = h
-            anchor = i
-    if anchor < 0:
-        raise InternalConsistencyError("matching needs more zeros than ones")
-    return anchor
-
-
-def _scan_match(bits: int, n: int) -> tuple[int, int]:
-    """(anchor, matched-zero mask) without pair bookkeeping."""
-    a = _anchor(bits, n)
-    m0 = 0
-    depth = 0
-    for j in range(a + 1, a + n + 1):
-        i = j if j < n else j - n
-        if (bits >> i) & 1:
+    m0 = vis = depth = free = 0
+    b = 1
+    for _ in range(n):
+        if bits & b:
+            if not depth:
+                vis |= b
             depth += 1
         elif depth:
             depth -= 1
-            m0 |= 1 << i
-    if depth:  # every 1 is matched when zeros are in the majority
-        raise InternalConsistencyError("a 1 is left unmatched")
-    return a, m0
+            m0 |= b
+            if not depth:
+                vis |= b
+        else:
+            free |= b
+        b <<= 1
+    low = 0
+    for _ in range(depth):
+        low = free & -free
+        m0 |= low
+        free ^= low
+    if not free:  # zeros in the majority leave one unmatched
+        raise InternalConsistencyError("matching needs more zeros than ones")
+    if low:
+        vis = vis & -low | low
+    return free.bit_length() - 1, m0, vis
 
 
 def _f_bits(bits: int, n: int) -> int:
@@ -172,74 +171,42 @@ def _f_inv_bits(bits: int, n: int) -> int:
     return reverse_bits(_f_bits(reverse_bits(bits, n), n), n)
 
 
-def unmatched_mask(bits: int, n: int) -> int:
-    return ((1 << n) - 1) & ~(bits | _scan_match(bits, n)[1])
-
-
-def step_types(bits: int, n: int) -> tuple[str, ...]:
-    """Per position: U for a 1, D for a matched 0, F for an unmatched 0."""
-    _, m0 = _scan_match(bits, n)
-    return tuple(
-        "U" if (bits >> i) & 1 else "D" if (m0 >> i) & 1 else "F" for i in range(n)
-    )
-
-
 @dataclass(frozen=True)
 class Matching:
-    """Full cyclic parenthesis matching of one bitstring.
+    """Cyclic parenthesis matching of one bitstring, as bit masks.
 
-    partner maps each matched position to its mate (both directions).
-    pairs lists (one_pos, zero_pos) in pop order of the anchor scan.
-    A pair is visible when it is nested inside no other pair.
+    Every 1 is matched.  A pair is visible when no other pair encloses it;
+    visible holds both ends of every visible pair, and a visible 1 pairs
+    with the next visible position after it.  A 1 followed directly by a 0
+    is always a pair.
     """
 
     n: int
+    bits: int
     anchor: int
-    partner: dict[int, int] = field(repr=False)
-    pairs: tuple[tuple[int, int], ...]
-    visible: frozenset[tuple[int, int]]
-    unmatched: frozenset[int]
+    matched_zeros: int
+    visible: int
+
+    @property
+    def unmatched(self) -> int:
+        return ((1 << self.n) - 1) & ~(self.bits | self.matched_zeros)
 
 
 def parenthesis_match(x: CyclicBitstring) -> Matching:
-    bits, n = x.bits, x.n
-    a = _anchor(bits, n)
-    stack: list[int] = []
-    partner: dict[int, int] = {}
-    pairs: list[tuple[int, int]] = []
-    visible: list[tuple[int, int]] = []
-    unmatched: list[int] = []
-    for j in range(a + 1, a + n + 1):
-        i = j % n
-        if (bits >> i) & 1:
-            stack.append(i)
-        elif stack:
-            o = stack.pop()
-            partner[o] = i
-            partner[i] = o
-            pairs.append((o, i))
-            if not stack:
-                visible.append((o, i))
-        else:
-            unmatched.append(i)
-    if stack or len(unmatched) != n - 2 * x.k:
-        raise InternalConsistencyError(f"matching of {x} leaves a 1 open")
-    return Matching(
-        n=n,
-        anchor=a,
-        partner=partner,
-        pairs=tuple(pairs),
-        visible=frozenset(visible),
-        unmatched=frozenset(unmatched),
+    return Matching(x.n, x.bits, *_scan_match(x.bits, x.n))
+
+
+def step_types(m: Matching) -> tuple[str, ...]:
+    """Per position: U for a 1, D for a matched 0, F for an unmatched 0."""
+    return tuple(
+        "U" if (m.bits >> i) & 1 else "D" if (m.matched_zeros >> i) & 1 else "F"
+        for i in range(m.n)
     )
 
 
 def annotated(x: CyclicBitstring) -> str:
     """String form with unmatched zeros shown as '-'."""
-    um = unmatched_mask(x.bits, x.n)
-    return "".join(
-        "1" if (x.bits >> i) & 1 else "-" if (um >> i) & 1 else "0" for i in range(x.n)
-    )
+    return "".join(step_types(parenthesis_match(x))).translate(str.maketrans("UDF", "10-"))
 
 
 def apply_f(x: CyclicBitstring) -> CyclicBitstring:

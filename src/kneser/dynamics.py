@@ -25,11 +25,10 @@ from math import comb, lcm
 from .bitstrings import (
     CyclicBitstring,
     _f_bits,
-    _scan_match,
     annotated,
     apply_f_inverse,
+    parenthesis_match,
     step_types,
-    unmatched_mask,
 )
 from .errors import InternalConsistencyError, ParameterError
 from .gliders import (
@@ -106,8 +105,9 @@ class CaptureAnalysis:
 def capture_analysis(p: GliderPartition) -> CaptureAnalysis:
     x = p.x
     n, k = x.n, x.k
-    _, m0 = _scan_match(x.bits, n)
-    types = step_types(x.bits, n)
+    m = parenthesis_match(x)
+    m0 = m.matched_zeros
+    types = step_types(m)
     free = [g for g in p.gliders if g.free]
     cap = (k + 2) * n  # the walk gains at least n-2k >= 1 per lap
     s_plus: dict[int, int] = {}
@@ -226,8 +226,8 @@ def advance(
     releases = tuple(sorted(old_rel - new_rel))
 
     if verify:
-        tx = step_types(x.bits, n)
-        tfx = step_types(fx.bits, n)
+        tx = step_types(parenthesis_match(x))
+        tfx = step_types(parenthesis_match(fx))
         phi = ["F"] * n
         claimed = [False] * n
         for gid in ana.movers:
@@ -523,12 +523,12 @@ def tau(
     if cap is None:
         cap = n * comb(n, k)
     shifted = shift_glider(x, glider, p).bits
+    full = (1 << n) - 1
     prev = x.bits
-    prev_um = unmatched_mask(prev, n)
-    cur = prev
     cur_shifted = shifted
     for t in range(1, cap + 2):
-        cur = _f_bits(cur, n)
+        cur = _f_bits(prev, n)
+        prev_um = full & ~(prev | cur)  # f(prev) is prev's matched-zero mask
         cur_shifted = _f_bits(cur_shifted, n)
         diff = cur ^ cur_shifted
         if diff.bit_count() != 2:
@@ -557,7 +557,6 @@ def tau(
             raise InternalConsistencyError("ambiguous glider reading")
         if hits:
             return TauResult(t - 1, CyclicBitstring(n, k, prev))
-        prev_um = unmatched_mask(cur, n)
         prev = cur
     raise InternalConsistencyError("first-visit search exceeded its cap")
 

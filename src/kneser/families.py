@@ -270,11 +270,12 @@ def _search_result(spec: GraphSpec, cap: int, secs: float, note: str) -> Hamilto
     if count > cap:
         return HamiltonResult(spec, "unsupported", (), None,
                               f"{count} vertices exceeds the search cap {cap}")
-    verts = spec.vertices()
-    adjacency = {
-        v: tuple(w for w in verts if spec.adjacent(v, w)) for v in verts
-    }
     deadline = time.monotonic() + secs
+    verts = spec.vertices()
+    adjacency = _adjacency(spec, verts, deadline)
+    if adjacency is None:
+        return HamiltonResult(spec, "timeout", (), None,
+                              f"search hit the {secs:g}s budget")
     if count > EXHAUSTIVE_LIMIT:
         # too big to exhaust; rotation-extension finds cycles without proofs
         rng = random.Random(f"{spec.family}:{spec.n}:{spec.k}:{spec.s}")
@@ -302,6 +303,26 @@ def _search_result(spec: GraphSpec, cap: int, secs: float, note: str) -> Hamilto
                               "no cycle exists; path search hit the time budget")
     return HamiltonResult(spec, "none", (), False,
                           "exhaustive search: no Hamilton path either")
+
+
+def _adjacency(spec: GraphSpec, verts: list[int],
+               deadline: float) -> dict[int, tuple[int, ...]] | None:
+    """Ascending neighbour tuples of every vertex, or None once the deadline
+    passes.  Kneser neighbours are the k-subsets of the complement, found in
+    O(degree) and stored as the int objects of verts."""
+    kneser = spec.family == "kneser"
+    same = {v: v for v in verts} if kneser else {}
+    picks = [_positions(c) for c in iter_bits(spec.n - spec.k, spec.k)] if kneser else []
+    adjacency = {}
+    for i, v in enumerate(verts):
+        if i % 256 == 0 and time.monotonic() > deadline:
+            return None
+        if kneser:
+            free = _positions(((1 << spec.n) - 1) ^ v)
+            adjacency[v] = tuple(same[_mask(free[j] for j in pick)] for pick in picks)
+        else:
+            adjacency[v] = tuple(w for w in verts if spec.adjacent(v, w))
+    return adjacency
 
 
 def _posa_tour(verts, adjacency, deadline: float, rng) -> tuple[str | None, tuple | None]:
@@ -500,6 +521,8 @@ def hamilton_generalized_kneser(
                                            f"fixed-overlap cycle with t={t}"))
         if best is None:
             best = inner
+    if s == 0:  # K(n, k, 0) is K(n, k), which the t = 0 piece already searched
+        return HamiltonResult(spec, best.status, best.vertices, best.cycle_exists, best.note)
     result = _search_result(spec, fallback_cap, fallback_secs, "union graph search")
     if result.status in ("cycle", "path", "none"):
         return result

@@ -18,10 +18,9 @@ from dataclasses import dataclass, field
 
 from .bitstrings import (
     CyclicBitstring,
-    _anchor,
-    _scan_match,
     annotated,
     descent_count,
+    parenthesis_match,
     step_types,
 )
 from .errors import InternalConsistencyError
@@ -65,8 +64,9 @@ class MotzkinPath:
 
 
 def to_motzkin(x: CyclicBitstring) -> MotzkinPath:
-    start = (_anchor(x.bits, x.n) + 1) % x.n
-    types = step_types(x.bits, x.n)
+    m = parenthesis_match(x)
+    start = (m.anchor + 1) % x.n
+    types = step_types(m)
     return MotzkinPath(x.n, start, types[start:] + types[:start])
 
 
@@ -149,10 +149,11 @@ class GliderPartition:
         return tuple(sorted(g.speed for g in self.gliders))
 
 
-def _window_blocks(bits: int, n: int) -> tuple[int, list[list[int]]]:
+def _window_blocks(x: CyclicBitstring) -> tuple[int, list[list[int]]]:
     """Anchor and the maximal matched runs, in window-absolute coordinates."""
-    a, m0 = _scan_match(bits, n)
-    matched = bits | m0
+    m = parenthesis_match(x)
+    a, n = m.anchor, x.n
+    matched = x.bits | m.matched_zeros
     blocks: list[list[int]] = []
     run: list[int] = []
     for j in range(a + 1, a + n + 1):
@@ -167,7 +168,7 @@ def _window_blocks(bits: int, n: int) -> tuple[int, list[list[int]]]:
 
 def glider_partition(x: CyclicBitstring) -> GliderPartition:
     bits, n = x.bits, x.n
-    a, blocks = _window_blocks(bits, n)
+    a, blocks = _window_blocks(x)
     recs: list[dict] = []
 
     def up_at(j: int, flip: bool) -> bool:
@@ -288,7 +289,7 @@ def _w(word: list[int]) -> list[int]:
 
 def speed_multiset_direct(x: CyclicBitstring) -> tuple[int, ...]:
     """V(x) from the nesting structure alone, bypassing the partition."""
-    _, blocks = _window_blocks(x.bits, x.n)
+    _, blocks = _window_blocks(x)
     out: list[int] = []
     for blk in blocks:
         out.extend(_w([(x.bits >> (j % x.n)) & 1 for j in blk]))

@@ -37,7 +37,6 @@ __all__ = [
     "connector_four_cycle",
     "RewriteMatch",
     "match_rewrite",
-    "rewrite_families",
     "single_glider_vertex",
     "GluingPlan",
     "build_gluing_plan",
@@ -45,42 +44,47 @@ __all__ = [
 ]
 
 
+def _after_visible(m: Matching, i: int) -> int:
+    """The next visible position after i: i's partner when i is a visible 1."""
+    rest = rotate_bits(m.visible, m.n, -(i + 1))  # bit j is position i + 1 + j
+    return (i + (rest & -rest).bit_length()) % m.n
+
+
+def _is_visible_pair(m: Matching, ends: int) -> bool:
+    one = ends & m.bits & m.visible
+    return one.bit_count() == 1 and ends == one | 1 << _after_visible(m, one.bit_length() - 1)
+
+
 def is_connector(x: CyclicBitstring, y: CyclicBitstring) -> bool:
     """True when the matchings of x and y differ by relocating one visible
-    pair onto two positions that are unmatched in the other string."""
-    if x.n != y.n or x.k != y.k or x.bits == y.bits:
+    pair onto two positions that are unmatched in the other string.
+
+    Removing a visible pair leaves the rest of a matching unchanged, so this
+    holds exactly when x and y differ in two bits and, on each side, the
+    positions matched only there form one visible pair."""
+    if x.n != y.n or x.k != y.k or (x.bits ^ y.bits).bit_count() != 2:
         return False
     mx, my = parenthesis_match(x), parenthesis_match(y)
-    dx = set(mx.pairs) - set(my.pairs)
-    dy = set(my.pairs) - set(mx.pairs)
-    if len(dx) != 1 or len(dy) != 1:
-        return False
-    ((ox, zx),) = dx
-    ((oy, zy),) = dy
-    return (
-        (ox, zx) in mx.visible
-        and (oy, zy) in my.visible
-        and oy in mx.unmatched
-        and zy in mx.unmatched
-        and ox in my.unmatched
-        and zx in my.unmatched
-    )
+    only_x = ~mx.unmatched & my.unmatched
+    only_y = ~my.unmatched & mx.unmatched
+    return _is_visible_pair(mx, only_x) and _is_visible_pair(my, only_y)
 
 
-def connector_partners(
-    x: CyclicBitstring, matching: Matching | None = None
-) -> tuple[CyclicBitstring, ...]:
+def connector_partners(x: CyclicBitstring) -> tuple[CyclicBitstring, ...]:
     """All y with {x, y} a connector.
 
     Each visible pair may move next to any unmatched 0 except the one
     directly left of its own block, so a vertex with p visible pairs lies
     in exactly p*(l-1) connectors, l = n - 2k."""
-    m = matching if matching is not None else parenthesis_match(x)
-    slots = sorted(m.unmatched)
+    m = parenthesis_match(x)
+    um = m.unmatched
+    slots = [u for u in range(x.n) if um >> u & 1]
     out = []
-    for one, _zero in sorted(m.visible):
-        before = [u for u in slots if u < one]
-        blocked = before[-1] if before else slots[-1]
+    for one in range(x.n):
+        if not (m.visible & x.bits) >> one & 1:
+            continue
+        before = um & ((1 << one) - 1)
+        blocked = (before or um).bit_length() - 1
         for w in slots:
             if w != blocked:
                 out.append(CyclicBitstring(x.n, x.k, x.bits ^ (1 << one) | (1 << w)))
@@ -118,16 +122,18 @@ def single_glider_vertex(n: int, k: int, i: int) -> CyclicBitstring:
 
 
 class _Probe:
-    """Lazy per-vertex context for the rule matchers."""
+    """Lazy per-vertex context for the rule matchers: bit tests on the
+    matching masks, positions taken mod n."""
 
-    __slots__ = ("x", "n", "k", "ell", "m", "_speeds")
+    __slots__ = ("x", "n", "k", "ell", "m", "_unmatched", "_speeds")
 
-    def __init__(self, x: CyclicBitstring, matching: Matching | None = None):
+    def __init__(self, x: CyclicBitstring):
         self.x = x
         self.n = x.n
         self.k = x.k
         self.ell = x.n - 2 * x.k
-        self.m = matching if matching is not None else parenthesis_match(x)
+        self.m = parenthesis_match(x)
+        self._unmatched = self.m.unmatched
         self._speeds: tuple[int, ...] | None = None
 
     def speeds(self) -> tuple[int, ...]:
@@ -135,24 +141,22 @@ class _Probe:
             self._speeds = speed_multiset_direct(self.x)
         return self._speeds
 
-    def one(self, i: int) -> bool:
-        return bool(self.x.bit(i))
+    def one(self, i: int) -> int:
+        return self.x.bits >> (i % self.n) & 1
 
-    def um(self, i: int) -> bool:
-        return (i % self.n) in self.m.unmatched
+    def um(self, i: int) -> int:
+        return self._unmatched >> (i % self.n) & 1
 
-    def mzero(self, i: int) -> bool:
-        i %= self.n
-        return not self.x.bit(i) and i not in self.m.unmatched
+    def mzero(self, i: int) -> int:
+        return self.m.matched_zeros >> (i % self.n) & 1
 
     def matched(self, i: int) -> bool:
-        return (i % self.n) not in self.m.unmatched
-
-    def partner(self, i: int) -> int | None:
-        return self.m.partner.get(i % self.n)
+        return not self.um(i)
 
     def vis(self, i: int, j: int) -> bool:
-        return (i % self.n, j % self.n) in self.m.visible
+        """(i, j) is a visible pair; i is then a 1 and j its partner."""
+        i, m = i % self.n, self.m
+        return bool((m.visible & m.bits) >> i & 1) and _after_visible(m, i) == j % self.n
 
 
 @dataclass(frozen=True)
@@ -193,7 +197,7 @@ def _glider_tail(pr: _Probe, p: int) -> tuple[int, int] | None:
     q = rs - a
     if any(not pr.one(q + i) for i in range(a)):
         return None
-    if pr.partner(q) != e % pr.n or not pr.vis(q, e):
+    if not pr.vis(q, e):
         return None
     return q, a
 
@@ -210,7 +214,7 @@ def _glider_head(pr: _Probe, p: int) -> tuple[int, int] | None:
     a = e - q + 1
     if any(not pr.mzero(q + a + i) for i in range(a)):
         return None
-    if pr.partner(q) != (q + 2 * a - 1) % pr.n or not pr.vis(q, q + 2 * a - 1):
+    if not pr.vis(q, q + 2 * a - 1):
         return None
     return q, a
 
@@ -229,7 +233,7 @@ def _match_rule1(pr: _Probe, p: int) -> _Hit | None:
         return None
     if not pr.one(p + 1):
         return None
-    if pr.partner(p + 1) != (p + 2) % pr.n or not pr.vis(p + 1, p + 2):
+    if not pr.vis(p + 1, p + 2):
         return None
     if any(not pr.um(p + i) for i in range(3, pr.ell + 2)):
         return None
@@ -331,7 +335,7 @@ def _match_rule5(pr: _Probe, p: int) -> _Hit | None:
 
 
 def _match_rule6(pr: _Probe, p: int) -> _Hit | None:
-    if not pr.one(p) or pr.partner(p) != (p + 1) % pr.n:
+    if not pr.one(p) or pr.one(p + 1):  # an adjacent 10 always pairs
         return None
     if not pr.um(p + 2) or not pr.matched(p + 3):
         return None
@@ -343,7 +347,7 @@ def _match_rule6(pr: _Probe, p: int) -> _Hit | None:
         return None
     if any(not pr.one(p - b - 1 - i) for i in range(b)):
         return None
-    if pr.partner(p - 2 * b) != (p - 1) % pr.n or not pr.vis(p - 2 * b, p - 1):
+    if not pr.vis(p - 2 * b, p - 1):
         return None
     if not pr.um(p - 2 * b - 1):
         return None
@@ -351,7 +355,7 @@ def _match_rule6(pr: _Probe, p: int) -> _Hit | None:
 
 
 def _match_rule7(pr: _Probe, p: int) -> _Hit | None:
-    if not pr.one(p) or pr.partner(p) != (p + 1) % pr.n or not pr.vis(p, p + 1):
+    if not pr.vis(p, p + 1):
         return None
     if not pr.um(p + 2):
         return None
@@ -374,7 +378,7 @@ def _match_rule7(pr: _Probe, p: int) -> _Hit | None:
 
 
 def _match_rule8(pr: _Probe, p: int) -> _Hit | None:
-    if not pr.one(p) or pr.partner(p) != (p + 1) % pr.n or not pr.vis(p, p + 1):
+    if not pr.vis(p, p + 1):
         return None
     if not pr.matched(p - 1):
         return None
@@ -403,7 +407,7 @@ def _match_rule8(pr: _Probe, p: int) -> _Hit | None:
 
 
 def _match_rule9(pr: _Probe, p: int) -> _Hit | None:
-    if not pr.one(p) or pr.partner(p) != (p + 1) % pr.n or not pr.vis(p, p + 1):
+    if not pr.vis(p, p + 1):
         return None
     if not pr.matched(p - 1):
         return None
@@ -458,24 +462,11 @@ def _move_one(x: CyclicBitstring, src: int, dst: int) -> CyclicBitstring:
     return CyclicBitstring(x.n, x.k, x.bits ^ (1 << src) | (1 << dst))
 
 
-def rewrite_families(x: CyclicBitstring, p: int = 0) -> tuple[int, ...]:
-    """Indices of every rule whose pattern matches x at anchor p.
-
-    The rules are constructed to be mutually exclusive, so any result with
-    more than one entry disproves the construction."""
-    if x.n - 2 * x.k < 3:
-        raise ParameterError("the rewrite rules need n >= 2k+3")
-    pr = _Probe(x)
-    return tuple(h.family for f in _RULES if (h := f(pr, p)) is not None)
-
-
-def match_rewrite(
-    x: CyclicBitstring, p: int = 0, matching: Matching | None = None
-) -> RewriteMatch | None:
+def match_rewrite(x: CyclicBitstring, p: int = 0) -> RewriteMatch | None:
     """Apply the one rewrite rule matching x at anchor p, if any."""
     if x.n - 2 * x.k < 3:
         raise ParameterError("the rewrite rules need n >= 2k+3")
-    pr = _Probe(x, matching)
+    pr = _Probe(x)
     hits = [h for f in _RULES if (h := f(pr, p)) is not None]
     if not hits:
         return None

@@ -88,48 +88,82 @@ def test_vertex_validation():
 # -- parenthesis matching -----------------------------------------------------
 
 
+def _mask(positions) -> int:
+    return sum(1 << p for p in set(positions))
+
+
+def _encloses(outer, p, n: int) -> bool:
+    a, b = outer
+    span = {(a + i) % n for i in range(1, (b - a) % n)}
+    return p[0] in span and p[1] in span
+
+
+def _oracle_masks(x):
+    """(pairs, matched-zero mask, unmatched mask, visible-end mask) of the
+    contraction oracle; a pair is visible when no other pair encloses it."""
+    pairs, unmatched = naive_matching(x.bits, x.n)
+    top = [p for p in pairs if not any(_encloses(q, p, x.n) for q in pairs if q != p)]
+    return pairs, _mask(z for _, z in pairs), _mask(unmatched), _mask(e for p in top for e in p)
+
+
+def _masks(m):
+    return m.matched_zeros, m.unmatched, m.visible
+
+
 @given(vertices())
 def test_matching_equals_contraction_oracle(x):
-    m = parenthesis_match(x)
-    pairs, unmatched = naive_matching(x.bits, x.n)
-    assert set(m.pairs) == pairs
-    assert set(m.unmatched) == unmatched
+    _, *want = _oracle_masks(x)
+    assert list(_masks(parenthesis_match(x))) == want
 
 
 @pytest.mark.parametrize("n,k", SMALL)
 def test_matching_exhaustive(n, k):
     for bits in iter_bits(n, k):
         x = CyclicBitstring(n, k, bits)
-        m = parenthesis_match(x)
-        pairs, unmatched = naive_matching(bits, n)
-        assert set(m.pairs) == pairs
-        assert set(m.unmatched) == unmatched
+        _, *want = _oracle_masks(x)
+        assert list(_masks(parenthesis_match(x))) == want
 
 
 @given(vertices())
 def test_matching_shape(x):
     m = parenthesis_match(x)
-    assert len(m.pairs) == x.k
-    assert len(m.unmatched) == x.n - 2 * x.k
-    assert all(x.bit(a) == 1 and x.bit(b) == 0 for a, b in m.pairs)
-    assert all(x.bit(u) == 0 for u in m.unmatched)
-    covered = {p for ab in m.pairs for p in ab} | set(m.unmatched)
-    assert covered == set(range(x.n))
+    full = (1 << x.n) - 1
+    assert (m.n, m.bits) == (x.n, x.bits)
+    assert m.matched_zeros.bit_count() == x.k
+    assert m.unmatched.bit_count() == x.n - 2 * x.k
+    assert not (m.matched_zeros | m.unmatched) & x.bits
+    assert not m.matched_zeros & m.unmatched
+    assert x.bits | m.matched_zeros | m.unmatched == full
+    assert not m.visible & m.unmatched
+    assert (m.visible & x.bits).bit_count() == (m.visible & m.matched_zeros).bit_count()
+    assert m.unmatched >> m.anchor & 1
 
 
 @given(vertices())
 def test_visible_pairs_are_top_level(x):
-    """A pair is visible exactly when no other pair encloses it."""
+    """Both ends of a pair are visible exactly when no other pair encloses it."""
     m = parenthesis_match(x)
+    pairs, _, _, _ = _oracle_masks(x)
+    covered = 0
+    for p in pairs:
+        enclosed = any(_encloses(q, p, x.n) for q in pairs if q != p)
+        ends = _mask(p)
+        assert (m.visible & ends == ends) == (not enclosed)
+        assert m.visible & ends in (0, ends)
+        covered |= ends
+    assert m.visible & ~covered == 0
 
-    def inside(p, outer):
-        a, b = outer
-        span = {(a + i) % x.n for i in range(1, (b - a) % x.n)}
-        return p[0] in span and p[1] in span
 
-    for p in m.pairs:
-        enclosed = any(inside(p, q) for q in m.pairs if q != p)
-        assert ((p in m.visible)) == (not enclosed)
+@given(vertices())
+def test_visible_one_pairs_with_next_visible_position(x):
+    m = parenthesis_match(x)
+    pairs, _, _, _ = _oracle_masks(x)
+    partner = dict(pairs)
+    for one in range(x.n):
+        if not (m.visible & x.bits) >> one & 1:
+            continue
+        nxt = next(j % x.n for j in range(one + 1, one + x.n) if m.visible >> (j % x.n) & 1)
+        assert partner[one] == nxt
 
 
 def test_annotated_micro():

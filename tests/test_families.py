@@ -1,10 +1,13 @@
+import hashlib
 import re
+import time
 from math import comb
 from pathlib import Path
 
 import pytest
 
 import kneser
+from kneser import families
 from kneser.bitstrings import from_string
 from kneser.errors import ParameterError
 from kneser.families import (
@@ -123,6 +126,15 @@ def test_kneser_cap_respected():
     assert hamilton_kneser(8, 3).status == "cycle"  # full budget still works
 
 
+def test_kneser_fallback_budget_holds():
+    # 6435 vertices of degree 8: building the neighbour table counts against the budget
+    t0 = time.monotonic()
+    r = hamilton_kneser(15, 7, fallback_cap=20000, fallback_secs=1.0)
+    elapsed = time.monotonic() - t0
+    assert r.status == "timeout" and r.cycle_exists is None
+    assert elapsed < 2.5, elapsed
+
+
 def test_kneser_determinism():
     a = hamilton_kneser(9, 4)
     b = hamilton_kneser(9, 4)
@@ -194,6 +206,22 @@ def test_gen_kneser_views():
     assert r.status == "path" and r.cycle_exists is False
 
 
+def test_gen_kneser_zero_overlap_searches_once(monkeypatch):
+    """K(5, 2, 0) is the Petersen graph: one cycle search and one path search."""
+    calls = []
+    real = families.fallback_backtracking
+
+    def counted(*args, **kwargs):
+        calls.append(args[2] if len(args) > 2 else kwargs.get("want_cycle", True))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(families, "fallback_backtracking", counted)
+    r = hamilton_generalized_kneser(5, 2, 0)
+    assert r.status == "path" and r.cycle_exists is False
+    assert verify_tour(GraphSpec("gen-kneser", 5, 2, 0), r.vertices, closed=False)
+    assert calls == [True, False]
+
+
 def test_gen_kneser_prefers_single_overlap_class():
     # a J(n, k, t) cycle for any t <= s is reused edge for edge
     r = hamilton_generalized_kneser(8, 3, 1)
@@ -221,6 +249,45 @@ def test_bipartite_even_count_gives_path():
 def test_bipartite_needs_a_base_cycle():
     assert hamilton_bipartite(5, 2).status == "unsupported"
     assert hamilton_bipartite(4, 2).status == "none"
+
+
+# -- golden tours ----------------------------------------------------------------------------
+
+# SHA-256 of the space-separated vertex bitmasks of each tour; any change to a
+# tour, intended or not, shows up here and must be recorded with the change.
+GOLDEN = {
+    ("kneser", 9, 3, 0):
+        ("cycle", "917fdcd4df7a6118a8f101d889719ecc02ea584de4ddbf452c2fd7817d2af093"),
+    ("kneser", 11, 4, 0):
+        ("cycle", "8df77b53c5a3eed178c23f4a91c61f458a79694089254a0a151536950a2779de"),
+    ("kneser", 13, 5, 0):
+        ("cycle", "5326afb4b42ba2767d12ec4e32044c0d3dfc9b19ff96ef1a03300adbe12100c7"),
+    ("kneser", 15, 6, 0):
+        ("cycle", "d6a9a66e6c9c4fffb5f753fb4bba8a471dd76befe3d51848e446a7e1da97d390"),
+    ("kneser", 17, 7, 0):
+        ("cycle", "be7cbaedecdb3d72dba03115d8687785a5f334fcd27678cd13d85b679cd344ec"),
+    ("kneser", 24, 4, 0):
+        ("cycle", "3002077077dd109abd9d26bbfcb22f43edc592c0fd1194a5d8f07677e0cb0091"),
+    ("kneser", 7, 3, 0):
+        ("cycle", "6d3a0d95add89955a6cbc2cc5e291a455fd05bfaced10e047c15070d44985420"),
+    ("kneser", 13, 6, 0):
+        ("cycle", "7bb89d64297fcffd0d1bb9a0601b37d78b2012eec1f09eab49633bb6df7f2bde"),
+    ("kneser", 5, 2, 0):
+        ("path", "8781d7f58dafe3381e6c7a7c82dfdafa07ab8a9a514c375d895d41403233b4ae"),
+    ("johnson", 12, 5, 2):
+        ("cycle", "77e4523f808389d7f684c1963d6cb6caa699d8ef2769ac60e45dc6b5e2734ca4"),
+    ("gen-kneser", 11, 4, 1):
+        ("cycle", "dd9424a6ca795fb1ae9b4885a91d26c99cef50f4103cc56f593b9f7f5964f772"),
+    ("bipartite", 10, 4, 0):
+        ("path", "954b1d810a2f8b23cb4ffd4ea56a205c67ac4812e39845a1b52161501020ec09"),
+}
+
+
+def test_golden_tour_digests():
+    for (family, n, k, s), (status, digest) in GOLDEN.items():
+        r = hamilton_tour(GraphSpec(family, n, k, s))
+        got = hashlib.sha256(" ".join(map(str, r.vertices)).encode()).hexdigest()
+        assert (r.status, got) == (status, digest), (family, n, k, s)
 
 
 # -- one front door -------------------------------------------------------------------------
