@@ -252,10 +252,10 @@ class CycleFactor:
     n: int
     k: int
     cycles: tuple[Cycle, ...]
-    index: dict[int, tuple[int, int]] = field(repr=False)  # bits -> (cycle, offset)
+    index: dict[int, int] = field(repr=False)  # bits -> position in cycles
 
     def cycle_containing(self, bits: int) -> Cycle:
-        return self.cycles[self.index[bits][0]]
+        return self.cycles[self.index[bits]]
 
     def total_vertices(self) -> int:
         return sum(len(c) for c in self.cycles)
@@ -273,9 +273,7 @@ def cycle_factor(n: int, k: int) -> CycleFactor:
         seen.update(c.vertices)
         cycles.append(c)
     cycles.sort(key=lambda c: reverse_bits(c.key, n))
-    index = {
-        bits: (ci, off) for ci, c in enumerate(cycles) for off, bits in enumerate(c.vertices)
-    }
+    index = {bits: ci for ci, c in enumerate(cycles) for bits in c.vertices}
     if len(index) != comb(n, k):
         raise InternalConsistencyError("factor cycles do not cover X(n, k)")
     return CycleFactor(n, k, tuple(cycles), index)

@@ -508,7 +508,6 @@ def tau(
     bit: int,
     pos: int,
     partition: GliderPartition | None = None,
-    cap: int | None = None,
 ) -> TauResult:
     """First t >= 0 at which the tracked glider sits cleanly on consecutive
     positions, is upright and open, and carries the wanted bit at pos.
@@ -520,8 +519,7 @@ def tau(
     n, k = x.n, x.k
     a = glider.speed
     p = partition if partition is not None else glider_partition(x)
-    if cap is None:
-        cap = n * comb(n, k)
+    cap = n * comb(n, k)
     shifted = shift_glider(x, glider, p).bits
     full = (1 << n) - 1
     prev = x.bits

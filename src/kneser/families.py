@@ -241,10 +241,11 @@ def hamilton_kneser(
     fallback_secs: float = DEFAULT_FALLBACK_SECS,
 ) -> HamiltonResult:
     """Hamilton cycle of K(n, k), or the strongest substitute available."""
-    return _hamilton_kneser(GraphSpec("kneser", n, k), fallback_cap, fallback_secs)
+    return _hamilton_kneser(GraphSpec("kneser", n, k), fallback_cap,
+                            time.monotonic() + fallback_secs)
 
 
-def _hamilton_kneser(spec: GraphSpec, cap: int, secs: float) -> HamiltonResult:
+def _hamilton_kneser(spec: GraphSpec, cap: int, deadline: float) -> HamiltonResult:
     n, k = spec.n, spec.k
     count = comb(n, k)
     if count == 1:
@@ -262,21 +263,23 @@ def _hamilton_kneser(spec: GraphSpec, cap: int, secs: float) -> HamiltonResult:
     if k == 1 or n >= 2 * k + 3:
         tour = assemble_hamilton(build_gluing_plan(n, k))
         return _checked(HamiltonResult(spec, "cycle", tour, True, "cycle factor gluing"))
-    return _search_result(spec, cap, secs, "sparse case below the gluing threshold")
+    return _search_result(spec, cap, deadline, "sparse case below the gluing threshold")
 
 
-def _search_result(spec: GraphSpec, cap: int, secs: float, note: str) -> HamiltonResult:
+def _search_result(spec: GraphSpec, cap: int, deadline: float, note: str) -> HamiltonResult:
     count = spec.vertex_count()
     if count > cap:
         return HamiltonResult(spec, "unsupported", (), None,
                               f"{count} vertices exceeds the search cap {cap}")
-    deadline = time.monotonic() + secs
     verts = spec.vertices()
     adjacency = _adjacency(spec, verts, deadline)
     if adjacency is None:
         return HamiltonResult(spec, "timeout", (), None,
-                              f"search hit the {secs:g}s budget")
+                              "search hit the time budget")
     if count > EXHAUSTIVE_LIMIT:
+        if not all(adjacency.values()):
+            return HamiltonResult(spec, "none", (), False,
+                                  "a vertex without neighbours rules out any Hamilton path")
         # too big to exhaust; rotation-extension finds cycles without proofs
         rng = random.Random(f"{spec.family}:{spec.n}:{spec.k}:{spec.s}")
         status, seq = _posa_tour(verts, adjacency, deadline, rng)
@@ -287,13 +290,13 @@ def _search_result(spec: GraphSpec, cap: int, secs: float, note: str) -> Hamilto
             return _checked(HamiltonResult(spec, "path", seq, None,
                                            "spanning path found, cycle not closed in time"))
         return HamiltonResult(spec, "timeout", (), None,
-                              f"heuristic search hit the {secs:g}s budget")
+                              "heuristic search hit the time budget")
     status, seq = fallback_backtracking(verts, adjacency, True, deadline)
     if status == "cycle":
         return _checked(HamiltonResult(spec, "cycle", seq, True, note))
     if status == "timeout":
         return HamiltonResult(spec, "timeout", (), None,
-                              f"search hit the {secs:g}s budget")
+                              "search hit the time budget")
     status, seq = fallback_backtracking(verts, adjacency, False, deadline)
     if status == "path":
         return _checked(HamiltonResult(spec, "path", seq, False,
@@ -352,13 +355,15 @@ def _posa_tour(verts, adjacency, deadline: float, rng) -> tuple[str | None, tupl
             if i != len(path) - 2:  # rotating at the predecessor is a no-op
                 _reverse_suffix(path, pos, i + 1)
             stalls += 1
-            if stalls % 256 == 0 and time.monotonic() > deadline:
+            if time.monotonic() > deadline:
                 break
         if len(path) == n:
             for _ in range(64 * n):
                 tip = path[-1]
                 if path[0] in adjset[tip]:
                     return "cycle", tuple(path)
+                if time.monotonic() > deadline:
+                    break
                 nbrs = adjacency[tip]
                 i = pos[nbrs[rng.randrange(len(nbrs))]]
                 if i != len(path) - 2:
@@ -463,12 +468,11 @@ def _johnson_build(spec: GraphSpec, cap: int, deadline: float,
         return HamiltonResult(spec, inner.status, flipped, inner.cycle_exists,
                               "complemented: " + inner.note)
     if s == 0:
-        inner = hamilton_kneser(n, k, cap, max(deadline - time.monotonic(), 1.0))
+        inner = _hamilton_kneser(GraphSpec("kneser", n, k), cap, deadline)
         return HamiltonResult(spec, inner.status, inner.vertices,
                               inner.cycle_exists, inner.note)
     if n <= 6:
-        secs = max(deadline - time.monotonic(), 1.0)
-        return _search_result(spec, cap, secs, "small ground set, exhaustive search")
+        return _search_result(spec, cap, deadline, "small ground set, exhaustive search")
 
     half1 = _johnson(GraphSpec("johnson", n - 1, k - 1, s - 1), cap, deadline, memo)
     half0 = _johnson(GraphSpec("johnson", n - 1, k, s), cap, deadline, memo)
@@ -523,7 +527,8 @@ def hamilton_generalized_kneser(
             best = inner
     if s == 0:  # K(n, k, 0) is K(n, k), which the t = 0 piece already searched
         return HamiltonResult(spec, best.status, best.vertices, best.cycle_exists, best.note)
-    result = _search_result(spec, fallback_cap, fallback_secs, "union graph search")
+    result = _search_result(spec, fallback_cap, time.monotonic() + fallback_secs,
+                            "union graph search")
     if result.status in ("cycle", "path", "none"):
         return result
     note = best.note if best is not None else ""

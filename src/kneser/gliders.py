@@ -162,7 +162,8 @@ def _window_blocks(x: CyclicBitstring) -> tuple[int, list[list[int]]]:
         elif run:
             blocks.append(run)
             run = []
-    assert not run  # the anchor closes the window and is unmatched
+    if run:
+        raise InternalConsistencyError("the anchor must close the window unmatched")
     return a, blocks
 
 
@@ -180,11 +181,13 @@ def glider_partition(x: CyclicBitstring) -> GliderPartition:
         start = 0
         for idx, j in enumerate(region):
             h += 1 if up_at(j, flip) else -1
-            assert h >= 0
+            if h < 0:
+                raise InternalConsistencyError("a region walk dips below zero")
             if h == 0:
                 arch(region[start : idx + 1], flip, parent, via_dent)
                 start = idx + 1
-        assert start == len(region)
+        if start != len(region):
+            raise InternalConsistencyError("a region walk does not return to zero")
 
     def arch(region: list[int], flip: bool, parent: int | None, via_dent: bool) -> None:
         m = len(region)
@@ -202,15 +205,15 @@ def glider_partition(x: CyclicBitstring) -> GliderPartition:
             if up_at(region[i], flip):
                 last_up[heights[i]] = i
         a_idx = [last_up[lvl] for lvl in range(1, hmax + 1)]
-        assert a_idx[0] == 0 and a_idx[-1] == peak
+        if a_idx[0] != 0 or a_idx[-1] != peak:
+            raise InternalConsistencyError("a staircase must rise from the start to the peak")
         last_down: dict[int, int] = {}
         for i in range(peak + 1, m):
             if not up_at(region[i], flip):
                 last_down[heights[i] + 1] = i
         b_idx = [last_down[lvl] for lvl in range(hmax, 0, -1)]
-        assert b_idx[-1] == m - 1 and all(
-            b_idx[t] < b_idx[t + 1] for t in range(hmax - 1)
-        )
+        if b_idx[-1] != m - 1 or any(b_idx[t] >= b_idx[t + 1] for t in range(hmax - 1)):
+            raise InternalConsistencyError("a staircase must descend to the end")
         gid = len(recs)
         recs.append(
             {
@@ -243,7 +246,8 @@ def glider_partition(x: CyclicBitstring) -> GliderPartition:
                 tb.add(recs[cur]["parent"])
             cur = recs[cur]["parent"]
         trapped.append(frozenset(tb))
-        assert rec["flip"] == (len(tb) % 2 == 1)
+        if rec["flip"] != (len(tb) % 2 == 1):
+            raise InternalConsistencyError("inversion disagrees with the trapping dents")
 
     gliders = tuple(
         Glider(i, r["A"], r["B"], r["parent"], r["via_dent"], r["flip"], trapped[i])
@@ -252,9 +256,11 @@ def glider_partition(x: CyclicBitstring) -> GliderPartition:
     pos_class = [-1] * n
     for g in gliders:
         for j in g.A + g.B:
-            assert pos_class[j % n] == -1
+            if pos_class[j % n] != -1:
+                raise InternalConsistencyError("two gliders claim one position")
             pos_class[j % n] = g.id
-    assert sum(g.speed for g in gliders) == x.k
+    if sum(g.speed for g in gliders) != x.k:
+        raise InternalConsistencyError(f"glider speeds do not sum to k for {x}")
     if len(gliders) != descent_count(bits, n):
         raise InternalConsistencyError(
             f"glider count {len(gliders)} != descent count for {x}"
@@ -342,7 +348,8 @@ def train_composition(p: GliderPartition) -> dict[int, TrainComposition]:
                 j = (j + 1) % n
             if not coupled:
                 breaks.append(t)
-        assert breaks, "a flat step always breaks the circle"
+        if not breaks:
+            raise InternalConsistencyError("a flat step always breaks the circle")
         trains: list[tuple[int, ...]] = []
         prev = breaks[-1]
         for b in breaks:

@@ -16,12 +16,14 @@ chosen 4-cycles with the factor is the Hamilton cycle.
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from math import comb, gcd
+from typing import NamedTuple
 
 from .bitstrings import (
     CycleFactor,
     CyclicBitstring,
     Matching,
     _f_bits,
+    _scan_match,
     apply_f,
     cycle_factor,
     parenthesis_match,
@@ -119,329 +121,201 @@ def single_glider_vertex(n: int, k: int, i: int) -> CyclicBitstring:
 # landing slots by probing where the freshly created speed-1 glider first
 # returns to the anchor; this keeps later rewrites on the merged cycle from
 # revisiting the same spot forever.
+#
+# A rule reads one window w: x's annotated string ('1', '0' for a matched 0,
+# '-' for an unmatched 0) rotated so that index n is the anchor, three copies
+# long, so index i is position (i + p) mod n.  Patterns are literal strings
+# compared at an index.  Three copies suffice: the leftmost read is the start
+# of a block before the anchor, which lies after index 0, and every run that
+# can complete a match starts at or before index 2n and is shorter than n.
+# No pair encloses an unmatched 0, so a pair next to one is visible.  Inside
+# 1^a 0^a the first 1 pairs with the last 0, and that pair is visible when
+# the visible-end string v marks its 1.  A rule also gets k and speeds(),
+# which returns V(x).
 
 
-class _Probe:
-    """Lazy per-vertex context for the rule matchers: bit tests on the
-    matching masks, positions taken mod n."""
+class _Hit(NamedTuple):
+    """Window indices of the 1 a rule moves and of its landing slot; a two-way
+    rule has a second slot alt, and its fresh speed-1 glider has its 1 at dst."""
 
-    __slots__ = ("x", "n", "k", "ell", "m", "_unmatched", "_speeds")
-
-    def __init__(self, x: CyclicBitstring):
-        self.x = x
-        self.n = x.n
-        self.k = x.k
-        self.ell = x.n - 2 * x.k
-        self.m = parenthesis_match(x)
-        self._unmatched = self.m.unmatched
-        self._speeds: tuple[int, ...] | None = None
-
-    def speeds(self) -> tuple[int, ...]:
-        if self._speeds is None:
-            self._speeds = speed_multiset_direct(self.x)
-        return self._speeds
-
-    def one(self, i: int) -> int:
-        return self.x.bits >> (i % self.n) & 1
-
-    def um(self, i: int) -> int:
-        return self._unmatched >> (i % self.n) & 1
-
-    def mzero(self, i: int) -> int:
-        return self.m.matched_zeros >> (i % self.n) & 1
-
-    def matched(self, i: int) -> bool:
-        return not self.um(i)
-
-    def vis(self, i: int, j: int) -> bool:
-        """(i, j) is a visible pair; i is then a 1 and j its partner."""
-        i, m = i % self.n, self.m
-        return bool((m.visible & m.bits) >> i & 1) and _after_visible(m, i) == j % self.n
-
-
-@dataclass(frozen=True)
-class _Hit:
     family: int
     src: int
     dst: int
-    alt: int | None = None  # second landing slot of a two-way rule
-    probe: int | None = None  # 1-bit of the fresh glider that drives the choice
+    alt: int | None = None
 
 
-def _block_run(pr: _Probe, start: int) -> int:
-    """Length of the maximal matched run beginning at start."""
-    length = 1
-    while not pr.um(start + length):
-        length += 1
-    return length
+def _run(w: str, i: int, chars: str) -> int:
+    """Length of the run of chars that starts at index i."""
+    rest = w[i:]
+    return len(rest) - len(rest.lstrip(chars))
 
 
-def _block_start(pr: _Probe, i: int) -> int:
-    """Leftmost position of the maximal matched run containing i (plain
-    integer, possibly below zero; congruent mod n)."""
-    while pr.matched(i - 1):
-        i -= 1
-    return i
-
-
-def _glider_tail(pr: _Probe, p: int) -> tuple[int, int] | None:
-    """For p on a run of matched 0s: (q, a) when positions q..q+2a-1 hold a
-    visibly paired block tail 1^a 0^a whose 0-run contains p."""
-    e = p
-    while pr.mzero(e + 1):
-        e += 1
-    rs = p
-    while pr.mzero(rs - 1):
-        rs -= 1
-    a = e - rs + 1
-    q = rs - a
-    if any(not pr.one(q + i) for i in range(a)):
-        return None
-    if not pr.vis(q, e):
+def _glider_tail(w: str, v: str) -> tuple[int, int] | None:
+    """For the anchor on a run of matched 0s: (q, a) when that run is the
+    tail of a visible 1^a 0^a at q."""
+    n = len(w) // 3
+    start = len(w[:n].rstrip("0"))
+    a = n + _run(w, n, "0") - start
+    q = start - a
+    if not w.startswith("1" * a, q) or v[q] != "1":
         return None
     return q, a
 
 
-def _glider_head(pr: _Probe, p: int) -> tuple[int, int] | None:
-    """For p on a run of 1s: (q, a) when the run q..q+a-1 continues as a
-    visibly paired 1^a 0^a."""
-    q = p
-    while pr.one(q - 1):
-        q -= 1
-    e = p
-    while pr.one(e + 1):
-        e += 1
-    a = e - q + 1
-    if any(not pr.mzero(q + a + i) for i in range(a)):
-        return None
-    if not pr.vis(q, q + 2 * a - 1):
+def _glider_head(w: str, v: str) -> tuple[int, int] | None:
+    """For the anchor on a run of 1s: (q, a) when that run q..q+a-1 continues
+    as a visible 1^a 0^a."""
+    n = len(w) // 3
+    q = len(w[:n].rstrip("1"))
+    a = n + _run(w, n, "1") - q
+    if not w.startswith("0" * a, q + a) or v[q] != "1":
         return None
     return q, a
 
 
-def _exact_block(pr: _Probe, start: int, b: int) -> bool:
-    """The maximal matched run at start is exactly 1^b 0^b."""
-    if any(not pr.one(start + i) for i in range(b)):
-        return False
-    if any(not pr.mzero(start + b + i) for i in range(b)):
-        return False
-    return pr.um(start + 2 * b)
+def _closes_circle(w: str, i: int) -> bool:
+    """Unmatched 0s run from i up to the next copy of the anchor's block."""
+    n = len(w) // 3
+    return i + _run(w, i, "-") == w.rfind("-", 0, n) + 1 + n
 
 
-def _match_rule1(pr: _Probe, p: int) -> _Hit | None:
-    if pr.k < 2 or not pr.um(p):
+def _match_rule1(w: str, v: str, k: int, speeds) -> _Hit | None:
+    n = len(w) // 3
+    ell = n - 2 * k
+    if k < 2 or not w.startswith("-10" + "-" * (ell - 1), n):
         return None
-    if not pr.one(p + 1):
-        return None
-    if not pr.vis(p + 1, p + 2):
-        return None
-    if any(not pr.um(p + i) for i in range(3, pr.ell + 2)):
-        return None
-    return _Hit(1, p + 1, p + pr.ell + 1)
+    return _Hit(1, n + 1, n + ell + 1)
 
 
-def _match_rule2(pr: _Probe, p: int) -> _Hit | None:
-    if not pr.mzero(p):
-        return None
-    tail = _glider_tail(pr, p)
+def _match_rule2(w: str, v: str, k: int, speeds) -> _Hit | None:
+    tail = _glider_tail(w, v)
     if tail is None:
         return None
     q, a = tail
-    if a % 2:
+    if a % 2 or not w.startswith("---", q + 2 * a):
         return None
-    if not (pr.um(q + 2 * a) and pr.um(q + 2 * a + 1) and pr.um(q + 2 * a + 2)):
-        return None
-    sp = pr.speeds()
+    sp = speeds()
     if len(sp) < 2 or sp[0] != a:
         return None
-    return _Hit(2, q, q + 2 * a, q + 2 * a + 1, q + 2 * a)
+    return _Hit(2, q, q + 2 * a, q + 2 * a + 1)
 
 
-def _match_rule3(pr: _Probe, p: int) -> _Hit | None:
-    if not pr.mzero(p):
-        return None
-    tail = _glider_tail(pr, p)
+def _match_rule3(w: str, v: str, k: int, speeds) -> _Hit | None:
+    tail = _glider_tail(w, v)
     if tail is None:
         return None
     q, a = tail
-    if a % 2 or not pr.um(q + 2 * a):
-        return None
-    gap = 1
-    while pr.um(q + 2 * a + gap):
-        gap += 1
-    if gap > 2:
-        return None
-    if pr.speeds()[0] != a:
+    gap = _run(w, q + 2 * a, "-")
+    if a % 2 or not 1 <= gap <= 2 or speeds()[0] != a:
         return None
     return _Hit(3, q, q + 2 * a + gap - 1)
 
 
-def _match_rule4(pr: _Probe, p: int) -> _Hit | None:
-    if not pr.one(p):
-        return None
-    head = _glider_head(pr, p)
+def _match_rule4(w: str, v: str, k: int, speeds) -> _Hit | None:
+    head = _glider_head(w, v)
     if head is None:
         return None
     q, a = head
-    if a % 2 == 0:
+    ell = len(w) // 3 - 2 * k
+    if a % 2 == 0 or not w.startswith("-" * (ell if a == 1 else 3), q + 2 * a):
         return None
-    if not (pr.um(q + 2 * a) and pr.um(q + 2 * a + 1) and pr.um(q + 2 * a + 2)):
-        return None
-    if a == 1 and any(not pr.um(q + 2 + i) for i in range(pr.ell)):
-        return None
-    sp = pr.speeds()
+    sp = speeds()
     if len(sp) < 2 or sp[0] != a:
         return None
-    return _Hit(4, q, q + 2 * a, q + 2 * a + 1, q + 2 * a)
+    return _Hit(4, q, q + 2 * a, q + 2 * a + 1)
 
 
-def _match_rule5(pr: _Probe, p: int) -> _Hit | None:
-    if not pr.one(p):
-        return None
-    head = _glider_head(pr, p)
+def _match_rule5(w: str, v: str, k: int, speeds) -> _Hit | None:
+    head = _glider_head(w, v)
     if head is None:
         return None
     q, a = head
-    if a % 2 == 0 or not pr.um(q + 2 * a):
-        return None
-    gap = 1
-    while pr.um(q + 2 * a + gap):
-        gap += 1
-    c = gap - 1
-    if a != 1 and c not in (0, 1):
+    gap = _run(w, q + 2 * a, "-")
+    if a % 2 == 0 or gap == 0 or (a != 1 and gap > 2):
         return None
     ws = q + 2 * a + gap
-    wlen = _block_run(pr, ws)
-    if (q - ws) % pr.n < wlen:
+    if ws + _run(w, ws, "10") > q + len(w) // 3:
         return None  # the next block wraps around into the glider's own
-    sp = pr.speeds()
+    sp = speeds()
     if sp[0] != a:
         return None
-    third = len(sp) >= 3 and sp[1] < sp[2]
-    if third and a == 1:
+    if a == 1 and len(sp) >= 3 and sp[1] < sp[2]:
         b = sp[1]
-        bs = _block_start(pr, q)
-        prefix_block = (
-            q - bs == 2 * b
-            and all(pr.one(bs + i) for i in range(b))
-            and all(pr.mzero(bs + b + i) for i in range(b))
-        )
-        if c == 0 and prefix_block:
+        block = "1" * b + "0" * b
+        if gap == 1 and w.startswith("-" + block, q - 2 * b - 1):
             return None  # another rule covers the vertex from the left
-        if wlen == 2 * b and _exact_block(pr, ws, b):
-            if not (c == 0 and b == 1):
-                return None
+        if w.startswith(block + "-", ws) and not (gap == 1 and b == 1):
+            return None
     return _Hit(5, q, ws - 1)
 
 
-def _match_rule6(pr: _Probe, p: int) -> _Hit | None:
-    if not pr.one(p) or pr.one(p + 1):  # an adjacent 10 always pairs
+def _match_rule6(w: str, v: str, k: int, speeds) -> _Hit | None:
+    n = len(w) // 3
+    if not w.startswith("10-", n) or w[n + 3] == "-":
         return None
-    if not pr.um(p + 2) or not pr.matched(p + 3):
-        return None
-    sp = pr.speeds()
+    sp = speeds()
     if len(sp) < 3 or sp[1] >= sp[2]:
         return None
     b = sp[1]
-    if any(not pr.mzero(p - 1 - i) for i in range(b)):
+    if not w.startswith("-" + "1" * b + "0" * b, n - 2 * b - 1):
         return None
-    if any(not pr.one(p - b - 1 - i) for i in range(b)):
-        return None
-    if not pr.vis(p - 2 * b, p - 1):
-        return None
-    if not pr.um(p - 2 * b - 1):
-        return None
-    return _Hit(6, p - 2 * b, p + 2)
+    return _Hit(6, n - 2 * b, n + 2)
 
 
-def _match_rule7(pr: _Probe, p: int) -> _Hit | None:
-    if not pr.vis(p, p + 1):
+def _match_rule7(w: str, v: str, k: int, speeds) -> _Hit | None:
+    n = len(w) // 3
+    if not w.startswith("10-", n):
         return None
-    if not pr.um(p + 2):
-        return None
-    sp = pr.speeds()
+    sp = speeds()
     if len(sp) < 3 or sp[1] >= sp[2] or sp[1] < 2:
         return None
     b = sp[1]
-    i = p + 2
-    while pr.um(i):
-        i += 1
-    if not _exact_block(pr, i, b):
+    i = n + 2 + _run(w, n + 2, "-")
+    if not w.startswith("1" * b + "0" * b + "-", i):
         return None
-    j = i + 2 * b
-    while pr.um(j):
-        j += 1
-    wlen = _block_run(pr, j)
-    if (p - j) % pr.n < wlen:
+    j = i + 2 * b + _run(w, i + 2 * b, "-")
+    if j + _run(w, j, "10") > 2 * n:
         return None  # that run is the anchor's own block coming back around
-    return _Hit(7, p, j - 1)
+    return _Hit(7, n, j - 1)
 
 
-def _match_rule8(pr: _Probe, p: int) -> _Hit | None:
-    if not pr.vis(p, p + 1):
+def _match_rule8(w: str, v: str, k: int, speeds) -> _Hit | None:
+    n = len(w) // 3
+    if not w.startswith("10-", n) or w[n - 1] == "-":
         return None
-    if not pr.matched(p - 1):
-        return None
-    if not pr.um(p + 2):
-        return None
-    gap = 1
-    while pr.um(p + 2 + gap):
-        gap += 1
-    c = gap - 1
-    sp = pr.speeds()
+    gap = _run(w, n + 2, "-")
+    sp = speeds()
     if len(sp) < 3 or sp[1] >= sp[2]:
         return None
     b = sp[1]
-    if not (b >= 2 or c == 1):
+    if b < 2 and gap != 2:
         return None
-    i = p + 2 + gap
-    if any(not pr.one(i + t) for t in range(b)):
+    i = n + 2 + gap
+    if not w.startswith("1" * b + "0" * b, i) or not _closes_circle(w, i + 2 * b):
         return None
-    if any(not pr.mzero(i + b + t) for t in range(b)):
-        return None
-    bs = _block_start(pr, p)
-    span = (bs - 1 - (i + 2 * b)) % pr.n + 1
-    if any(not pr.um(i + 2 * b + t) for t in range(span)):
-        return None
-    return _Hit(8, i, bs - 1)
+    return _Hit(8, i, w.rfind("-", 0, n))
 
 
-def _match_rule9(pr: _Probe, p: int) -> _Hit | None:
-    if not pr.vis(p, p + 1):
+def _match_rule9(w: str, v: str, k: int, speeds) -> _Hit | None:
+    n = len(w) // 3
+    if not w.startswith("10-", n) or w[n - 1] == "-":
         return None
-    if not pr.matched(p - 1):
+    gap = _run(w, n + 2, "-")
+    i = n + 2 + gap
+    if gap < 3 or not w.startswith("10", i) or not _closes_circle(w, i + 2):
         return None
-    if not pr.um(p + 2):
-        return None
-    gap = 1
-    while pr.um(p + 2 + gap):
-        gap += 1
-    if gap < 3:
-        return None
-    i = p + 2 + gap
-    if not pr.one(i) or not pr.mzero(i + 1):
-        return None
-    bs = _block_start(pr, p)
-    span = (bs - 1 - (i + 2)) % pr.n + 1
-    if any(not pr.um(i + 2 + t) for t in range(span)):
-        return None
-    sp = pr.speeds()
+    sp = speeds()
     if len(sp) < 3 or sp[2] <= 1:
         return None
-    return _Hit(9, p, p + gap - 1)
+    return _Hit(9, n, n + gap - 1)
 
 
-_RULES = (
-    _match_rule1,
-    _match_rule2,
-    _match_rule3,
-    _match_rule4,
-    _match_rule5,
-    _match_rule6,
-    _match_rule7,
-    _match_rule8,
-    _match_rule9,
-)
+# the rules that can match, by the anchor's glyph
+_RULES = {
+    "-": (_match_rule1,),
+    "0": (_match_rule2, _match_rule3),
+    "1": (_match_rule4, _match_rule5, _match_rule6, _match_rule7, _match_rule8, _match_rule9),
+}
 
 
 @dataclass(frozen=True)
@@ -462,12 +336,34 @@ def _move_one(x: CyclicBitstring, src: int, dst: int) -> CyclicBitstring:
     return CyclicBitstring(x.n, x.k, x.bits ^ (1 << src) | (1 << dst))
 
 
+def _window(x: CyclicBitstring, p: int) -> tuple[str, str]:
+    """The rules' window of x at anchor p and its visible-end string, read
+    off the matching scan itself: a Matching per call would cost a dataclass
+    on the hottest path of the plan."""
+    n, bits = x.n, x.bits
+    _, matched_zeros, visible = _scan_match(bits, n)
+    unmatched = ((1 << n) - 1) & ~(bits | matched_zeros)
+    # each bit becomes a hex digit: 1 for a 1, 2 for an unmatched 0
+    digits = int(format(bits, "b"), 16) + 2 * int(format(unmatched, "b"), 16)
+    s = format(digits, f"0{n}x")[::-1].replace("2", "-")
+    vis = format(visible, f"0{n}b")[::-1]
+    return (s[p:] + s[:p]) * 3, (vis[p:] + vis[:p]) * 3
+
+
 def match_rewrite(x: CyclicBitstring, p: int = 0) -> RewriteMatch | None:
     """Apply the one rewrite rule matching x at anchor p, if any."""
     if x.n - 2 * x.k < 3:
         raise ParameterError("the rewrite rules need n >= 2k+3")
-    pr = _Probe(x)
-    hits = [h for f in _RULES if (h := f(pr, p)) is not None]
+    p %= x.n
+    w, v = _window(x, p)
+    memo: list[tuple[int, ...]] = []
+
+    def speeds() -> tuple[int, ...]:  # V(x), computed at most once
+        if not memo:
+            memo.append(speed_multiset_direct(x))
+        return memo[0]
+
+    hits = [h for rule in _RULES[w[x.n]] if (h := rule(w, v, x.k, speeds)) is not None]
     if not hits:
         return None
     if len(hits) > 1:
@@ -475,19 +371,20 @@ def match_rewrite(x: CyclicBitstring, p: int = 0) -> RewriteMatch | None:
             f"rules {[h.family for h in hits]} all claim {x} at anchor {p}"
         )
     hit = hits[0]
-    image = _move_one(x, hit.src, hit.dst)
+    image = _move_one(x, p + hit.src, p + hit.dst)
     branched = False
     if hit.alt is not None:
         part = glider_partition(image)
-        g = part.glider_at(hit.probe % x.n)
+        g = part.glider_at(p + hit.dst)
         if g is None or g.speed != 1:
             raise InternalConsistencyError("two-way rule expects a fresh speed-1 glider")
         try:
-            z = tau(image, g, 1, p % x.n, partition=part).z
+            z = tau(image, g, 1, p, partition=part).z
         except ParameterError as exc:
             raise InternalConsistencyError("two-way rule probe is not trackable") from exc
-        if _match_rule4(_Probe(z), p) is not None:
-            image = _move_one(x, hit.src, hit.alt)
+        wz, vz = _window(z, p)
+        if wz[x.n] == "1" and _match_rule4(wz, vz, z.k, lambda: speed_multiset_direct(z)):
+            image = _move_one(x, p + hit.src, p + hit.alt)
             branched = True
     return RewriteMatch(hit.family, x, image, branched)
 
@@ -506,22 +403,18 @@ class GluingPlan:
     rewrites: tuple[RewriteMatch, ...] = field(repr=False)
     rotation_base: int
     rotation_pairs: tuple[tuple[CyclicBitstring, CyclicBitstring], ...]
-    single_glider_keys: frozenset[int]
     tree: tuple[RewriteMatch, ...] = field(repr=False)
 
     def family_counts(self) -> dict[int, int]:
         return dict(sorted(Counter(r.family for r in self.rewrites).items()))
 
 
-def build_gluing_plan(
-    n: int, k: int, anchor: int = 0, factor: CycleFactor | None = None
-) -> GluingPlan:
+def build_gluing_plan(n: int, k: int, anchor: int = 0) -> GluingPlan:
     if k < 1:
         raise ParameterError("k must be at least 1")
     if k >= 2 and n < 2 * k + 3:
         raise ParameterError("gluing needs n >= 2k+3 when k >= 2")
-    if factor is None:
-        factor = cycle_factor(n, k)
+    factor = cycle_factor(n, k)
     ell = n - 2 * k
     p = anchor % n
 
@@ -600,7 +493,6 @@ def build_gluing_plan(
         rewrites=tuple(rewrites),
         rotation_base=base,
         rotation_pairs=tuple(pairs),
-        single_glider_keys=d_keys,
         tree=tuple(tree),
     )
 

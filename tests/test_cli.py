@@ -62,6 +62,13 @@ def test_gen_infeasible_exits_3(capsys):
     assert "none" in err
 
 
+def test_gen_edgeless_beyond_exhaustive_limit_exits_3(capsys):
+    code, out, err = run(capsys, "gen", "--gen-kneser", "10", "7", "3")
+    assert code == 3
+    assert out == ""
+    assert "none" in err
+
+
 def test_gen_invalid_parameters_exit_2(capsys):
     code, _, err = run(capsys, "gen", "--kneser", "5", "0")
     assert code == 2

@@ -135,6 +135,32 @@ def test_kneser_fallback_budget_holds():
     assert elapsed < 2.5, elapsed
 
 
+def test_posa_budget_holds():
+    # K(16,7) is past the exhaustive limit: the rotation-extension loops read the clock
+    t0 = time.monotonic()
+    r = hamilton_kneser(16, 7, fallback_cap=20000, fallback_secs=1.0)
+    elapsed = time.monotonic() - t0
+    assert r.status in ("cycle", "path", "timeout")
+    assert elapsed < 1.5, elapsed
+
+
+def test_johnson_passes_its_remaining_budget():
+    # J(15,7,0) is K(15,7); its piece gets what is left of 0.2 s, not a 1 s floor
+    t0 = time.monotonic()
+    r = hamilton_johnson(15, 7, 0, fallback_cap=20000, fallback_secs=0.2)
+    elapsed = time.monotonic() - t0
+    assert r.status == "timeout" and r.cycle_exists is None
+    assert "1s" not in r.note
+    assert elapsed < 0.7, elapsed
+
+
+def test_isolated_vertex_rules_out_a_tour():
+    # K(10,7,3): 120 seven-sets that always meet in four or more, so no edges
+    r = hamilton_generalized_kneser(10, 7, 3)
+    assert r.status == "none" and r.cycle_exists is False
+    assert r.vertices == ()
+
+
 def test_kneser_determinism():
     a = hamilton_kneser(9, 4)
     b = hamilton_kneser(9, 4)

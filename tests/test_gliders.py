@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 
+import kneser
 from conftest import vertices
 from kneser.bitstrings import CyclicBitstring, descent_count, iter_bits
 from kneser.gliders import (
@@ -149,3 +154,27 @@ def test_trains_separate_equal_speeds():
     assert coupled[1].composition == (2,)
     split = train_composition(glider_partition(v("100100")))
     assert split[1].composition == (1, 1)
+
+
+def test_glider_invariant_survives_optimized_mode():
+    """A matching that reports a matched position as its anchor leaves a block
+    open at the end of the window; python -O, which strips asserts, must still
+    raise instead of returning a speed multiset."""
+    code = (
+        "import dataclasses\n"
+        "from kneser import gliders\n"
+        "from kneser.bitstrings import CyclicBitstring, parenthesis_match\n"
+        "from kneser.errors import InternalConsistencyError\n"
+        "def faulty(x):  # reports position 0, a 1, as the anchor\n"
+        "    return dataclasses.replace(parenthesis_match(x), anchor=0)\n"
+        "gliders.parenthesis_match = faulty\n"
+        "try:\n"
+        "    print(gliders.speed_multiset_direct(CyclicBitstring.from_string('110100000')))\n"
+        "except InternalConsistencyError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit('no InternalConsistencyError')\n"
+    )
+    src = str(Path(kneser.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -1,3 +1,4 @@
+import hashlib
 from math import comb, gcd
 
 import pytest
@@ -172,6 +173,25 @@ def test_rewrites_cover_all_nine_families():
             if m is not None:
                 seen.add(m.family)
     assert seen == set(range(1, 10))
+
+
+def test_rule_census_at_every_anchor():
+    """Pin every rule result at every anchor of K(n, k), 7 <= n <= 12, plus
+    K(16, 6) at anchor 0, where all nine rules fire (rule 7 never does below)."""
+    h = hashlib.sha256()
+    seen: set[int] = set()
+    jobs = [(n, k, p) for n in range(7, 13) for k in range(2, (n - 3) // 2 + 1)
+            for p in range(n)]
+    for n, k, p in jobs + [(16, 6, 0)]:
+        for bits in iter_bits(n, k):
+            m = match_rewrite(CyclicBitstring(n, k, bits), p)
+            if m is None:
+                h.update(b"-;")
+            else:
+                seen.add(m.family)
+                h.update(f"{m.family},{m.image.bits},{m.branched};".encode())
+    assert seen == set(range(1, 10))
+    assert h.hexdigest() == "97080ee0722190faee092b8fa5b7d870741da829a88554a435469cf045a38444"
 
 
 # -- the gluing plan ---------------------------------------------------------------
