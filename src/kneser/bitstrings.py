@@ -49,11 +49,7 @@ def rotate_bits(bits: int, n: int, i: int) -> int:
 
 def reverse_bits(bits: int, n: int) -> int:
     """Exchange positions j and n-1-j."""
-    out = 0
-    for j in range(n):
-        if (bits >> j) & 1:
-            out |= 1 << (n - 1 - j)
-    return out
+    return int(format(bits, f"0{n}b")[::-1], 2)
 
 
 def to_string(bits: int, n: int) -> str:

@@ -114,16 +114,14 @@ def capture_analysis(p: GliderPartition) -> CaptureAnalysis:
     landing: dict[int, tuple[int, ...]] = {}
     for g in free:
         sp, stair = _capture_walk(m0, n, g.s2, g.speed, cap)
-        assert len(stair) == g.speed and stair[-1] == sp
-        assert all(stair[t] < stair[t + 1] for t in range(len(stair) - 1))
+        if len(stair) != g.speed or stair[-1] != sp or stair != sorted(set(stair)):
+            raise InternalConsistencyError("landing staircase is not one step per level")
         seen_one = False
         for c in stair:
-            tp = types[c % n]
-            assert tp in "UF"  # landing steps are never matched zeros
-            if tp == "U":
-                seen_one = True
-            else:
-                assert not seen_one, "flat landing steps precede the 1s"
+            tp = types[c % n]  # flat steps first, then 1s, never a matched zero
+            if tp == "D" or (tp == "F" and seen_one):
+                raise InternalConsistencyError(f"landing step {c} is out of order")
+            seen_one = tp == "U"
         s_plus[g.id] = sp
         landing[g.id] = tuple(stair)
 
@@ -152,11 +150,14 @@ def capture_analysis(p: GliderPartition) -> CaptureAnalysis:
             t_max = (hi - s_plus[gj.id]) // n
             if t_min > t_max:
                 continue
-            assert t_min == t_max, "at most one translate per class fits"
+            if t_min != t_max:
+                raise InternalConsistencyError("more than one translate of a class fits")
             t = t_min
-            assert s_plus[gj.id] + t * n < hi
+            if s_plus[gj.id] + t * n >= hi:
+                raise InternalConsistencyError("captured copy reaches its mover's end")
             stratum = bisect_left(landing[gid], gj.s0 + t * n)
-            assert gj.speed < gi.speed - stratum
+            if gj.speed >= gi.speed - stratum:
+                raise InternalConsistencyError("captured copy is not slower than its stratum")
             copies.append(CapturedCopy(gj.id, t, stratum))
         captured[gid] = tuple(sorted(copies, key=lambda c: p.gliders[c.glider].s0 + c.shift * n))
     return CaptureAnalysis(p, s_plus, landing, frozenset(movers), captured)
@@ -193,7 +194,8 @@ def advance(
     if len(q.gliders) != len(p.gliders):
         raise InternalConsistencyError("glider count changed across f")
     keymap = {g.key(n): g.id for g in q.gliders}
-    assert len(keymap) == len(q.gliders)
+    if len(keymap) != len(q.gliders):
+        raise InternalConsistencyError("two gliders of f(x) share a class key")
     bij: dict[int, int] = {}
     for g in p.gliders:
         if g.id in ana.movers:
@@ -364,12 +366,14 @@ def find_period(x: CyclicBitstring, verify: bool = False) -> OrbitPeriod:
         cls_of = {adv.bijection[gid]: c for gid, c in cls_of.items()}
         p = adv.next_partition
         cur = adv.fx
-    assert cur == x
+    if cur != x:
+        raise InternalConsistencyError("the orbit did not return to x")
     # the final partition has the ids of p0 again; class c now occupies the
     # steps of glider forward[c]
     forward = {c: gid for gid, c in cls_of.items()}
     for c, d in forward.items():
-        assert p0.gliders[c].speed == p0.gliders[d].speed
+        if p0.gliders[c].speed != p0.gliders[d].speed:
+            raise InternalConsistencyError("a class moved onto a glider of another speed")
     seen: set[int] = set()
     cycles: list[tuple[int, ...]] = []
     for c in range(len(p0.gliders)):

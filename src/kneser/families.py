@@ -312,13 +312,14 @@ def _adjacency(spec: GraphSpec, verts: list[int],
                deadline: float) -> dict[int, tuple[int, ...]] | None:
     """Ascending neighbour tuples of every vertex, or None once the deadline
     passes.  Kneser neighbours are the k-subsets of the complement, found in
-    O(degree) and stored as the int objects of verts."""
+    O(degree) and stored as the int objects of verts; other families test
+    all N vertices, so they read the clock at every vertex."""
     kneser = spec.family == "kneser"
     same = {v: v for v in verts} if kneser else {}
     picks = [_positions(c) for c in iter_bits(spec.n - spec.k, spec.k)] if kneser else []
     adjacency = {}
     for i, v in enumerate(verts):
-        if i % 256 == 0 and time.monotonic() > deadline:
+        if (i % 256 == 0 or not kneser) and time.monotonic() > deadline:
             return None
         if kneser:
             free = _positions(((1 << spec.n) - 1) ^ v)
@@ -517,9 +518,10 @@ def hamilton_generalized_kneser(
                                            False, "two vertices, one edge"))
         return _checked(HamiltonResult(spec, "cycle", tuple(iter_bits(n, k)), True,
                                        "all pairs adjacent, any order works"))
+    deadline = time.monotonic() + fallback_secs  # one budget for every piece
     best: HamiltonResult | None = None
     for t in range(s, -1, -1):
-        inner = hamilton_johnson(n, k, t, fallback_cap, fallback_secs)
+        inner = hamilton_johnson(n, k, t, fallback_cap, deadline - time.monotonic())
         if inner.status == "cycle":
             return _checked(HamiltonResult(spec, "cycle", inner.vertices, True,
                                            f"fixed-overlap cycle with t={t}"))
@@ -527,8 +529,7 @@ def hamilton_generalized_kneser(
             best = inner
     if s == 0:  # K(n, k, 0) is K(n, k), which the t = 0 piece already searched
         return HamiltonResult(spec, best.status, best.vertices, best.cycle_exists, best.note)
-    result = _search_result(spec, fallback_cap, time.monotonic() + fallback_secs,
-                            "union graph search")
+    result = _search_result(spec, fallback_cap, deadline, "union graph search")
     if result.status in ("cycle", "path", "none"):
         return result
     note = best.note if best is not None else ""

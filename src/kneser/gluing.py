@@ -23,7 +23,6 @@ from .bitstrings import (
     CyclicBitstring,
     Matching,
     _f_bits,
-    _scan_match,
     apply_f,
     cycle_factor,
     parenthesis_match,
@@ -128,9 +127,10 @@ def single_glider_vertex(n: int, k: int, i: int) -> CyclicBitstring:
 # compared at an index.  Three copies suffice: the leftmost read is the start
 # of a block before the anchor, which lies after index 0, and every run that
 # can complete a match starts at or before index 2n and is shorter than n.
-# No pair encloses an unmatched 0, so a pair next to one is visible.  Inside
-# 1^a 0^a the first 1 pairs with the last 0, and that pair is visible when
-# the visible-end string v marks its 1.  A rule also gets k and speeds(),
+# No pair encloses an unmatched 0, so each arc between two unmatched 0s is a
+# balanced word, and a 1 is visible exactly when its arc is balanced up to it
+# (_visible_one).  Inside 1^a 0^a the first 1 pairs with the last 0, so that
+# pair is visible when its first 1 is.  A rule also gets k and speeds(),
 # which returns V(x).
 
 
@@ -150,25 +150,31 @@ def _run(w: str, i: int, chars: str) -> int:
     return len(rest) - len(rest.lstrip(chars))
 
 
-def _glider_tail(w: str, v: str) -> tuple[int, int] | None:
+def _visible_one(w: str, q: int) -> bool:
+    """The 1 at window index q is visible: its arc is balanced up to q."""
+    u = w.rfind("-", 0, q) + 1  # the arc starts after the last unmatched 0
+    return 2 * w.count("1", u, q) == q - u
+
+
+def _glider_tail(w: str) -> tuple[int, int] | None:
     """For the anchor on a run of matched 0s: (q, a) when that run is the
     tail of a visible 1^a 0^a at q."""
     n = len(w) // 3
     start = len(w[:n].rstrip("0"))
     a = n + _run(w, n, "0") - start
     q = start - a
-    if not w.startswith("1" * a, q) or v[q] != "1":
+    if not w.startswith("1" * a, q) or not _visible_one(w, q):
         return None
     return q, a
 
 
-def _glider_head(w: str, v: str) -> tuple[int, int] | None:
+def _glider_head(w: str) -> tuple[int, int] | None:
     """For the anchor on a run of 1s: (q, a) when that run q..q+a-1 continues
     as a visible 1^a 0^a."""
     n = len(w) // 3
     q = len(w[:n].rstrip("1"))
     a = n + _run(w, n, "1") - q
-    if not w.startswith("0" * a, q + a) or v[q] != "1":
+    if not w.startswith("0" * a, q + a) or not _visible_one(w, q):
         return None
     return q, a
 
@@ -179,7 +185,7 @@ def _closes_circle(w: str, i: int) -> bool:
     return i + _run(w, i, "-") == w.rfind("-", 0, n) + 1 + n
 
 
-def _match_rule1(w: str, v: str, k: int, speeds) -> _Hit | None:
+def _match_rule1(w: str, k: int, speeds) -> _Hit | None:
     n = len(w) // 3
     ell = n - 2 * k
     if k < 2 or not w.startswith("-10" + "-" * (ell - 1), n):
@@ -187,8 +193,8 @@ def _match_rule1(w: str, v: str, k: int, speeds) -> _Hit | None:
     return _Hit(1, n + 1, n + ell + 1)
 
 
-def _match_rule2(w: str, v: str, k: int, speeds) -> _Hit | None:
-    tail = _glider_tail(w, v)
+def _match_rule2(w: str, k: int, speeds) -> _Hit | None:
+    tail = _glider_tail(w)
     if tail is None:
         return None
     q, a = tail
@@ -200,8 +206,8 @@ def _match_rule2(w: str, v: str, k: int, speeds) -> _Hit | None:
     return _Hit(2, q, q + 2 * a, q + 2 * a + 1)
 
 
-def _match_rule3(w: str, v: str, k: int, speeds) -> _Hit | None:
-    tail = _glider_tail(w, v)
+def _match_rule3(w: str, k: int, speeds) -> _Hit | None:
+    tail = _glider_tail(w)
     if tail is None:
         return None
     q, a = tail
@@ -211,8 +217,8 @@ def _match_rule3(w: str, v: str, k: int, speeds) -> _Hit | None:
     return _Hit(3, q, q + 2 * a + gap - 1)
 
 
-def _match_rule4(w: str, v: str, k: int, speeds) -> _Hit | None:
-    head = _glider_head(w, v)
+def _match_rule4(w: str, k: int, speeds) -> _Hit | None:
+    head = _glider_head(w)
     if head is None:
         return None
     q, a = head
@@ -225,8 +231,8 @@ def _match_rule4(w: str, v: str, k: int, speeds) -> _Hit | None:
     return _Hit(4, q, q + 2 * a, q + 2 * a + 1)
 
 
-def _match_rule5(w: str, v: str, k: int, speeds) -> _Hit | None:
-    head = _glider_head(w, v)
+def _match_rule5(w: str, k: int, speeds) -> _Hit | None:
+    head = _glider_head(w)
     if head is None:
         return None
     q, a = head
@@ -249,7 +255,7 @@ def _match_rule5(w: str, v: str, k: int, speeds) -> _Hit | None:
     return _Hit(5, q, ws - 1)
 
 
-def _match_rule6(w: str, v: str, k: int, speeds) -> _Hit | None:
+def _match_rule6(w: str, k: int, speeds) -> _Hit | None:
     n = len(w) // 3
     if not w.startswith("10-", n) or w[n + 3] == "-":
         return None
@@ -262,7 +268,7 @@ def _match_rule6(w: str, v: str, k: int, speeds) -> _Hit | None:
     return _Hit(6, n - 2 * b, n + 2)
 
 
-def _match_rule7(w: str, v: str, k: int, speeds) -> _Hit | None:
+def _match_rule7(w: str, k: int, speeds) -> _Hit | None:
     n = len(w) // 3
     if not w.startswith("10-", n):
         return None
@@ -279,7 +285,7 @@ def _match_rule7(w: str, v: str, k: int, speeds) -> _Hit | None:
     return _Hit(7, n, j - 1)
 
 
-def _match_rule8(w: str, v: str, k: int, speeds) -> _Hit | None:
+def _match_rule8(w: str, k: int, speeds) -> _Hit | None:
     n = len(w) // 3
     if not w.startswith("10-", n) or w[n - 1] == "-":
         return None
@@ -296,7 +302,7 @@ def _match_rule8(w: str, v: str, k: int, speeds) -> _Hit | None:
     return _Hit(8, i, w.rfind("-", 0, n))
 
 
-def _match_rule9(w: str, v: str, k: int, speeds) -> _Hit | None:
+def _match_rule9(w: str, k: int, speeds) -> _Hit | None:
     n = len(w) // 3
     if not w.startswith("10-", n) or w[n - 1] == "-":
         return None
@@ -336,26 +342,25 @@ def _move_one(x: CyclicBitstring, src: int, dst: int) -> CyclicBitstring:
     return CyclicBitstring(x.n, x.k, x.bits ^ (1 << src) | (1 << dst))
 
 
-def _window(x: CyclicBitstring, p: int) -> tuple[str, str]:
-    """The rules' window of x at anchor p and its visible-end string, read
-    off the matching scan itself: a Matching per call would cost a dataclass
-    on the hottest path of the plan."""
+def _window(x: CyclicBitstring, p: int, fx: int | None = None) -> str:
+    """The rules' window of x at anchor p.  f(x) is x's matched-zero mask,
+    so fx = f(x), when the caller has it, spares the matching scan."""
     n, bits = x.n, x.bits
-    _, matched_zeros, visible = _scan_match(bits, n)
-    unmatched = ((1 << n) - 1) & ~(bits | matched_zeros)
+    if fx is None:
+        fx = _f_bits(bits, n)
+    unmatched = ((1 << n) - 1) & ~(bits | fx)
     # each bit becomes a hex digit: 1 for a 1, 2 for an unmatched 0
     digits = int(format(bits, "b"), 16) + 2 * int(format(unmatched, "b"), 16)
     s = format(digits, f"0{n}x")[::-1].replace("2", "-")
-    vis = format(visible, f"0{n}b")[::-1]
-    return (s[p:] + s[:p]) * 3, (vis[p:] + vis[:p]) * 3
+    return (s[p:] + s[:p]) * 3
 
 
-def match_rewrite(x: CyclicBitstring, p: int = 0) -> RewriteMatch | None:
-    """Apply the one rewrite rule matching x at anchor p, if any."""
+def match_rewrite(x: CyclicBitstring, p: int = 0, fx: int | None = None) -> RewriteMatch | None:
+    """Apply the one rewrite rule matching x at anchor p, if any; fx, if given, is f(x)."""
     if x.n - 2 * x.k < 3:
         raise ParameterError("the rewrite rules need n >= 2k+3")
     p %= x.n
-    w, v = _window(x, p)
+    w = _window(x, p, fx)
     memo: list[tuple[int, ...]] = []
 
     def speeds() -> tuple[int, ...]:  # V(x), computed at most once
@@ -363,7 +368,7 @@ def match_rewrite(x: CyclicBitstring, p: int = 0) -> RewriteMatch | None:
             memo.append(speed_multiset_direct(x))
         return memo[0]
 
-    hits = [h for rule in _RULES[w[x.n]] if (h := rule(w, v, x.k, speeds)) is not None]
+    hits = [h for rule in _RULES[w[x.n]] if (h := rule(w, x.k, speeds)) is not None]
     if not hits:
         return None
     if len(hits) > 1:
@@ -382,8 +387,8 @@ def match_rewrite(x: CyclicBitstring, p: int = 0) -> RewriteMatch | None:
             z = tau(image, g, 1, p, partition=part).z
         except ParameterError as exc:
             raise InternalConsistencyError("two-way rule probe is not trackable") from exc
-        wz, vz = _window(z, p)
-        if wz[x.n] == "1" and _match_rule4(wz, vz, z.k, lambda: speed_multiset_direct(z)):
+        wz = _window(z, p)
+        if wz[x.n] == "1" and _match_rule4(wz, z.k, lambda: speed_multiset_direct(z)):
             image = _move_one(x, p + hit.src, p + hit.alt)
             branched = True
     return RewriteMatch(hit.family, x, image, branched)
@@ -421,8 +426,9 @@ def build_gluing_plan(n: int, k: int, anchor: int = 0) -> GluingPlan:
     rewrites: list[RewriteMatch] = []
     if k >= 2:
         for cyc in factor.cycles:
-            for bits in cyc.vertices:
-                rm = match_rewrite(CyclicBitstring(n, k, bits), p)
+            vs = cyc.vertices  # in f-order, so f(x) is the next vertex
+            for i, bits in enumerate(vs):
+                rm = match_rewrite(CyclicBitstring(n, k, bits), p, vs[(i + 1) % len(vs)])
                 if rm is not None:
                     rewrites.append(rm)
 

@@ -52,6 +52,15 @@ def naive_f(bits: int, n: int) -> int:
     return bits ^ mask
 
 
+def naive_reverse_bits(bits: int, n: int) -> int:
+    """Exchange positions j and n-1-j, one bit at a time."""
+    out = 0
+    for j in range(n):
+        if (bits >> j) & 1:
+            out |= 1 << (n - 1 - j)
+    return out
+
+
 def naive_partitions(k: int) -> list[tuple[int, ...]]:
     """All non-increasing partitions of k, sorted lexicographically."""
     out: list[tuple[int, ...]] = []

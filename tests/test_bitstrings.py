@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import vertices
-from oracles import cyclic_equal, naive_f, naive_matching
+from oracles import cyclic_equal, naive_f, naive_matching, naive_reverse_bits
 
 from kneser.bitstrings import (
     CyclicBitstring,
@@ -60,6 +60,12 @@ def test_rotate_shifts_positions():
 
 def test_reverse_bits():
     assert to_string(reverse_bits(from_string("11010"), 5), 5) == "01011"
+
+
+def test_reverse_bits_equals_loop():
+    for n in range(13):
+        for bits in range(1 << n):
+            assert reverse_bits(bits, n) == naive_reverse_bits(bits, n)
 
 
 def test_descent_count_micro():

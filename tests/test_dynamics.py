@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import kneser
 from conftest import vertices
 from oracles import det_fractions, tau_slow
 
@@ -193,3 +198,26 @@ def test_trace_svg_smoke():
     tr = motion_trace(v("1001010000"), 6)
     svg = trace_svg(tr)
     assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
+
+
+# -- always-on invariants ---------------------------------------------------------
+
+
+def test_capture_invariant_survives_optimized_mode():
+    """Step types that call every landing step a matched zero break the capture
+    analysis; python -O, which strips asserts, must still raise from advance."""
+    code = (
+        "from kneser import dynamics\n"
+        "from kneser.bitstrings import CyclicBitstring\n"
+        "from kneser.errors import InternalConsistencyError\n"
+        "dynamics.step_types = lambda m: ('D',) * m.n\n"
+        "try:\n"
+        "    dynamics.advance(CyclicBitstring.from_string('1001010000'), verify=False)\n"
+        "except InternalConsistencyError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit('no InternalConsistencyError')\n"
+    )
+    src = str(Path(kneser.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -154,6 +154,16 @@ def test_johnson_passes_its_remaining_budget():
     assert elapsed < 0.7, elapsed
 
 
+def test_gen_kneser_pieces_share_one_budget():
+    # every piece t = 1, 0 and the union search share one 0.05 s budget, and the
+    # union graph's neighbour table reads the clock at every vertex
+    t0 = time.monotonic()
+    r = hamilton_generalized_kneser(16, 7, 1, fallback_cap=20000, fallback_secs=0.05)
+    elapsed = time.monotonic() - t0
+    assert r.status == "timeout" and r.cycle_exists is None
+    assert elapsed < 0.4, elapsed
+
+
 def test_isolated_vertex_rules_out_a_tour():
     # K(10,7,3): 120 seven-sets that always meet in four or more, so no edges
     r = hamilton_generalized_kneser(10, 7, 3)
