@@ -263,7 +263,7 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_plan(args) -> int:
-    plan = build_gluing_plan(args.n, args.k, args.anchor)
+    plan = build_gluing_plan(args.n, args.k, args.anchor, full=True)
     n, k = plan.n, plan.k
     g = gcd(n, k)
     print(f"K({n},{k}): anchor p={plan.anchor}, factor cycles={len(plan.factor.cycles)}, "
@@ -276,7 +276,8 @@ def _cmd_plan(args) -> int:
     total = sum(counts.values())
     print(f"rewrite matches: {total} " +
           " ".join(f"rule{fam}:{c}" for fam, c in counts.items()))
-    print(f"spanning tree: {len(plan.tree)} connectors")
+    print(f"spanning tree: {len(plan.tree)} connectors, "
+          f"{len(plan.exceptions)} exceptions (cycles with no downhill rewrite)")
     shown = plan.rewrites if args.full else plan.tree
     label = "connector" if args.full else "tree edge"
     for rm in shown:

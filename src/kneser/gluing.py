@@ -6,14 +6,25 @@ graph, and exchanging its factor edges for its chords merges the cycles
 through x and y.  Nine local rewrite rules, each a pattern anchored at a
 fixed position p, pick one partner vertex for every vertex they match, and
 the resulting pairs never share an endpoint.  Vertices whose k 1s are
-consecutive are handled separately: their cycles are chained by rotation
-pairs whose 4-cycles have a different chord shape.  A spanning tree of the
-auxiliary graph (one node per remaining cycle, one node for the chained
-ones) selects which connectors to splice; the symmetric difference of all
+consecutive are handled separately: their cycles, the roots, are chained by
+rotation pairs whose 4-cycles have a different chord shape.  A spanning tree
+of the auxiliary graph (one node per remaining cycle, one node for the
+roots) selects which connectors to splice; the symmetric difference of all
 chosen 4-cycles with the factor is the Hamilton cycle.
+
+The tree needs one connector per cycle, so the plan does not apply the rules
+everywhere.  Each cycle has a potential P = (glider count, speeds in
+non-increasing order, cycle key), constant along the cycle.  A cycle is
+scanned in f-order only until a rewrite lands on a root or on a cycle of
+smaller P; that rewrite is its parent edge.  P falls strictly along parent
+edges, so they form a forest.  A cycle with no such rewrite, an exception,
+is scanned fully, and its rewrites join the forest's components in cycle
+order.  Should components remain, every scan resumes to the end and joins
+them with the rest of the rewrites; only then is the auxiliary graph
+disconnected.
 """
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
 from math import comb, gcd
 from typing import NamedTuple
@@ -127,10 +138,9 @@ def single_glider_vertex(n: int, k: int, i: int) -> CyclicBitstring:
 # compared at an index.  Three copies suffice: the leftmost read is the start
 # of a block before the anchor, which lies after index 0, and every run that
 # can complete a match starts at or before index 2n and is shorter than n.
-# No pair encloses an unmatched 0, so each arc between two unmatched 0s is a
-# balanced word, and a 1 is visible exactly when its arc is balanced up to it
-# (_visible_one).  Inside 1^a 0^a the first 1 pairs with the last 0, so that
-# pair is visible when its first 1 is.  A rule also gets k and speeds(),
+# Inside 1^a 0^a the first 1 pairs with the last 0.  The rules that read such
+# a block all require an unmatched 0 right after it, and no pair encloses an
+# unmatched 0, so that pair is visible.  A rule also gets k and speeds(),
 # which returns V(x).
 
 
@@ -150,31 +160,25 @@ def _run(w: str, i: int, chars: str) -> int:
     return len(rest) - len(rest.lstrip(chars))
 
 
-def _visible_one(w: str, q: int) -> bool:
-    """The 1 at window index q is visible: its arc is balanced up to q."""
-    u = w.rfind("-", 0, q) + 1  # the arc starts after the last unmatched 0
-    return 2 * w.count("1", u, q) == q - u
-
-
 def _glider_tail(w: str) -> tuple[int, int] | None:
     """For the anchor on a run of matched 0s: (q, a) when that run is the
-    tail of a visible 1^a 0^a at q."""
+    tail of a 1^a 0^a at q."""
     n = len(w) // 3
     start = len(w[:n].rstrip("0"))
     a = n + _run(w, n, "0") - start
     q = start - a
-    if not w.startswith("1" * a, q) or not _visible_one(w, q):
+    if not w.startswith("1" * a, q):
         return None
     return q, a
 
 
 def _glider_head(w: str) -> tuple[int, int] | None:
     """For the anchor on a run of 1s: (q, a) when that run q..q+a-1 continues
-    as a visible 1^a 0^a."""
+    as a 1^a 0^a."""
     n = len(w) // 3
     q = len(w[:n].rstrip("1"))
     a = n + _run(w, n, "1") - q
-    if not w.startswith("0" * a, q + a) or not _visible_one(w, q):
+    if not w.startswith("0" * a, q + a):
         return None
     return q, a
 
@@ -399,7 +403,11 @@ def match_rewrite(x: CyclicBitstring, p: int = 0, fx: int | None = None) -> Rewr
 
 @dataclass(frozen=True)
 class GluingPlan:
-    """Everything needed to splice the factor into one Hamilton cycle."""
+    """Everything needed to splice the factor into one Hamilton cycle.
+
+    rewrites holds the rewrites the plan's scans found, every rewrite at the
+    anchor only when the plan was built with full=True; exceptions holds the
+    keys of the cycles that have no rewrite leading downhill."""
 
     n: int
     k: int
@@ -409,28 +417,103 @@ class GluingPlan:
     rotation_base: int
     rotation_pairs: tuple[tuple[CyclicBitstring, CyclicBitstring], ...]
     tree: tuple[RewriteMatch, ...] = field(repr=False)
+    exceptions: tuple[int, ...]
 
     def family_counts(self) -> dict[int, int]:
         return dict(sorted(Counter(r.family for r in self.rewrites).items()))
 
 
-def build_gluing_plan(n: int, k: int, anchor: int = 0) -> GluingPlan:
+def build_gluing_plan(n: int, k: int, anchor: int = 0, full: bool = False) -> GluingPlan:
+    """The splices that glue the factor of K(n, k) at the given anchor.
+
+    With full, every cycle is scanned to the end and rewrites lists every
+    rewrite; the tree and the rotation pairs are chosen the same way."""
     if k < 1:
         raise ParameterError("k must be at least 1")
     if k >= 2 and n < 2 * k + 3:
         raise ParameterError("gluing needs n >= 2k+3 when k >= 2")
     factor = cycle_factor(n, k)
+    cycles, index = factor.cycles, factor.index
     ell = n - 2 * k
     p = anchor % n
 
-    rewrites: list[RewriteMatch] = []
-    if k >= 2:
-        for cyc in factor.cycles:
-            vs = cyc.vertices  # in f-order, so f(x) is the next vertex
-            for i, bits in enumerate(vs):
-                rm = match_rewrite(CyclicBitstring(n, k, bits), p, vs[(i + 1) % len(vs)])
-                if rm is not None:
-                    rewrites.append(rm)
+    g = gcd(n, k)
+    svert = [single_glider_vertex(n, k, i) for i in range(n)]
+    roots = {index[s.bits] for s in svert}
+    if len(roots) != g:
+        raise InternalConsistencyError("single-glider cycle count differs from gcd(n, k)")
+
+    potential: dict[int, tuple] = {}
+
+    def downhill(ci: int, cj: int) -> bool:
+        """Cycle cj is a root or has a smaller potential than cycle ci."""
+        if cj in roots:
+            return True
+        for c in (ci, cj):
+            if c not in potential:
+                v = speed_multiset_direct(CyclicBitstring(n, k, cycles[c].key))
+                potential[c] = (len(v), v[::-1], cycles[c].key)
+        return potential[cj] < potential[ci]
+
+    found: list[list[RewriteMatch]] = [[] for _ in cycles]
+    scanned = [0] * len(cycles)  # vertices of each cycle scanned so far
+
+    def scan(ci: int, to_parent: bool) -> RewriteMatch | None:
+        """Go on with cycle ci's scan, to the end or, with to_parent, up to
+        the first rewrite that leads downhill, which is returned."""
+        vs = cycles[ci].vertices  # in f-order, so f(x) is the next vertex
+        for i in range(scanned[ci], len(vs)):
+            rm = match_rewrite(CyclicBitstring(n, k, vs[i]), p, vs[(i + 1) % len(vs)])
+            if rm is not None:
+                found[ci].append(rm)
+                if to_parent and downhill(ci, index[rm.image.bits]):
+                    scanned[ci] = i + 1
+                    return rm
+        scanned[ci] = len(vs)
+        return None
+
+    # union-find over cycles, with all roots as one node
+    comp = list(range(len(cycles)))
+    for r in roots:
+        comp[r] = min(roots)
+    tree: list[RewriteMatch] = []
+    spanning = len(cycles) - len(roots)  # tree edges that join every node
+
+    def find(a: int) -> int:
+        while comp[a] != a:
+            comp[a] = comp[comp[a]]
+            a = comp[a]
+        return a
+
+    def join(rm: RewriteMatch) -> None:
+        a, b = find(index[rm.x.bits]), find(index[rm.image.bits])
+        if a != b:
+            comp[a] = b
+            tree.append(rm)
+
+    exceptions = []
+    for ci in range(len(cycles)):
+        if ci not in roots:
+            rm = scan(ci, to_parent=True)
+            if rm is None:
+                exceptions.append(ci)
+            else:
+                join(rm)
+    for ci in exceptions:
+        for rm in found[ci]:
+            join(rm)
+    for ci in range(len(cycles)):
+        if len(tree) == spanning:
+            break
+        scan(ci, to_parent=False)
+        for rm in found[ci]:
+            join(rm)
+    if len(tree) != spanning:
+        raise InternalConsistencyError("the auxiliary cycle graph is disconnected")
+    if full and k >= 2:  # with k = 1 the factor is one cycle, and the rules need k >= 2
+        for ci in range(len(cycles)):
+            scan(ci, to_parent=False)
+    rewrites = [rm for lst in found for rm in lst]
 
     touched: set[int] = set()
     for rm in rewrites:
@@ -441,12 +524,6 @@ def build_gluing_plan(n: int, k: int, anchor: int = 0) -> GluingPlan:
     for rm in rewrites:
         if not is_connector(rm.x, rm.image):
             raise InternalConsistencyError("a rewrite pair fails the connector test")
-
-    g = gcd(n, k)
-    svert = [single_glider_vertex(n, k, i) for i in range(n)]
-    d_keys = frozenset(factor.cycle_containing(s.bits).key for s in svert)
-    if len(d_keys) != g:
-        raise InternalConsistencyError("single-glider cycle count differs from gcd(n, k)")
 
     base = None
     pairs: list[tuple[CyclicBitstring, CyclicBitstring]] = []
@@ -462,35 +539,6 @@ def build_gluing_plan(n: int, k: int, anchor: int = 0) -> GluingPlan:
     if base is None:
         raise InternalConsistencyError("no rotation offset avoids the rewrite endpoints")
 
-    def node_of(bits: int) -> int:
-        key = factor.cycle_containing(bits).key
-        return -1 if key in d_keys else key  # -1: all single-glider cycles as one node
-
-    adjacency: dict[int, list[tuple[int, RewriteMatch]]] = {-1: []}
-    for cyc in factor.cycles:
-        if cyc.key not in d_keys:
-            adjacency[cyc.key] = []
-    for rm in rewrites:
-        a, b = node_of(rm.x.bits), node_of(rm.image.bits)
-        if a != b:
-            adjacency[a].append((b, rm))
-            adjacency[b].append((a, rm))
-    for lst in adjacency.values():
-        lst.sort(key=lambda e: (e[0], e[1].x.bits))
-
-    seen = {-1}
-    queue = deque([-1])
-    tree: list[RewriteMatch] = []
-    while queue:
-        u = queue.popleft()
-        for v, rm in adjacency[u]:
-            if v not in seen:
-                seen.add(v)
-                tree.append(rm)
-                queue.append(v)
-    if len(seen) != len(adjacency):
-        raise InternalConsistencyError("the auxiliary cycle graph is disconnected")
-
     return GluingPlan(
         n=n,
         k=k,
@@ -500,6 +548,7 @@ def build_gluing_plan(n: int, k: int, anchor: int = 0) -> GluingPlan:
         rotation_base=base,
         rotation_pairs=tuple(pairs),
         tree=tuple(tree),
+        exceptions=tuple(cycles[ci].key for ci in exceptions),
     )
 
 

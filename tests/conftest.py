@@ -43,7 +43,7 @@ def factors():
 
 @pytest.fixture(scope="session")
 def plans():
-    return _Memo(lambda n, k: build_gluing_plan(n, k))
+    return _Memo(lambda n, k: build_gluing_plan(n, k, full=True))
 
 
 @pytest.fixture(scope="session")

@@ -16,9 +16,9 @@ from kneser.bitstrings import (
     rotate_bits,
 )
 from kneser.errors import ParameterError
+from kneser.families import GraphSpec, verify_tour
 from kneser.gliders import glider_partition, speed_multiset, speed_partition
 from kneser.gluing import (
-    _visible_one,
     _window,
     assemble_hamilton,
     build_gluing_plan,
@@ -198,22 +198,22 @@ def test_rule_census_at_every_anchor():
 
 
 def test_visible_one_reads_the_matching():
-    """The arc-balance test on the window agrees with the matching's visible
-    ends at every 1 that has an unmatched 0 before it in the window, which
-    holds for every index a rule reads.  The window has period n and an
-    unmatched 0 in every n indices, so the n indices after the first one
-    stand for all the others."""
+    """The rules read a 1^a 0^a block only when an unmatched 0 follows it, and
+    then take the pair of its first 1 as visible, because no pair encloses an
+    unmatched 0.  Check that against the matching at every such block."""
+    blocks = 0
     for n in range(3, 15):
         for k in range(1, (n - 1) // 2 + 1):
             for bits in iter_bits(n, k):
                 x = CyclicBitstring(n, k, bits)
                 vis = parenthesis_match(x).visible
-                for p in range(n):
-                    w = _window(x, p)
-                    first = w.index("-")
-                    for q in range(first + 1, first + 1 + n):
-                        if w[q] == "1":
-                            assert _visible_one(w, q) == bool(vis >> (q + p) % n & 1)
+                w = _window(x, 0)
+                for q in range(n):
+                    for a in range(1, k + 1):
+                        if w.startswith("1" * a + "0" * a + "-", q):
+                            blocks += 1
+                            assert vis >> q & 1, (str(x), q, a)
+    assert blocks > 0
 
 
 def test_plan_scans_each_vertex_at_most_twice(monkeypatch):
@@ -230,6 +230,21 @@ def test_plan_scans_each_vertex_at_most_twice(monkeypatch):
     monkeypatch.setattr(gluing, "_scan_match", counting, raising=False)
     plan = build_gluing_plan(17, 7)
     assert calls[0] <= 2.0 * plan.factor.total_vertices(), calls[0]
+
+
+def test_plan_stops_each_scan_at_its_parent(monkeypatch):
+    """Each cycle's scan stops at its first downhill rewrite: K(17,7) applies
+    the rules to about 12% of its vertices, where a full scan takes all."""
+    calls = [0]
+    rewrite = gluing.match_rewrite
+
+    def counting(*args):
+        calls[0] += 1
+        return rewrite(*args)
+
+    monkeypatch.setattr(gluing, "match_rewrite", counting)
+    plan = build_gluing_plan(17, 7)
+    assert calls[0] <= 0.2 * plan.factor.total_vertices(), calls[0]
 
 
 # -- the gluing plan ---------------------------------------------------------------
@@ -259,6 +274,24 @@ def test_plan_tree_spans_the_factor(n, k, plans):
     for a, b in plan.rotation_pairs:
         union(at[a.bits], at[b.bits])
     assert len({find(i) for i in range(len(cycles))}) == 1
+
+
+@pytest.mark.parametrize(
+    "n,k,p",
+    sorted({(n, k, 0) for n, k in PLANNED}
+           | {(11, 4, p) for p in range(11)} | {(12, 4, p) for p in range(12)}),
+)
+def test_full_plan_picks_the_same_tree(n, k, p, plans):
+    """Scanning every cycle to the end changes nothing but the rewrite list.
+    K(11,4) at anchor 7 and K(12,4) at several anchors need the resumed scans."""
+    part = build_gluing_plan(n, k, p)
+    whole = plans(n, k) if p == 0 else build_gluing_plan(n, k, p, full=True)
+    assert part.tree == whole.tree
+    assert part.rotation_base == whole.rotation_base
+    assert part.rotation_pairs == whole.rotation_pairs
+    assert part.exceptions == whole.exceptions
+    assert set(part.rewrites) <= set(whole.rewrites)
+    assert verify_tour(GraphSpec("kneser", n, k), assemble_hamilton(part))
 
 
 @pytest.mark.parametrize("n,k", PLANNED)
