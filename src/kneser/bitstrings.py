@@ -119,6 +119,51 @@ class CyclicBitstring:
         return (self.bits >> (i % self.n)) & 1
 
 
+def _scan_byte(byte: int) -> tuple[int, int, int]:
+    """The linear pass over one byte from depth 0: (matched zeros, visible
+    ends, change in depth).  Each 0 closes the nearest open 1; a 1 opened at
+    depth 0 and the 0 that brings the depth back to 0 are visible ends."""
+    m0 = vis = depth = 0
+    b = 1
+    for _ in range(8):
+        if byte & b:
+            if not depth:
+                vis |= b
+            depth += 1
+        elif depth:
+            depth -= 1
+            m0 |= b
+            if not depth:
+                vis |= b
+        b <<= 1
+    return m0, vis, depth
+
+
+def _byte_table() -> tuple[tuple[int, int, int], ...]:
+    """The linear pass over every byte from open depths 0 to 9, at index
+    depth << 8 | byte.
+
+    Each row adds one open 1 to the row before.  It closes on the byte's
+    first zero that closed nothing, which then ends the pair enclosing every
+    end before it; with no such zero it stays open over the whole byte, which
+    then has no visible end.  Entries a row leaves alone are shared."""
+    row = [_scan_byte(byte) for byte in range(256)]
+    table = row[:]
+    for _ in range(9):
+        for byte, (m0, vis, step) in enumerate(row):
+            free = 255 & ~(byte | m0)
+            low = free & -free
+            if low:
+                row[byte] = (m0 | low, vis & -low | low, step - 1)
+            elif vis:
+                row[byte] = (m0, 0, step)
+        table += row
+    return tuple(table)
+
+
+_BYTE_SCAN = _byte_table()
+
+
 def _scan_match(bits: int, n: int) -> tuple[int, int, int]:
     """(anchor, matched-zero mask, visible-end mask) in one pass.
 
@@ -128,22 +173,28 @@ def _scan_match(bits: int, n: int) -> tuple[int, int, int]:
     anchor, the last zero left unmatched, closes nothing even cyclically.
     The visible ends are both ends of every pair that no other pair
     encloses; the outermost wrapping pair encloses every pair before its 0.
+
+    The linear pass reads a byte at a time from _BYTE_SCAN.  Depth 9 stands
+    for every larger depth: a byte holds at most eight 0s, so with nine or
+    more 1s open each of its 0s closes one and none brings the depth to 0,
+    and a 1 opened there is not at depth 0.  The byte's matched zeros and
+    visible ends are then the same as from depth 9, and its change in depth
+    is its 1s less its 0s.  The last byte is padded with 1s past position
+    n - 1.  They come after every real position, so they change nothing
+    before them; only their visible ends and their depth are taken back.
     """
-    m0 = vis = depth = free = 0
-    b = 1
-    for _ in range(n):
-        if bits & b:
-            if not depth:
-                vis |= b
-            depth += 1
-        elif depth:
-            depth -= 1
-            m0 |= b
-            if not depth:
-                vis |= b
-        else:
-            free |= b
-        b <<= 1
+    nbytes = (n + 7) >> 3
+    mask = (1 << n) - 1
+    m0 = vis = depth = shift = 0
+    for byte in (bits | (1 << 8 * nbytes) - 1 - mask).to_bytes(nbytes, "little"):
+        m, v, step = _BYTE_SCAN[(depth if depth < 9 else 9) << 8 | byte]
+        m0 |= m << shift
+        vis |= v << shift
+        depth += step
+        shift += 8
+    depth -= 8 * nbytes - n
+    vis &= mask
+    free = mask & ~(bits | m0)
     low = 0
     for _ in range(depth):
         low = free & -free
@@ -236,8 +287,11 @@ def cycle_of(x: CyclicBitstring) -> Cycle:
     while b != x.bits:
         orbit.append(b)
         b = _f_bits(b, x.n)
-    # string lex order is integer order after position reversal
-    start = min(range(len(orbit)), key=lambda i: reverse_bits(orbit[i], x.n))
+    # the least string has the most leading 0s, so the largest lowest set
+    # bit; ties break on integer order after position reversal
+    low = max(b & -b for b in orbit)
+    ties = [i for i, b in enumerate(orbit) if b & -b == low]
+    start = min(ties, key=lambda i: reverse_bits(orbit[i], x.n))
     return Cycle(x.n, x.k, tuple(orbit[start:] + orbit[:start]))
 
 

@@ -359,13 +359,16 @@ def _window(x: CyclicBitstring, p: int, fx: int | None = None) -> str:
     return (s[p:] + s[:p]) * 3
 
 
-def match_rewrite(x: CyclicBitstring, p: int = 0, fx: int | None = None) -> RewriteMatch | None:
-    """Apply the one rewrite rule matching x at anchor p, if any; fx, if given, is f(x)."""
+def match_rewrite(
+    x: CyclicBitstring, p: int = 0, fx: int | None = None, vx: tuple[int, ...] | None = None
+) -> RewriteMatch | None:
+    """Apply the one rewrite rule matching x at anchor p, if any; fx, if
+    given, is f(x), and vx, if given, is V(x)."""
     if x.n - 2 * x.k < 3:
         raise ParameterError("the rewrite rules need n >= 2k+3")
     p %= x.n
     w = _window(x, p, fx)
-    memo: list[tuple[int, ...]] = []
+    memo: list[tuple[int, ...]] = [] if vx is None else [vx]
 
     def speeds() -> tuple[int, ...]:  # V(x), computed at most once
         if not memo:
@@ -392,7 +395,8 @@ def match_rewrite(x: CyclicBitstring, p: int = 0, fx: int | None = None) -> Rewr
         except ParameterError as exc:
             raise InternalConsistencyError("two-way rule probe is not trackable") from exc
         wz = _window(z, p)
-        if wz[x.n] == "1" and _match_rule4(wz, z.k, lambda: speed_multiset_direct(z)):
+        # z lies on the image's orbit, and V is constant along an orbit
+        if wz[x.n] == "1" and _match_rule4(wz, z.k, part.speeds):
             image = _move_one(x, p + hit.src, p + hit.alt)
             branched = True
     return RewriteMatch(hit.family, x, image, branched)
@@ -443,17 +447,20 @@ def build_gluing_plan(n: int, k: int, anchor: int = 0, full: bool = False) -> Gl
     if len(roots) != g:
         raise InternalConsistencyError("single-glider cycle count differs from gcd(n, k)")
 
-    potential: dict[int, tuple] = {}
+    speeds: dict[int, tuple[int, ...]] = {}  # V of each cycle, constant along it
+
+    def speeds_of(ci: int) -> tuple[int, ...]:
+        if ci not in speeds:
+            speeds[ci] = speed_multiset_direct(CyclicBitstring(n, k, cycles[ci].key))
+        return speeds[ci]
+
+    def potential(ci: int) -> tuple:
+        v = speeds_of(ci)
+        return len(v), v[::-1], cycles[ci].key
 
     def downhill(ci: int, cj: int) -> bool:
         """Cycle cj is a root or has a smaller potential than cycle ci."""
-        if cj in roots:
-            return True
-        for c in (ci, cj):
-            if c not in potential:
-                v = speed_multiset_direct(CyclicBitstring(n, k, cycles[c].key))
-                potential[c] = (len(v), v[::-1], cycles[c].key)
-        return potential[cj] < potential[ci]
+        return cj in roots or potential(cj) < potential(ci)
 
     found: list[list[RewriteMatch]] = [[] for _ in cycles]
     scanned = [0] * len(cycles)  # vertices of each cycle scanned so far
@@ -462,8 +469,9 @@ def build_gluing_plan(n: int, k: int, anchor: int = 0, full: bool = False) -> Gl
         """Go on with cycle ci's scan, to the end or, with to_parent, up to
         the first rewrite that leads downhill, which is returned."""
         vs = cycles[ci].vertices  # in f-order, so f(x) is the next vertex
+        vx = speeds_of(ci) if scanned[ci] < len(vs) else None
         for i in range(scanned[ci], len(vs)):
-            rm = match_rewrite(CyclicBitstring(n, k, vs[i]), p, vs[(i + 1) % len(vs)])
+            rm = match_rewrite(CyclicBitstring(n, k, vs[i]), p, vs[(i + 1) % len(vs)], vx)
             if rm is not None:
                 found[ci].append(rm)
                 if to_parent and downhill(ci, index[rm.image.bits]):

@@ -2,6 +2,7 @@
 
 Everything here is deliberately written with different algorithms than the
 package: the matcher contracts adjacent 10 pairs instead of running a stack,
+the bit scan reads one position at a time where the package reads a byte,
 the determinant does rational Gaussian elimination instead of fraction-free
 elimination, the partition order is built by explicit enumeration, and the
 first-visit search follows a glider class through `advance` step by step
@@ -41,6 +42,36 @@ def naive_matching(bits: int, n: int) -> tuple[set[tuple[int, int]], set[int]]:
             else:
                 i += 1
     return pairs, set(alive)
+
+
+def naive_scan_match(bits: int, n: int) -> tuple[int, int, int]:
+    """(anchor, matched-zero mask, visible-end mask) with the linear pass taken
+    one position at a time; the rest is the package's cyclic closing."""
+    m0 = vis = depth = free = 0
+    b = 1
+    for _ in range(n):
+        if bits & b:
+            if not depth:
+                vis |= b
+            depth += 1
+        elif depth:
+            depth -= 1
+            m0 |= b
+            if not depth:
+                vis |= b
+        else:
+            free |= b
+        b <<= 1
+    low = 0
+    for _ in range(depth):
+        low = free & -free
+        m0 |= low
+        free ^= low
+    if not free:
+        raise InternalConsistencyError("matching needs more zeros than ones")
+    if low:
+        vis = vis & -low | low
+    return free.bit_length() - 1, m0, vis
 
 
 def naive_f(bits: int, n: int) -> int:

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from math import comb
@@ -8,10 +9,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import vertices
-from oracles import cyclic_equal, naive_f, naive_matching, naive_reverse_bits
+from oracles import cyclic_equal, naive_f, naive_matching, naive_reverse_bits, naive_scan_match
 
 from kneser.bitstrings import (
     CyclicBitstring,
+    _scan_match,
     annotated,
     apply_f,
     apply_f_inverse,
@@ -145,6 +147,43 @@ def test_matching_shape(x):
     assert m.unmatched >> m.anchor & 1
 
 
+def _rotations(s: str):
+    return (s[i:] + s[:i] for i in range(len(s)))
+
+
+def test_byte_table_equals_bit_scan():
+    """Reach every table entry and the clip: depth 1s end at position 16, so
+    the byte at 16..23 is read with depth 1s open."""
+    for depth in range(16):
+        for byte in range(256):
+            bits = ((1 << depth) - 1) << (16 - depth) | byte << 16
+            assert _scan_match(bits, 48) == naive_scan_match(bits, 48), (depth, byte)
+
+
+def test_matching_oracle_across_byte_boundaries():
+    """The scan reads a byte at a time and treats nine or more open 1s as
+    nine: every rotation of a long 1^k run and of repeated 1^j 0^j blocks puts
+    each byte boundary at every offset, with up to 19 1s open."""
+    rng = random.Random(17)
+    shapes = 0
+    for n in range(17, 41):
+        k = (n - 1) // 2
+        strings = list(_rotations("1" * k + "0" * (n - k)))
+        for j in (1, 2, 3, 8, 9, k):
+            reps = (n - 1) // (2 * j)
+            if reps:
+                strings += _rotations(("1" * j + "0" * j) * reps + "0" * (n - 2 * j * reps))
+        for _ in range(20):
+            ones = set(rng.sample(range(n), rng.randint(1, k)))
+            strings.append("".join("1" if i in ones else "0" for i in range(n)))
+        for s in strings:
+            x = v(s)
+            _, *want = _oracle_masks(x)
+            assert list(_masks(parenthesis_match(x))) == want, s
+            shapes += 1
+    assert shapes > 5000
+
+
 @given(vertices())
 def test_visible_pairs_are_top_level(x):
     """Both ends of a pair are visible exactly when no other pair encloses it."""
@@ -275,6 +314,13 @@ def test_cycle_of_is_rotation_invariant_set():
     c = cycle_of(v("100100"))
     assert len(c) == 3
     assert set(to_string(b, 6) for b in c.vertices) == {"100100", "010010", "001001"}
+
+
+def test_cycle_key_is_least_string(factors):
+    for n in range(3, 15):
+        for k in range(1, (n - 1) // 2 + 1):
+            for c in factors(n, k).cycles:
+                assert to_string(c.key, n) == min(to_string(b, n) for b in c.vertices)
 
 
 def test_factor_requires_sparse_side():

@@ -1,4 +1,5 @@
 import hashlib
+from collections import Counter
 from math import comb, gcd
 
 import pytest
@@ -230,6 +231,22 @@ def test_plan_scans_each_vertex_at_most_twice(monkeypatch):
     monkeypatch.setattr(gluing, "_scan_match", counting, raising=False)
     plan = build_gluing_plan(17, 7)
     assert calls[0] <= 2.0 * plan.factor.total_vertices(), calls[0]
+
+
+def test_plan_computes_speeds_once_per_cycle(monkeypatch):
+    """V is constant along a factor cycle, so the plan computes it once per
+    cycle and hands it to the rules and the potential alike."""
+    seen: list[int] = []
+    speeds = gluing.speed_multiset_direct
+
+    def counting(x):
+        seen.append(x.bits)
+        return speeds(x)
+
+    monkeypatch.setattr(gluing, "speed_multiset_direct", counting)
+    plan = build_gluing_plan(17, 7)
+    per_cycle = Counter(plan.factor.index[b] for b in seen)
+    assert max(per_cycle.values()) == 1, len(seen)
 
 
 def test_plan_stops_each_scan_at_its_parent(monkeypatch):
