@@ -14,6 +14,7 @@ iterating f partitions X(n, k) into disjoint cycles (the cycle factor).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from math import comb
 from typing import Iterator
 
@@ -311,19 +312,39 @@ class CycleFactor:
         return sum(len(c) for c in self.cycles)
 
 
+def _iter_strings(n: int, k: int) -> Iterator[int]:
+    """All k-element masks of width n in lexicographic order of their strings."""
+    full = (1 << n) - 1
+    v = full ^ (full >> k)  # 0^(n-k) 1^k
+    while True:
+        yield v
+        top = v.bit_length()  # one past the last 1
+        z = (v ^ ((1 << top) - 1)).bit_length() - 1  # the last 0 before it
+        if z < 0:
+            return
+        # the 1 after z moves onto z, and the rest of its run to the end
+        run = top - z - 2
+        v = (v & ((1 << z) - 1)) | (1 << z) | (full ^ (full >> run))
+
+
 def cycle_factor(n: int, k: int) -> CycleFactor:
+    """The orbits of f.  Strings are visited in lexicographic order, so the
+    first vertex met on each new orbit is its key and the orbits come out
+    sorted; the index doubles as the set of vertices already met."""
     if k < 1 or n < 2 * k + 1:
         raise ParameterError(f"need k >= 1 and n >= 2k+1, got n={n} k={k}")
-    seen: set[int] = set()
     cycles: list[Cycle] = []
-    for v in iter_bits(n, k):
-        if v in seen:
+    index: dict[int, int] = {}
+    for v in _iter_strings(n, k):
+        if v in index:
             continue
-        c = cycle_of(CyclicBitstring(n, k, v))
-        seen.update(c.vertices)
-        cycles.append(c)
-    cycles.sort(key=lambda c: reverse_bits(c.key, n))
-    index = {bits: ci for ci, c in enumerate(cycles) for bits in c.vertices}
+        orbit = [v]
+        b = _f_bits(v, n)
+        while b != v:
+            orbit.append(b)
+            b = _f_bits(b, n)
+        index.update(zip(orbit, repeat(len(cycles))))
+        cycles.append(Cycle(n, k, tuple(orbit)))
     if len(index) != comb(n, k):
         raise InternalConsistencyError("factor cycles do not cover X(n, k)")
     return CycleFactor(n, k, tuple(cycles), index)

@@ -97,15 +97,18 @@ def _cmd_gen(args) -> int:
     try:
         if r.vertices:
             if args.format == "json":
-                payload = {
+                head = {
                     "n": spec.n, "k": spec.k, "family": spec.family,
                     "s": spec.s if spec.family in ("johnson", "gen-kneser") else None,
                     "status": r.status, "closed": r.status == "cycle",
                     "count": len(r.vertices), "note": r.note,
-                    "vertices": [[i + 1 for i in range(spec.n) if v >> i & 1]
-                                 for v in r.vertices],
                 }
-                print(json.dumps(payload), file=out)
+                # json.dumps of head plus a "vertices" list, one vertex at a time
+                out.write(json.dumps(head)[:-1] + ', "vertices": [')
+                for j, v in enumerate(r.vertices):
+                    elems = ", ".join(str(i + 1) for i in range(spec.n) if v >> i & 1)
+                    out.write(f"{', ' if j else ''}[{elems}]")
+                out.write("]}\n")
             else:
                 print(_tour_header(spec, r.status), file=out)
                 for v in r.vertices:

@@ -563,20 +563,30 @@ def build_gluing_plan(n: int, k: int, anchor: int = 0, full: bool = False) -> Gl
 def assemble_hamilton(plan: GluingPlan) -> tuple[int, ...]:
     """Splice the selected 4-cycles into the factor and walk the result.
 
-    The factor is kept as a 2-regular adjacency table; each splice swaps two
-    edges in O(1).  The final walk must visit every vertex once and close;
-    it is returned as the tuple of vertex bitmasks in cycle order."""
-    n = plan.n
-    adj: dict[int, list[int]] = {}
-    for cyc in plan.factor.cycles:
-        vs = cyc.vertices
-        if len(vs) < 3:
-            raise InternalConsistencyError("factor cycle too short to splice")
-        for i, v in enumerate(vs):
-            adj[v] = [vs[i - 1], vs[(i + 1) % len(vs)]]
+    Only splice endpoints change neighbours, so only they get two neighbour
+    slots, filled from their factor cycle; each splice swaps two edges in
+    O(1).  Between endpoints the walk steps along the factor cycles' own
+    vertex tuples.  Each splice must find its edges and join only disjoint
+    sets, and the walk must first return to its start after C(n, k) steps:
+    the spliced graph is 2-regular, so it is then one Hamilton cycle.  The
+    tour is returned as the tuple of vertex bitmasks in cycle order."""
+    cycles, index = plan.factor.cycles, plan.factor.index
+    if any(len(c) < 3 for c in cycles):
+        raise InternalConsistencyError("factor cycle too short to splice")
+    # endpoint -> [neighbour, neighbour, its cycle's vertices, its position]
+    slots: dict[int, list] = {}
+
+    def successor(u: int) -> int:
+        """f(u), read off u's cycle; u and f(u) get their slots."""
+        vs = cycles[index[u]].vertices
+        i = vs.index(u)
+        for j in (i, (i + 1) % len(vs)):
+            if vs[j] not in slots:
+                slots[vs[j]] = [vs[j - 1], vs[(j + 1) % len(vs)], vs, j]
+        return vs[(i + 1) % len(vs)]
 
     def swap(u: int, old: int, new: int) -> None:
-        lst = adj[u]
+        lst = slots[u]
         if lst[0] == old:
             lst[0] = new
         elif lst[1] == old:
@@ -585,7 +595,10 @@ def assemble_hamilton(plan: GluingPlan) -> tuple[int, ...]:
             raise InternalConsistencyError("splice edge is not present")
 
     def splice(xb: int, yb: int, cross: bool) -> None:
-        fx, fy = _f_bits(xb, n), _f_bits(yb, n)
+        fx, fy = successor(xb), successor(yb)
+        ring = (xb, fx, yb, fy) if cross else (xb, fx, fy, yb)
+        if any(u & v for u, v in zip(ring, ring[1:] + ring[:1])):
+            raise InternalConsistencyError("splice chord joins meeting sets")
         if cross:  # connector chords x-f(y) and y-f(x)
             swap(xb, fx, fy)
             swap(fx, xb, yb)
@@ -602,20 +615,31 @@ def assemble_hamilton(plan: GluingPlan) -> tuple[int, ...]:
     for a, b in plan.rotation_pairs:
         splice(a.bits, b.bits, cross=False)
 
-    total = plan.factor.total_vertices()
-    start = plan.factor.cycles[0].key
+    vs, i, step = cycles[0].vertices, 0, -1  # slot 0 of a factor vertex is its predecessor
+    start, size = vs[0], len(vs)
     out = [start]
     prev, cur = -1, start
-    for _ in range(total - 1):
-        nxt = adj[cur][0] if adj[cur][0] != prev else adj[cur][1]
+    total = comb(plan.n, plan.k)
+    for _ in range(total):
+        if cur not in slots:
+            i = (i + step) % size
+            nxt = vs[i]
+        else:
+            s = slots[cur]
+            nxt = s[0] if s[0] != prev else s[1]
+            if nxt not in slots:  # back onto cur's own factor cycle
+                vs, i = s[2], s[3]
+                size = len(vs)
+                step = 1 if nxt == vs[(i + 1) % size] else -1
+                i = (i + step) % size
+                if vs[i] != nxt:
+                    raise InternalConsistencyError("spliced neighbour has no slots")
+        if nxt == start:
+            break
         out.append(nxt)
         prev, cur = cur, nxt
-    closing = adj[cur][0] if adj[cur][0] != prev else adj[cur][1]
-    if closing != start:
+    else:
         raise InternalConsistencyError("splice walk does not close into one cycle")
-    if len(set(out)) != total or total != comb(n, plan.k):
-        raise InternalConsistencyError("splice walk misses vertices")
-    for u, v in zip(out, out[1:] + [start]):
-        if u & v:
-            raise InternalConsistencyError("walk contains a non-edge")
+    if len(out) != total:
+        raise InternalConsistencyError("splice walk closes before visiting every vertex")
     return tuple(out)

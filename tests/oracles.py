@@ -4,14 +4,16 @@ Everything here is deliberately written with different algorithms than the
 package: the matcher contracts adjacent 10 pairs instead of running a stack,
 the bit scan reads one position at a time where the package reads a byte,
 the determinant does rational Gaussian elimination instead of fraction-free
-elimination, the partition order is built by explicit enumeration, and the
+elimination, the partition order is built by explicit enumeration, the
 first-visit search follows a glider class through `advance` step by step
-instead of reading two parallel orbits.
+instead of reading two parallel orbits, and the splice walk keeps a
+neighbour table for every vertex instead of for the splice endpoints alone.
 """
 
 from fractions import Fraction
 from math import comb
 
+from kneser.bitstrings import _f_bits
 from kneser.dynamics import TauResult, advance
 from kneser.errors import InternalConsistencyError
 from kneser.gliders import glider_partition
@@ -184,3 +186,62 @@ def tau_slow(x, glider, bit: int, pos: int, cap: int | None = None) -> TauResult
         p = adv.next_partition
         cur = adv.fx
     raise InternalConsistencyError("first-visit search exceeded its cap")
+
+
+def assemble_hamilton_table(plan) -> tuple[int, ...]:
+    """Reference splice walk: a 2-regular adjacency table of every vertex,
+    each splice swapping two edges, then a walk from the first cycle's key
+    that starts along slot 0 and is checked against every vertex and edge."""
+    n = plan.n
+    adj: dict[int, list[int]] = {}
+    for cyc in plan.factor.cycles:
+        vs = cyc.vertices
+        if len(vs) < 3:
+            raise InternalConsistencyError("factor cycle too short to splice")
+        for i, v in enumerate(vs):
+            adj[v] = [vs[i - 1], vs[(i + 1) % len(vs)]]
+
+    def swap(u: int, old: int, new: int) -> None:
+        lst = adj[u]
+        if lst[0] == old:
+            lst[0] = new
+        elif lst[1] == old:
+            lst[1] = new
+        else:
+            raise InternalConsistencyError("splice edge is not present")
+
+    def splice(xb: int, yb: int, cross: bool) -> None:
+        fx, fy = _f_bits(xb, n), _f_bits(yb, n)
+        if cross:  # connector chords x-f(y) and y-f(x)
+            swap(xb, fx, fy)
+            swap(fx, xb, yb)
+            swap(yb, fy, fx)
+            swap(fy, yb, xb)
+        else:  # rotation chords x-y and f(x)-f(y)
+            swap(xb, fx, yb)
+            swap(fx, xb, fy)
+            swap(yb, fy, xb)
+            swap(fy, yb, fx)
+
+    for rm in plan.tree:
+        splice(rm.x.bits, rm.image.bits, cross=True)
+    for a, b in plan.rotation_pairs:
+        splice(a.bits, b.bits, cross=False)
+
+    total = plan.factor.total_vertices()
+    start = plan.factor.cycles[0].key
+    out = [start]
+    prev, cur = -1, start
+    for _ in range(total - 1):
+        nxt = adj[cur][0] if adj[cur][0] != prev else adj[cur][1]
+        out.append(nxt)
+        prev, cur = cur, nxt
+    closing = adj[cur][0] if adj[cur][0] != prev else adj[cur][1]
+    if closing != start:
+        raise InternalConsistencyError("splice walk does not close into one cycle")
+    if len(set(out)) != total or total != comb(n, plan.k):
+        raise InternalConsistencyError("splice walk misses vertices")
+    for u, v in zip(out, out[1:] + [start]):
+        if u & v:
+            raise InternalConsistencyError("walk contains a non-edge")
+    return tuple(out)

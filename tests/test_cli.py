@@ -5,6 +5,7 @@ from math import comb
 import pytest
 
 from kneser.cli import main
+from kneser.families import GraphSpec, hamilton_tour
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -44,6 +45,26 @@ def test_gen_json(capsys):
     assert payload["s"] == 1
     assert payload["closed"] is True
     assert payload["count"] == comb(6, 2) == len(payload["vertices"])
+
+
+@pytest.mark.parametrize("spec, flags, exit_code", [
+    (GraphSpec("kneser", 9, 3), ["--kneser", "9", "3"], 0),
+    (GraphSpec("kneser", 5, 2), ["--kneser", "5", "2"], 3),
+    (GraphSpec("johnson", 9, 3, 1), ["--johnson", "9", "3", "1"], 0),
+])
+def test_gen_json_streams_the_dumped_payload(capsys, spec, flags, exit_code):
+    """The streamed JSON is byte for byte json.dumps of the whole payload."""
+    code, out, _ = run(capsys, "gen", *flags, "--format", "json")
+    r = hamilton_tour(spec)
+    payload = {
+        "n": spec.n, "k": spec.k, "family": spec.family,
+        "s": spec.s if spec.family == "johnson" else None,
+        "status": r.status, "closed": r.status == "cycle",
+        "count": len(r.vertices), "note": r.note,
+        "vertices": [[i + 1 for i in range(spec.n) if v >> i & 1] for v in r.vertices],
+    }
+    assert code == exit_code
+    assert out == json.dumps(payload) + "\n"
 
 
 def test_gen_petersen_warns_and_exits_3(capsys):
