@@ -9,6 +9,12 @@ Matching interprets a bitstring cyclically as a parenthesis expression:
 1s open, 0s close.  With k ones and n - k > k zeros every 1 is matched and
 exactly n - 2k zeros stay unmatched.  The map f flips every matched bit;
 iterating f partitions X(n, k) into disjoint cycles (the cycle factor).
+
+A matching is kept as bit masks (``Matching``).  Its one per-position view
+is the annotated string: '1' for a 1, '0' for a matched 0 and '-' for an
+unmatched 0, position 0 first.  Read from the position after the anchor
+it is a walk: 1s step up, matched 0s step down and unmatched 0s are flat.
+The walk never dips below zero and ends at zero.
 """
 
 from __future__ import annotations
@@ -30,12 +36,10 @@ __all__ = [
     "CyclicBitstring",
     "Matching",
     "parenthesis_match",
-    "step_types",
     "annotated",
     "apply_f",
     "apply_f_inverse",
     "Cycle",
-    "cycle_of",
     "CycleFactor",
     "cycle_factor",
 ]
@@ -244,17 +248,18 @@ def parenthesis_match(x: CyclicBitstring) -> Matching:
     return Matching(x.n, x.bits, *_scan_match(x.bits, x.n))
 
 
-def step_types(m: Matching) -> tuple[str, ...]:
-    """Per position: U for a 1, D for a matched 0, F for an unmatched 0."""
-    return tuple(
-        "U" if (m.bits >> i) & 1 else "D" if (m.matched_zeros >> i) & 1 else "F"
-        for i in range(m.n)
-    )
+def _annotate(bits: int, fx: int, n: int) -> str:
+    """The annotated string of x from its bits and fx = f(x), which is x's
+    matched-zero mask."""
+    unmatched = ((1 << n) - 1) & ~(bits | fx)
+    # each bit becomes a hex digit: 1 for a 1, 2 for an unmatched 0
+    digits = int(format(bits, "b"), 16) + 2 * int(format(unmatched, "b"), 16)
+    return format(digits, f"0{n}x")[::-1].replace("2", "-")
 
 
 def annotated(x: CyclicBitstring) -> str:
     """String form with unmatched zeros shown as '-'."""
-    return "".join(step_types(parenthesis_match(x))).translate(str.maketrans("UDF", "10-"))
+    return _annotate(x.bits, _f_bits(x.bits, x.n), x.n)
 
 
 def apply_f(x: CyclicBitstring) -> CyclicBitstring:
@@ -282,20 +287,6 @@ class Cycle:
         return len(self.vertices)
 
 
-def cycle_of(x: CyclicBitstring) -> Cycle:
-    orbit = [x.bits]
-    b = _f_bits(x.bits, x.n)
-    while b != x.bits:
-        orbit.append(b)
-        b = _f_bits(b, x.n)
-    # the least string has the most leading 0s, so the largest lowest set
-    # bit; ties break on integer order after position reversal
-    low = max(b & -b for b in orbit)
-    ties = [i for i, b in enumerate(orbit) if b & -b == low]
-    start = min(ties, key=lambda i: reverse_bits(orbit[i], x.n))
-    return Cycle(x.n, x.k, tuple(orbit[start:] + orbit[:start]))
-
-
 @dataclass(frozen=True)
 class CycleFactor:
     """All orbits of f on X(n, k), sorted by canonical key."""
@@ -304,9 +295,6 @@ class CycleFactor:
     k: int
     cycles: tuple[Cycle, ...]
     index: dict[int, int] = field(repr=False)  # bits -> position in cycles
-
-    def cycle_containing(self, bits: int) -> Cycle:
-        return self.cycles[self.index[bits]]
 
     def total_vertices(self) -> int:
         return sum(len(c) for c in self.cycles)

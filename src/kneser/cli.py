@@ -27,6 +27,7 @@ from .families import (
     GraphSpec,
     HamiltonResult,
     hamilton_tour,
+    tour_fault,
     verify_tour,
 )
 from .gluing import build_gluing_plan
@@ -103,12 +104,9 @@ def _cmd_gen(args) -> int:
                     "status": r.status, "closed": r.status == "cycle",
                     "count": len(r.vertices), "note": r.note,
                 }
-                # json.dumps of head plus a "vertices" list, one vertex at a time
-                out.write(json.dumps(head)[:-1] + ', "vertices": [')
-                for j, v in enumerate(r.vertices):
-                    elems = ", ".join(str(i + 1) for i in range(spec.n) if v >> i & 1)
-                    out.write(f"{', ' if j else ''}[{elems}]")
-                out.write("]}\n")
+                _write_json(out, head, "vertices", (
+                    "[" + ", ".join(str(i + 1) for i in range(spec.n) if v >> i & 1) + "]"
+                    for v in r.vertices))
             else:
                 print(_tour_header(spec, r.status), file=out)
                 for v in r.vertices:
@@ -121,6 +119,22 @@ def _cmd_gen(args) -> int:
     return _exit_code(spec, r)
 
 
+def _write_json(out, head: dict, key: str, items) -> None:
+    """Write json.dumps of head with one more entry, key, a list given as the
+    JSON texts of its items, one item at a time, and a newline."""
+    out.write(json.dumps(head)[:-1] + f', "{key}": [')
+    for j, text in enumerate(items):
+        out.write(f", {text}" if j else text)
+    out.write("]}\n")
+
+
+def _set_bits(elems: list[int]) -> int:
+    """The mask of a vertex listed as 1-based set elements."""
+    if min(elems, default=1) < 1:
+        raise ParameterError(f"set element {min(elems)} is not a position 1..n")
+    return sum(1 << (i - 1) for i in elems)
+
+
 def _parse_tour(text: str) -> tuple[GraphSpec, list[int], bool]:
     text = text.strip()
     if not text:
@@ -130,7 +144,7 @@ def _parse_tour(text: str) -> tuple[GraphSpec, list[int], bool]:
         family = payload["family"]
         s = payload.get("s") or 0
         spec = GraphSpec(family, payload["n"], payload["k"], s)
-        verts = [sum(1 << (i - 1) for i in elems) for elems in payload["vertices"]]
+        verts = [_set_bits(elems) for elems in payload["vertices"]]
         return spec, verts, bool(payload.get("closed", True))
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     head = lines[0].split()
@@ -151,7 +165,7 @@ def _parse_tour(text: str) -> tuple[GraphSpec, list[int], bool]:
                 raise ParameterError(f"bitstring {ln!r} is not {n} positions long")
             verts.append(from_string(ln))
         else:
-            verts.append(sum(1 << (int(tok) - 1) for tok in ln.split(",")))
+            verts.append(_set_bits([int(tok) for tok in ln.split(",")]))
     return spec, verts, closed
 
 
@@ -172,25 +186,8 @@ def _cmd_verify(args) -> int:
               + (f" s={spec.s}" if spec.family in ("johnson", "gen-kneser") else "")
               + f", {len(verts)} vertices")
         return 0
-    print(_verify_diagnosis(spec, verts, closed), file=sys.stderr)
+    print(f"fail: {tour_fault(spec, verts, closed)}", file=sys.stderr)
     return 1
-
-
-def _verify_diagnosis(spec: GraphSpec, verts: list[int], closed: bool) -> str:
-    want = spec.vertex_count()
-    if len(verts) != want:
-        return f"fail: {len(verts)} vertices listed, the graph has {want}"
-    if len(set(verts)) != len(verts):
-        return "fail: repeated vertex"
-    for v in verts:
-        if not spec.valid_vertex(v):
-            return f"fail: {to_string(v, spec.n)} is not a vertex of this graph"
-    pairs = zip(verts, verts[1:] + verts[:1]) if closed else zip(verts, verts[1:])
-    for i, (u, v) in enumerate(pairs):
-        if not spec.adjacent(u, v):
-            return (f"fail: positions {i} and {i + 1}: "
-                    f"{to_string(u, spec.n)} and {to_string(v, spec.n)} are not adjacent")
-    return "fail"
 
 
 def _resolve_nk(args) -> tuple[int, int]:
@@ -221,21 +218,23 @@ def _cmd_factor(args) -> int:
     f = cycle_factor(n, k)
     hist = Counter(len(c) for c in f.cycles)
     if args.format == "json":
-        payload = {
+        head = {
             "n": f.n, "k": f.k, "cycle_count": len(f.cycles),
             "vertex_count": f.total_vertices(),
             "length_histogram": {str(length): hist[length] for length in sorted(hist)},
-            "cycles": [],
         }
-        for c in f.cycles:
-            part, comp = _cycle_invariants(c, f.n, f.k)
-            payload["cycles"].append({
-                "key": to_string(c.key, f.n), "length": len(c),
-                "V": list(part),
-                "Z": {str(v): list(comp[v]) for v in sorted(comp, reverse=True)},
-                "vertices": [to_string(v, f.n) for v in c.vertices],
-            })
-        print(json.dumps(payload))
+
+        def cycles():
+            for c in f.cycles:
+                part, comp = _cycle_invariants(c, f.n, f.k)
+                yield json.dumps({
+                    "key": to_string(c.key, f.n), "length": len(c),
+                    "V": list(part),
+                    "Z": {str(v): list(comp[v]) for v in sorted(comp, reverse=True)},
+                    "vertices": [to_string(v, f.n) for v in c.vertices],
+                })
+
+        _write_json(sys.stdout, head, "cycles", cycles())
         return 0
     print(f"n={f.n} k={f.k} cycles={len(f.cycles)} vertices={f.total_vertices()}")
     print("lengths: " + ", ".join(

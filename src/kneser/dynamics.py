@@ -24,11 +24,11 @@ from math import comb, lcm
 
 from .bitstrings import (
     CyclicBitstring,
+    _annotate,
     _f_bits,
     annotated,
     apply_f_inverse,
-    parenthesis_match,
-    step_types,
+    rotate_bits,
 )
 from .errors import InternalConsistencyError, ParameterError
 from .gliders import (
@@ -105,9 +105,8 @@ class CaptureAnalysis:
 def capture_analysis(p: GliderPartition) -> CaptureAnalysis:
     x = p.x
     n, k = x.n, x.k
-    m = parenthesis_match(x)
-    m0 = m.matched_zeros
-    types = step_types(m)
+    m0 = _f_bits(x.bits, n)  # f(x) is x's matched-zero mask
+    glyphs = _annotate(x.bits, m0, n)
     free = [g for g in p.gliders if g.free]
     cap = (k + 2) * n  # the walk gains at least n-2k >= 1 per lap
     s_plus: dict[int, int] = {}
@@ -116,12 +115,9 @@ def capture_analysis(p: GliderPartition) -> CaptureAnalysis:
         sp, stair = _capture_walk(m0, n, g.s2, g.speed, cap)
         if len(stair) != g.speed or stair[-1] != sp or stair != sorted(set(stair)):
             raise InternalConsistencyError("landing staircase is not one step per level")
-        seen_one = False
-        for c in stair:
-            tp = types[c % n]  # flat steps first, then 1s, never a matched zero
-            if tp == "D" or (tp == "F" and seen_one):
-                raise InternalConsistencyError(f"landing step {c} is out of order")
-            seen_one = tp == "U"
+        # unmatched 0s first, then 1s, never a matched 0
+        if "".join([glyphs[c % n] for c in stair]).lstrip("-").lstrip("1"):
+            raise InternalConsistencyError(f"landing steps {stair} are out of order")
         s_plus[g.id] = sp
         landing[g.id] = tuple(stair)
 
@@ -228,9 +224,8 @@ def advance(
     releases = tuple(sorted(old_rel - new_rel))
 
     if verify:
-        tx = step_types(parenthesis_match(x))
-        tfx = step_types(parenthesis_match(fx))
-        phi = ["F"] * n
+        sx = _annotate(x.bits, fx.bits, n)
+        phi = ["-"] * n
         claimed = [False] * n
         for gid in ana.movers:
             g = p.gliders[gid]
@@ -239,8 +234,8 @@ def advance(
                 if claimed[r]:
                     raise InternalConsistencyError("jump intervals overlap mod n")
                 claimed[r] = True
-                phi[r] = "U" if tx[r] == "D" else "D"
-        if list(tfx) != phi:
+                phi[r] = "1" if sx[r] == "0" else "0"
+        if "".join(phi) != _annotate(fx.bits, _f_bits(fx.bits, n), n):
             raise InternalConsistencyError(f"step-type image mismatch at {x}")
     return AdvanceResult(
         x, fx, p, q, ana, bij, delta2s, traps, releases
@@ -279,6 +274,8 @@ class MotionTrace:
 def motion_trace(
     x: CyclicBitstring, steps: int, verify: bool = True
 ) -> MotionTrace:
+    if steps < 0:
+        raise ParameterError(f"steps must be nonnegative, got {steps}")
     p = glider_partition(x)
     speeds = tuple(g.speed for g in p.gliders)
     start2s = tuple(g.s1 + g.s2 for g in p.gliders)
@@ -524,13 +521,11 @@ def tau(
     a = glider.speed
     p = partition if partition is not None else glider_partition(x)
     cap = n * comb(n, k)
-    shifted = shift_glider(x, glider, p).bits
-    full = (1 << n) - 1
+    cur_shifted = shift_glider(x, glider, p).bits
+    run = (1 << a) - 1
     prev = x.bits
-    cur_shifted = shifted
     for t in range(1, cap + 2):
-        cur = _f_bits(prev, n)
-        prev_um = full & ~(prev | cur)  # f(prev) is prev's matched-zero mask
+        cur = _f_bits(prev, n)  # prev's matched-zero mask
         cur_shifted = _f_bits(cur_shifted, n)
         diff = cur ^ cur_shifted
         if diff.bit_count() != 2:
@@ -541,19 +536,17 @@ def tau(
         for u, w in ((d1, d2), (d2, d1)):
             if (u + a) % n != w:
                 continue
-            # u = peak+1, w = last+1 of the previous copy; clean means the
-            # a bits before u are its 1s and the a from u its matched 0s
+            # u = peak+1, w = last+1 of the previous copy; clean, upright and
+            # open is the rules' 1^a 0^a - at q: 1s from q, matched 0s from u
+            # and an unmatched 0 at w
             q = (u - a) % n
-            if any((prev >> ((q + i) % n)) & 1 == 0 for i in range(a)):
-                continue
-            if any(
-                (prev >> ((u + i) % n)) & 1 or (prev_um >> ((u + i) % n)) & 1
-                for i in range(a)
+            ones, zeros = rotate_bits(run, n, q), rotate_bits(run, n, u)
+            if (
+                prev & ones == ones
+                and cur & zeros == zeros
+                and not (prev | cur) >> w & 1
+                and _carries(n, a, q, bit, pos)
             ):
-                continue
-            if not (prev_um >> w) & 1:
-                continue  # not open
-            if _carries(n, a, q, bit, pos):
                 hits.append(q)
         if len(hits) > 1:
             raise InternalConsistencyError("ambiguous glider reading")

@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass
 from math import comb
 
-from .bitstrings import iter_bits
+from .bitstrings import iter_bits, to_string
 from .errors import InternalConsistencyError, ParameterError
 from .gluing import assemble_hamilton, build_gluing_plan
 
@@ -29,6 +29,7 @@ __all__ = [
     "hamilton_generalized_kneser",
     "hamilton_bipartite",
     "hamilton_tour",
+    "tour_fault",
     "verify_tour",
 ]
 
@@ -112,26 +113,41 @@ class HamiltonResult:
         return len(self.vertices)
 
 
+def tour_fault(spec: GraphSpec, vertices, closed: bool = True) -> str | None:
+    """Why the sequence vertices is not a Hamilton cycle (or path) of spec's
+    graph, or None when it is one.  Faults are reported in this order: the
+    count, a repeat, a non-vertex, then the first pair that is not an edge,
+    the closing pair of a cycle last."""
+    want = spec.vertex_count()
+    if len(vertices) != want:
+        return f"{len(vertices)} vertices listed, the graph has {want}"
+    if len(set(vertices)) != len(vertices):
+        return "repeated vertex"
+    for v in vertices:
+        if not spec.valid_vertex(v):
+            return f"{to_string(v, spec.n)} is not a vertex of this graph"
+    edges = zip(vertices, vertices[1:] + vertices[:1]) if closed else zip(vertices, vertices[1:])
+    for i, (u, v) in enumerate(edges):
+        if not spec.adjacent(u, v):
+            return (f"positions {i} and {i + 1}: "
+                    f"{to_string(u, spec.n)} and {to_string(v, spec.n)} are not adjacent")
+    return None
+
+
 def verify_tour(spec: GraphSpec, vertices, closed: bool = True) -> bool:
-    """Check that vertices is a Hamilton cycle (or path) of spec's graph."""
-    seq = list(vertices)
-    if len(seq) != spec.vertex_count() or len(set(seq)) != len(seq):
-        return False
-    if not all(spec.valid_vertex(v) for v in seq):
-        return False
-    if len(seq) == 1:
-        return not closed
-    edges = zip(seq, seq[1:] + seq[:1]) if closed else zip(seq, seq[1:])
-    return all(spec.adjacent(u, v) for u, v in edges)
+    """Check that the sequence vertices is a Hamilton cycle (or path) of
+    spec's graph."""
+    return tour_fault(spec, vertices, closed) is None
 
 
 def _checked(result: HamiltonResult) -> HamiltonResult:
-    if result.status == "cycle" and not verify_tour(result.spec, result.vertices, True):
-        raise InternalConsistencyError(f"constructed cycle fails verification: {result.spec}")
-    if result.status == "path" and result.vertices and not verify_tour(
-        result.spec, result.vertices, False
-    ):
-        raise InternalConsistencyError(f"constructed path fails verification: {result.spec}")
+    """result, once its tour passes verify_tour; a path with no vertices
+    passes as it is."""
+    closed = result.status == "cycle"
+    if (closed or result.vertices) and not verify_tour(result.spec, result.vertices, closed):
+        fault = tour_fault(result.spec, result.vertices, closed)
+        raise InternalConsistencyError(
+            f"constructed {result.status} fails verification: {result.spec}: {fault}")
     return result
 
 

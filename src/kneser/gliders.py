@@ -1,11 +1,14 @@
-"""Motzkin paths and the glider partition of a cyclic bitstring.
+"""The glider partition of a cyclic bitstring.
 
-Read from the position after the matching anchor, a bitstring becomes a
-Motzkin path: matched 1s step up, matched 0s step down, unmatched 0s are
-flat.  The maximal non-flat excursions decompose recursively into
-gliders: staircase patterns that move rigidly under the flip map f, with a
-speed equal to their step count on each side.  The speed multiset V(x) and
-the train composition Z(x) are invariants of the factor cycle through x.
+Read from the position after the matching anchor, a bitstring's annotated
+string ('1', '0' for a matched 0, '-' for an unmatched 0; see
+``bitstrings.annotated``) is a walk: 1s step up, matched 0s step down,
+unmatched 0s are flat.  There is no separate path type; the partition reads
+the matching's masks.  The maximal non-flat excursions decompose
+recursively into gliders: staircase patterns that move rigidly under the
+flip map f, with a speed equal to their step count on each side.  The speed
+multiset V(x) and the train composition Z(x) are invariants of the factor
+cycle through x.
 
 Coordinates inside a partition are window-absolute: position p of the
 string appears as the unique j in [anchor+1, anchor+n] with j = p mod n,
@@ -16,66 +19,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .bitstrings import (
-    CyclicBitstring,
-    annotated,
-    descent_count,
-    parenthesis_match,
-    step_types,
-)
+from .bitstrings import CyclicBitstring, annotated, descent_count, parenthesis_match
 from .errors import InternalConsistencyError
 
 __all__ = [
-    "MotzkinPath",
-    "to_motzkin",
-    "from_motzkin",
     "Glider",
     "GliderPartition",
     "glider_partition",
-    "speed_multiset",
     "speed_multiset_direct",
     "speed_partition",
     "TrainComposition",
     "train_composition",
     "render_gliders",
 ]
-
-
-@dataclass(frozen=True)
-class MotzkinPath:
-    """U/D/F encoding of one bitstring.
-
-    steps[i] describes position (start + i) mod n, where start is the
-    position after the matching anchor.  Prefix heights stay nonnegative
-    and the path returns to height zero.
-    """
-
-    n: int
-    start: int
-    steps: tuple[str, ...]
-
-    def heights(self) -> tuple[int, ...]:
-        out = []
-        h = 0
-        for s in self.steps:
-            h += 1 if s == "U" else -1 if s == "D" else 0
-            out.append(h)
-        return tuple(out)
-
-
-def to_motzkin(x: CyclicBitstring) -> MotzkinPath:
-    m = parenthesis_match(x)
-    start = (m.anchor + 1) % x.n
-    types = step_types(m)
-    return MotzkinPath(x.n, start, types[start:] + types[:start])
-
-
-def from_motzkin(p: MotzkinPath) -> CyclicBitstring:
-    bits = 0
-    for j, s in enumerate(p.steps):
-        if s == "U":
-            bits |= 1 << ((p.start + j) % p.n)
-    return CyclicBitstring(p.n, sum(s == "U" for s in p.steps), bits)
 
 
 @dataclass(frozen=True)
@@ -120,11 +76,6 @@ class Glider:
     @property
     def free(self) -> bool:
         return not self.trapped_by
-
-    def is_clean(self) -> bool:
-        """No foreign steps interleaved: the glider occupies 2*speed
-        consecutive positions."""
-        return self.s2 - self.s0 + 1 == 2 * self.speed
 
     def key(self, n: int) -> tuple[frozenset[int], frozenset[int]]:
         """Window-independent identity, used to match gliders across strings."""
@@ -266,10 +217,6 @@ def glider_partition(x: CyclicBitstring) -> GliderPartition:
             f"glider count {len(gliders)} != descent count for {x}"
         )
     return GliderPartition(x, a, gliders, tuple(pos_class))
-
-
-def speed_multiset(p: GliderPartition) -> tuple[int, ...]:
-    return p.speeds()
 
 
 def _w(word: list[int]) -> list[int]:

@@ -33,8 +33,8 @@ from .bitstrings import (
     CycleFactor,
     CyclicBitstring,
     Matching,
+    _annotate,
     _f_bits,
-    apply_f,
     cycle_factor,
     parenthesis_match,
     rotate_bits,
@@ -46,7 +46,6 @@ from .gliders import glider_partition, speed_multiset_direct
 __all__ = [
     "is_connector",
     "connector_partners",
-    "connector_four_cycle",
     "RewriteMatch",
     "match_rewrite",
     "single_glider_vertex",
@@ -101,21 +100,6 @@ def connector_partners(x: CyclicBitstring) -> tuple[CyclicBitstring, ...]:
             if w != blocked:
                 out.append(CyclicBitstring(x.n, x.k, x.bits ^ (1 << one) | (1 << w)))
     return tuple(out)
-
-
-def connector_four_cycle(
-    x: CyclicBitstring, y: CyclicBitstring
-) -> tuple[CyclicBitstring, CyclicBitstring, CyclicBitstring, CyclicBitstring]:
-    """The 4-cycle (x, f(x), y, f(y)) that a connector opens between the two
-    factor cycles; its chords replace the factor edges when splicing."""
-    if not is_connector(x, y):
-        raise ParameterError("the two vertices do not form a connector")
-    quad = (x, apply_f(x), y, apply_f(y))
-    ring = quad + (quad[0],)
-    for u, v in zip(ring, ring[1:]):
-        if u.bits & v.bits:
-            raise InternalConsistencyError("four-cycle chord joins meeting sets")
-    return quad
 
 
 def single_glider_vertex(n: int, k: int, i: int) -> CyclicBitstring:
@@ -349,13 +333,7 @@ def _move_one(x: CyclicBitstring, src: int, dst: int) -> CyclicBitstring:
 def _window(x: CyclicBitstring, p: int, fx: int | None = None) -> str:
     """The rules' window of x at anchor p.  f(x) is x's matched-zero mask,
     so fx = f(x), when the caller has it, spares the matching scan."""
-    n, bits = x.n, x.bits
-    if fx is None:
-        fx = _f_bits(bits, n)
-    unmatched = ((1 << n) - 1) & ~(bits | fx)
-    # each bit becomes a hex digit: 1 for a 1, 2 for an unmatched 0
-    digits = int(format(bits, "b"), 16) + 2 * int(format(unmatched, "b"), 16)
-    s = format(digits, f"0{n}x")[::-1].replace("2", "-")
+    s = _annotate(x.bits, _f_bits(x.bits, x.n) if fx is None else fx, x.n)
     return (s[p:] + s[:p]) * 3
 
 

@@ -8,15 +8,17 @@ elimination, the partition order is built by explicit enumeration, the
 first-visit search follows a glider class through `advance` step by step
 instead of reading two parallel orbits, and the splice walk keeps a
 neighbour table for every vertex instead of for the splice endpoints alone.
+The connector 4-cycle and the clean-glider test are read by tests alone.
 """
 
 from fractions import Fraction
 from math import comb
 
-from kneser.bitstrings import _f_bits
+from kneser.bitstrings import _f_bits, apply_f
 from kneser.dynamics import TauResult, advance
-from kneser.errors import InternalConsistencyError
+from kneser.errors import InternalConsistencyError, ParameterError
 from kneser.gliders import glider_partition
+from kneser.gluing import is_connector
 
 
 def naive_matching(bits: int, n: int) -> tuple[set[tuple[int, int]], set[int]]:
@@ -157,10 +159,29 @@ def cyclic_equal(a, b) -> bool:
     return False
 
 
+def connector_four_cycle(x, y):
+    """The 4-cycle (x, f(x), y, f(y)) that a connector opens between the two
+    factor cycles; its chords replace the factor edges when splicing."""
+    if not is_connector(x, y):
+        raise ParameterError("the two vertices do not form a connector")
+    quad = (x, apply_f(x), y, apply_f(y))
+    ring = quad + (quad[0],)
+    for u, v in zip(ring, ring[1:]):
+        if u.bits & v.bits:
+            raise InternalConsistencyError("four-cycle chord joins meeting sets")
+    return quad
+
+
+def is_clean(g) -> bool:
+    """No foreign steps interleaved: the glider occupies 2*speed consecutive
+    positions."""
+    return g.s2 - g.s0 + 1 == 2 * g.speed
+
+
 def _open_clean_carries(p, g, bit: int, pos: int) -> bool:
     """g is upright, clean and open, and carries bit at pos."""
     n = p.x.n
-    if g.inverted or not g.is_clean():
+    if g.inverted or not is_clean(g):
         return False
     if p.pos_class[(g.s2 + 1) % n] >= 0:
         return False  # not open: the position after the glider is matched

@@ -1,5 +1,6 @@
 import os
 import random
+from itertools import accumulate
 import subprocess
 import sys
 from math import comb
@@ -18,7 +19,6 @@ from kneser.bitstrings import (
     apply_f,
     apply_f_inverse,
     cycle_factor,
-    cycle_of,
     descent_count,
     from_string,
     iter_bits,
@@ -145,6 +145,12 @@ def test_matching_shape(x):
     assert not m.visible & m.unmatched
     assert (m.visible & x.bits).bit_count() == (m.visible & m.matched_zeros).bit_count()
     assert m.unmatched >> m.anchor & 1
+    # read from the anchor on, 1s step up and matched 0s down: a Motzkin walk
+    heights = list(accumulate(
+        (m.bits >> i & 1) - (m.matched_zeros >> i & 1)
+        for i in (j % x.n for j in range(m.anchor + 1, m.anchor + 1 + x.n))
+    ))
+    assert min(heights) >= 0 and heights[-1] == 0
 
 
 def _rotations(s: str):
@@ -295,7 +301,7 @@ def test_factor_index(n, k, factors):
     f = factors(n, k)
     for c in f.cycles:
         for b in c.vertices:
-            assert f.cycle_containing(b) is c
+            assert f.cycles[f.index[b]] is c
 
 
 def test_petersen_factor_exact(factors):
@@ -308,12 +314,6 @@ def test_petersen_factor_exact(factors):
     assert len(got) == 2
     matched = {i: next(j for j, w in enumerate(want) if cyclic_equal(g, w)) for i, g in enumerate(got)}
     assert sorted(matched.values()) == [0, 1]
-
-
-def test_cycle_of_is_rotation_invariant_set():
-    c = cycle_of(v("100100"))
-    assert len(c) == 3
-    assert set(to_string(b, 6) for b in c.vertices) == {"100100", "010010", "001001"}
 
 
 def test_cycle_key_is_least_string(factors):

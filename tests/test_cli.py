@@ -4,8 +4,10 @@ from math import comb
 
 import pytest
 
+from kneser.bitstrings import CyclicBitstring, cycle_factor, to_string
 from kneser.cli import main
 from kneser.families import GraphSpec, hamilton_tour
+from kneser.gliders import glider_partition, speed_partition, train_composition
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -181,6 +183,61 @@ def test_verify_garbage_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+# a Hamilton cycle of K(7,2) and a Hamilton path of K(5,2)
+K7 = ("0000011 1000100 0001001 1000010 0000101 0001010 0010100 0101000 1010000 0100001 "
+      "0010010 0100100 1001000 0010001 0100010 0001100 0110000 1000001 0000110 0011000 "
+      "1100000").split()
+P5 = "11000 00110 10001 01100 00011 10100 01010 00101 10010 01001".split()
+
+
+def _swap(seq, i, j):
+    seq = list(seq)
+    seq[i], seq[j] = seq[j], seq[i]
+    return seq
+
+
+@pytest.mark.parametrize("head, body, code, err", [
+    ("7 2 kneser", K7, 0, ""),
+    ("7 2 kneser", K7[:-1], 1, "fail: 20 vertices listed, the graph has 21\n"),
+    ("7 2 kneser", K7[:-1] + [K7[0]], 1, "fail: repeated vertex\n"),
+    ("7 2 kneser", K7[:-1] + ["1110000"], 1, "fail: 1110000 is not a vertex of this graph\n"),
+    # the count comes before a non-vertex, a repeat before a non-vertex
+    ("7 2 kneser", K7[:-2] + ["1110000"], 1, "fail: 20 vertices listed, the graph has 21\n"),
+    ("7 2 kneser", K7[:-2] + [K7[0], "1110000"], 1, "fail: repeated vertex\n"),
+    ("7 2 kneser", _swap(K7, 5, 9), 1,
+     "fail: positions 4 and 5: 0000101 and 0100001 are not adjacent\n"),
+    ("7 2 kneser", _swap(K7, 0, 20), 1,
+     "fail: positions 0 and 1: 1100000 and 1000100 are not adjacent\n"),
+    # read as a cycle, the path fails on its closing pair alone
+    ("5 2 kneser", P5, 1, "fail: positions 9 and 10: 01001 and 11000 are not adjacent\n"),
+    ("5 2 kneser path", P5, 0, ""),
+    ("5 2 kneser path", P5[:-1] + ["11100"], 1, "fail: 11100 is not a vertex of this graph\n"),
+    ("5 2 kneser path", P5[:-1] + [P5[0]], 1, "fail: repeated vertex\n"),
+    ("5 2 kneser path", _swap(P5, 4, 5), 1,
+     "fail: positions 3 and 4: 01100 and 10100 are not adjacent\n"),
+    ("5 2 kneser path", P5[:1], 1, "fail: 1 vertices listed, the graph has 10\n"),
+], ids=["cycle", "cycle-count", "cycle-repeat", "cycle-non-vertex", "count-first",
+        "repeat-first", "cycle-non-edge", "cycle-first-pair", "cycle-closing-pair", "path",
+        "path-non-vertex", "path-repeat", "path-non-edge", "path-count"])
+def test_verify_reports_the_first_fault(tmp_path, capsys, head, body, code, err):
+    tour = tmp_path / "tour.txt"
+    tour.write_text("\n".join([head] + body) + "\n")
+    got = run(capsys, "verify", str(tour))
+    assert (got[0], got[2]) == (code, err)
+
+
+@pytest.mark.parametrize("text", [
+    "7 2 kneser\n1,2\n0,3\n",
+    '{"n": 7, "k": 2, "family": "kneser", "vertices": [[1, 2], [3, 0]]}',
+], ids=["sets", "json"])
+def test_verify_rejects_set_element_zero(tmp_path, capsys, text):
+    tour = tmp_path / "tour.txt"
+    tour.write_text(text)
+    code, _, err = run(capsys, "verify", str(tour))
+    assert code == 2
+    assert err.startswith("parameter error: ") and "set element 0" in err
+
+
 # -- factor ---------------------------------------------------------------------
 
 
@@ -207,6 +264,31 @@ def test_factor_json(capsys):
     assert sum(c["length"] for c in payload["cycles"]) == comb(7, 2)
     for c in payload["cycles"]:
         assert sum(c["V"]) == 2
+
+
+@pytest.mark.parametrize("n, k", [(9, 3), (5, 2)])
+def test_factor_json_streams_the_dumped_payload(capsys, n, k):
+    """The streamed JSON is byte for byte json.dumps of the whole payload."""
+    code, out, _ = run(capsys, "factor", str(n), str(k), "--format", "json")
+    f = cycle_factor(n, k)
+    lengths = sorted(len(c) for c in f.cycles)
+    cycles = []
+    for c in f.cycles:
+        p = glider_partition(CyclicBitstring(n, k, c.key))
+        comp = train_composition(p)
+        cycles.append({
+            "key": to_string(c.key, n), "length": len(c),
+            "V": list(speed_partition(p)),
+            "Z": {str(v): list(comp[v].composition) for v in sorted(comp, reverse=True)},
+            "vertices": [to_string(b, n) for b in c.vertices],
+        })
+    payload = {
+        "n": n, "k": k, "cycle_count": len(f.cycles), "vertex_count": comb(n, k),
+        "length_histogram": {str(m): lengths.count(m) for m in sorted(set(lengths))},
+        "cycles": cycles,
+    }
+    assert code == 0
+    assert out == json.dumps(payload) + "\n"
 
 
 def test_factor_rejects_bad_usage(capsys):
@@ -242,6 +324,12 @@ def test_trace_validates_start(capsys):
     assert code == 2
     code, _, _ = run(capsys, "trace", "9", "3", "--start", "110000000")
     assert code == 2
+
+
+def test_trace_rejects_negative_steps(capsys):
+    code, out, err = run(capsys, "trace", "9", "3", "--start", "110100000", "--steps", "-3")
+    assert (code, out) == (2, "")
+    assert err.startswith("parameter error: ") and "-3" in err
 
 
 def test_plan_summary(capsys):

@@ -204,13 +204,14 @@ def test_trace_svg_smoke():
 
 
 def test_capture_invariant_survives_optimized_mode():
-    """Step types that call every landing step a matched zero break the capture
-    analysis; python -O, which strips asserts, must still raise from advance."""
+    """An annotated string that calls every landing step a matched zero breaks
+    the capture analysis; python -O, which strips asserts, must still raise
+    from advance."""
     code = (
         "from kneser import dynamics\n"
         "from kneser.bitstrings import CyclicBitstring\n"
         "from kneser.errors import InternalConsistencyError\n"
-        "dynamics.step_types = lambda m: ('D',) * m.n\n"
+        "dynamics._annotate = lambda bits, fx, n: '0' * n\n"
         "try:\n"
         "    dynamics.advance(CyclicBitstring.from_string('1001010000'), verify=False)\n"
         "except InternalConsistencyError:\n"

@@ -9,9 +9,10 @@ import pytest
 import kneser
 from kneser import families
 from kneser.bitstrings import from_string
-from kneser.errors import ParameterError
+from kneser.errors import InternalConsistencyError, ParameterError
 from kneser.families import (
     GraphSpec,
+    HamiltonResult,
     fallback_backtracking,
     hamilton_bipartite,
     hamilton_generalized_kneser,
@@ -76,6 +77,16 @@ def test_verify_tour_rejections():
     swapped[0], swapped[2] = swapped[2], swapped[0]
     assert not verify_tour(spec, swapped, closed=True)  # non-edge
     assert not verify_tour(spec, [good[0]] * len(good), closed=True)
+
+
+def test_checked_names_the_fault():
+    r = hamilton_kneser(7, 2)
+    repeat = r.vertices[:-1] + r.vertices[:1]
+    with pytest.raises(InternalConsistencyError, match="cycle fails .*: repeated vertex$"):
+        families._checked(HamiltonResult(r.spec, "cycle", repeat, True))
+    with pytest.raises(InternalConsistencyError, match="path fails .*: repeated vertex$"):
+        families._checked(HamiltonResult(r.spec, "path", repeat, None))
+    assert families._checked(HamiltonResult(r.spec, "path", (), False)).vertices == ()
 
 
 # -- Kneser dispatch ----------------------------------------------------------------

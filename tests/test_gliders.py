@@ -11,13 +11,10 @@ import kneser
 from conftest import vertices
 from kneser.bitstrings import CyclicBitstring, descent_count, iter_bits
 from kneser.gliders import (
-    from_motzkin,
     glider_partition,
     render_gliders,
-    speed_multiset,
     speed_multiset_direct,
     speed_partition,
-    to_motzkin,
     train_composition,
 )
 
@@ -26,27 +23,6 @@ SMALL = [(5, 2), (7, 3), (8, 3), (9, 4), (9, 3), (11, 5)]
 
 def v(s: str) -> CyclicBitstring:
     return CyclicBitstring.from_string(s)
-
-
-# -- Motzkin path encoding ----------------------------------------------------
-
-
-@given(vertices())
-def test_motzkin_roundtrip(x):
-    p = to_motzkin(x)
-    assert from_motzkin(p) == x
-
-
-@given(vertices())
-def test_motzkin_shape(x):
-    p = to_motzkin(x)
-    counts = Counter(p.steps)
-    assert counts["U"] == x.k
-    assert counts["D"] == x.k
-    assert counts.get("F", 0) == x.n - 2 * x.k
-    hs = p.heights()
-    assert all(h >= 0 for h in hs)
-    assert hs[-1] == 0
 
 
 # -- glider partition ----------------------------------------------------------
@@ -87,27 +63,27 @@ def test_glider_count_is_descent_count(x):
 
 @given(vertices())
 def test_speeds_sum_to_k(x):
-    assert sum(speed_multiset(glider_partition(x))) == x.k
+    assert sum(glider_partition(x).speeds()) == x.k
 
 
 @given(vertices())
 def test_speed_multiset_two_ways(x):
     p = glider_partition(x)
-    assert speed_multiset(p) == speed_multiset_direct(x)
+    assert p.speeds() == speed_multiset_direct(x)
 
 
 @pytest.mark.parametrize("n,k", SMALL)
 def test_speed_multiset_two_ways_exhaustive(n, k):
     for bits in iter_bits(n, k):
         x = CyclicBitstring(n, k, bits)
-        assert speed_multiset(glider_partition(x)) == speed_multiset_direct(x)
+        assert glider_partition(x).speeds() == speed_multiset_direct(x)
 
 
 @given(vertices())
 def test_speed_partition_sorted(x):
     part = speed_partition(glider_partition(x))
     assert part == tuple(sorted(part, reverse=True))
-    assert tuple(sorted(part)) == speed_multiset(glider_partition(x))
+    assert tuple(sorted(part)) == glider_partition(x).speeds()
 
 
 @given(vertices())
@@ -130,7 +106,7 @@ def test_render_gliders_smoke():
 def test_train_composition_shape(x):
     p = glider_partition(x)
     comp = train_composition(p)
-    mult = Counter(speed_multiset(p))
+    mult = Counter(p.speeds())
     assert set(comp) == set(mult)
     for speed, tc in comp.items():
         assert sum(tc.composition) == mult[speed]

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import vertices
-from oracles import assemble_hamilton_table, box
+from oracles import assemble_hamilton_table, box, connector_four_cycle
 
 from kneser import bitstrings, gluing
 from kneser.bitstrings import (
@@ -21,12 +21,11 @@ from kneser.bitstrings import (
 )
 from kneser.errors import InternalConsistencyError, ParameterError
 from kneser.families import GraphSpec, verify_tour
-from kneser.gliders import glider_partition, speed_multiset, speed_partition
+from kneser.gliders import glider_partition, speed_partition
 from kneser.gluing import (
     _window,
     assemble_hamilton,
     build_gluing_plan,
-    connector_four_cycle,
     connector_partners,
     is_connector,
     match_rewrite,
@@ -108,7 +107,7 @@ def test_single_glider_orbit(n, k):
 @pytest.mark.parametrize("n,k", [(7, 2), (9, 3), (10, 4), (12, 4)])
 def test_single_glider_cycles_count(n, k, factors):
     f = factors(n, k)
-    keys = {f.cycle_containing(single_glider_vertex(n, k, i).bits).key for i in range(n)}
+    keys = {f.cycles[f.index[single_glider_vertex(n, k, i).bits]].key for i in range(n)}
     assert len(keys) == gcd(n, k)
 
 
@@ -147,19 +146,19 @@ def test_partition_direction_per_family(n, k):
         dst = speed_partition(glider_partition(m.image))
         fam = m.family
         if fam == 2:
-            assert min(speed_multiset(px)) % 2 == 0
+            assert min(px.speeds()) % 2 == 0
             assert dst == box(src, -1)
         elif fam == 4:
-            vmin = min(speed_multiset(px))
+            vmin = min(px.speeds())
             assert vmin % 2 == 1
             assert dst == (box(src, -1) if vmin >= 3 else src)
         elif fam == 9:
-            assert speed_multiset(glider_partition(m.image)) == speed_multiset(px)
+            assert glider_partition(m.image).speeds() == px.speeds()
         elif fam in (6, 7, 8):
             assert dst > box(src, 1)
         else:  # 1, 3, 5 strictly increase the partition
             assert dst > src
-            vs = speed_multiset(px)
+            vs = px.speeds()
             if fam == 1 and len(vs) >= 3 and vs[2] > vs[1]:
                 assert dst > box(src, 1)
 
