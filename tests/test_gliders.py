@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given
 
 import kneser
 from conftest import vertices
-from kneser.bitstrings import CyclicBitstring, descent_count, iter_bits
+from kneser.bitstrings import CyclicBitstring, descent_count, iter_bits, parenthesis_match
 from kneser.gliders import (
     glider_partition,
     render_gliders,
@@ -23,6 +24,27 @@ SMALL = [(5, 2), (7, 3), (8, 3), (9, 4), (9, 3), (11, 5)]
 
 def v(s: str) -> CyclicBitstring:
     return CyclicBitstring.from_string(s)
+
+
+# -- Motzkin path of the matching ----------------------------------------------
+
+
+@given(vertices())
+def test_motzkin_shape(x):
+    # read from the anchor on, a 1 steps up, a matched 0 down and an
+    # unmatched 0 flat: a Motzkin walk with k up and k down steps
+    m = parenthesis_match(x)
+    steps = [
+        (m.bits >> i & 1) - (m.matched_zeros >> i & 1)
+        for i in (j % x.n for j in range(m.anchor + 1, m.anchor + 1 + x.n))
+    ]
+    counts = Counter(steps)
+    assert counts[1] == x.k
+    assert counts[-1] == x.k
+    assert counts[0] == x.n - 2 * x.k
+    heights = list(accumulate(steps))
+    assert min(heights) >= 0
+    assert heights[-1] == 0
 
 
 # -- glider partition ----------------------------------------------------------
