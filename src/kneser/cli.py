@@ -128,11 +128,15 @@ def _write_json(out, head: dict, key: str, items) -> None:
     out.write("]}\n")
 
 
-def _set_bits(elems: list[int]) -> int:
-    """The mask of a vertex listed as 1-based set elements."""
-    if min(elems, default=1) < 1:
-        raise ParameterError(f"set element {min(elems)} is not a position 1..n")
-    return sum(1 << (i - 1) for i in elems)
+def _set_bits(elems, n: int) -> int:
+    """The mask of a vertex listed as 1-based set elements of [n]; a repeated
+    element counts once."""
+    mask = 0
+    for e in elems:
+        if not 1 <= e <= n:
+            raise ParameterError(f"set element {e} is not a position 1..{n}")
+        mask |= 1 << (e - 1)
+    return mask
 
 
 def _parse_tour(text: str) -> tuple[GraphSpec, list[int], bool]:
@@ -141,10 +145,11 @@ def _parse_tour(text: str) -> tuple[GraphSpec, list[int], bool]:
         raise ParameterError("empty tour input")
     if text.startswith("{"):
         payload = json.loads(text)
-        family = payload["family"]
-        s = payload.get("s") or 0
-        spec = GraphSpec(family, payload["n"], payload["k"], s)
-        verts = [_set_bits(elems) for elems in payload["vertices"]]
+        try:
+            spec = GraphSpec(payload["family"], payload["n"], payload["k"], payload.get("s") or 0)
+            verts = [_set_bits(elems, spec.n) for elems in payload["vertices"]]
+        except (KeyError, TypeError) as exc:  # an entry missing or of the wrong JSON type
+            raise ParameterError(f"malformed JSON tour: {exc!r}") from None
         return spec, verts, bool(payload.get("closed", True))
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     head = lines[0].split()
@@ -160,12 +165,11 @@ def _parse_tour(text: str) -> tuple[GraphSpec, list[int], bool]:
     spec = GraphSpec(family, n, k, s)
     verts = []
     for ln in lines[1:]:
-        if set(ln) <= {"0", "1", "-"}:
-            if len(ln) != n:
-                raise ParameterError(f"bitstring {ln!r} is not {n} positions long")
+        # a bitstring has exactly n positions, so K(n, 1)'s sets 1 and 10 read as sets
+        if len(ln) == n and set(ln) <= {"0", "1", "-"}:
             verts.append(from_string(ln))
         else:
-            verts.append(_set_bits([int(tok) for tok in ln.split(",")]))
+            verts.append(_set_bits([int(tok) for tok in ln.split(",")], n))
     return spec, verts, closed
 
 

@@ -338,8 +338,8 @@ def _adjacency(spec: GraphSpec, verts: list[int],
         if (i % 256 == 0 or not kneser) and time.monotonic() > deadline:
             return None
         if kneser:
-            free = _positions(((1 << spec.n) - 1) ^ v)
-            adjacency[v] = tuple(same[_mask(free[j] for j in pick)] for pick in picks)
+            bits = [1 << j for j in _positions(((1 << spec.n) - 1) ^ v)]
+            adjacency[v] = tuple(same[sum(map(bits.__getitem__, pick))] for pick in picks)
         else:
             adjacency[v] = tuple(w for w in verts if spec.adjacent(v, w))
     return adjacency
@@ -356,21 +356,22 @@ def _posa_tour(verts, adjacency, deadline: float, rng) -> tuple[str | None, tupl
     best = None
     while time.monotonic() < deadline:
         path = [rng.choice(verts)]
-        pos = {path[0]: 0}
+        seen = {path[0]}
         stalls = 0
         while len(path) < n and stalls < 64 * n:
             tip = path[-1]
-            fresh = [w for w in adjacency[tip] if w not in pos]
+            fresh = [w for w in adjacency[tip] if w not in seen]
             if fresh:
                 w = fresh[rng.randrange(len(fresh))]
-                pos[w] = len(path)
+                seen.add(w)
                 path.append(w)
                 stalls = 0
                 continue
             nbrs = adjacency[tip]
-            i = pos[nbrs[rng.randrange(len(nbrs))]]
+            # every neighbour of a stuck tip is on the path, so index finds it
+            i = path.index(nbrs[rng.randrange(len(nbrs))])
             if i != len(path) - 2:  # rotating at the predecessor is a no-op
-                _reverse_suffix(path, pos, i + 1)
+                path[i + 1:] = path[:i:-1]
             stalls += 1
             if time.monotonic() > deadline:
                 break
@@ -382,17 +383,11 @@ def _posa_tour(verts, adjacency, deadline: float, rng) -> tuple[str | None, tupl
                 if time.monotonic() > deadline:
                     break
                 nbrs = adjacency[tip]
-                i = pos[nbrs[rng.randrange(len(nbrs))]]
+                i = path.index(nbrs[rng.randrange(len(nbrs))])
                 if i != len(path) - 2:
-                    _reverse_suffix(path, pos, i + 1)
+                    path[i + 1:] = path[:i:-1]
             best = tuple(path)
     return ("path", best) if best is not None else (None, None)
-
-
-def _reverse_suffix(path, pos, i: int) -> None:
-    path[i:] = path[i:][::-1]
-    for j in range(i, len(path)):
-        pos[path[j]] = j
 
 
 # -- generalized Johnson -----------------------------------------------------

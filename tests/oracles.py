@@ -6,11 +6,14 @@ the bit scan reads one position at a time where the package reads a byte,
 the determinant does rational Gaussian elimination instead of fraction-free
 elimination, the partition order is built by explicit enumeration, the
 first-visit search follows a glider class through `advance` step by step
-instead of reading two parallel orbits, and the splice walk keeps a
-neighbour table for every vertex instead of for the splice endpoints alone.
+instead of reading two parallel orbits, the splice walk keeps a
+neighbour table for every vertex instead of for the splice endpoints alone,
+and the rotation-extension search keeps a position map of its path instead
+of searching the path.
 The connector 4-cycle and the clean-glider test are read by tests alone.
 """
 
+import time
 from fractions import Fraction
 from math import comb
 
@@ -266,3 +269,51 @@ def assemble_hamilton_table(plan) -> tuple[int, ...]:
         if u & v:
             raise InternalConsistencyError("walk contains a non-edge")
     return tuple(out)
+
+
+def posa_tour_positions(verts, adjacency, deadline: float, rng) -> tuple[str | None, tuple | None]:
+    """Reference rotation-extension search: the package's rng calls in the
+    same order, with a dict from each path vertex to its position, rewritten
+    for every moved vertex at each rotation."""
+    n = len(verts)
+    adjset = {v: frozenset(adjacency[v]) for v in verts}
+
+    def reverse_suffix(path, pos, i: int) -> None:
+        path[i:] = path[i:][::-1]
+        for j in range(i, len(path)):
+            pos[path[j]] = j
+
+    best = None
+    while time.monotonic() < deadline:
+        path = [rng.choice(verts)]
+        pos = {path[0]: 0}
+        stalls = 0
+        while len(path) < n and stalls < 64 * n:
+            tip = path[-1]
+            fresh = [w for w in adjacency[tip] if w not in pos]
+            if fresh:
+                w = fresh[rng.randrange(len(fresh))]
+                pos[w] = len(path)
+                path.append(w)
+                stalls = 0
+                continue
+            nbrs = adjacency[tip]
+            i = pos[nbrs[rng.randrange(len(nbrs))]]
+            if i != len(path) - 2:  # rotating at the predecessor is a no-op
+                reverse_suffix(path, pos, i + 1)
+            stalls += 1
+            if time.monotonic() > deadline:
+                break
+        if len(path) == n:
+            for _ in range(64 * n):
+                tip = path[-1]
+                if path[0] in adjset[tip]:
+                    return "cycle", tuple(path)
+                if time.monotonic() > deadline:
+                    break
+                nbrs = adjacency[tip]
+                i = pos[nbrs[rng.randrange(len(nbrs))]]
+                if i != len(path) - 2:
+                    reverse_suffix(path, pos, i + 1)
+            best = tuple(path)
+    return ("path", best) if best is not None else (None, None)

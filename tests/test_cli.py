@@ -115,10 +115,13 @@ def test_gen_output_file(tmp_path, capsys):
 # -- verify -------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("fmt", ["bits", "sets", "json"])
-def test_gen_verify_roundtrip(tmp_path, capsys, fmt):
+@pytest.mark.parametrize("k, fmt", [
+    ("2", "bits"), ("2", "sets"), ("2", "json"),
+    ("1", "sets"),  # the one-element sets 1 .. 7 are not read as bitstrings
+], ids=["bits", "sets", "json", "sets-k1"])
+def test_gen_verify_roundtrip(tmp_path, capsys, k, fmt):
     tour = tmp_path / "tour.txt"
-    code, _, _ = run(capsys, "gen", "--kneser", "7", "2", "--format", fmt,
+    code, _, _ = run(capsys, "gen", "--kneser", "7", k, "--format", fmt,
                      "-o", str(tour))
     assert code == 0
     code, out, err = run(capsys, "verify", str(tour))
@@ -236,6 +239,30 @@ def test_verify_rejects_set_element_zero(tmp_path, capsys, text):
     code, _, err = run(capsys, "verify", str(tour))
     assert code == 2
     assert err.startswith("parameter error: ") and "set element 0" in err
+
+
+@pytest.mark.parametrize("text, err", [
+    ('{"n": 7, "k": 2, "vertices": [[1, 2], [3, 4]]}', "malformed JSON tour: KeyError('family')"),
+    ('{"n": 7, "k": 2, "family": "kneser", "vertices": [[1, 2], [3, "a"]]}',
+     "malformed JSON tour: TypeError("),
+    ("7 2 kneser\n1,2\n3,8\n", "set element 8 is not a position 1..7"),
+    ("7 2 kneser\n1000001\n011000\n", "set element 11000 is not a position 1..7"),
+], ids=["json-no-family", "json-non-integer", "sets-above-n", "short-bitstring"])
+def test_verify_rejects_malformed_tours(tmp_path, capsys, text, err):
+    tour = tmp_path / "tour.txt"
+    tour.write_text(text)
+    code, _, got = run(capsys, "verify", str(tour))
+    assert code == 2
+    assert got.startswith("parameter error: " + err), got
+
+
+def test_verify_reads_a_repeated_set_element_once(tmp_path, capsys):
+    # written as 1,1,3 the vertex {2,3} is {1,3}, which the tour already lists
+    sets = [",".join(str(i + 1) for i, c in enumerate(b) if c == "1") for b in K7]
+    sets[sets.index("2,3")] = "1,1,3"
+    tour = tmp_path / "tour.txt"
+    tour.write_text("\n".join(["7 2 kneser"] + sets) + "\n")
+    assert run(capsys, "verify", str(tour))[::2] == (1, "fail: repeated vertex\n")
 
 
 # -- factor ---------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import hashlib
+import random
 import re
 import time
 from math import comb
@@ -21,6 +22,7 @@ from kneser.families import (
     hamilton_tour,
     verify_tour,
 )
+from oracles import posa_tour_positions
 
 
 def johnson_expectation(n: int, k: int, s: int) -> str:
@@ -138,12 +140,29 @@ def test_kneser_cap_respected():
 
 
 def test_kneser_fallback_budget_holds():
-    # 6435 vertices of degree 8: building the neighbour table counts against the budget
+    # 6435 vertices of degree 8: building the neighbour table counts against the
+    # budget, so a budget shorter than the build ends in the table, not the search
     t0 = time.monotonic()
-    r = hamilton_kneser(15, 7, fallback_cap=20000, fallback_secs=1.0)
+    r = hamilton_kneser(15, 7, fallback_cap=20000, fallback_secs=0.005)
     elapsed = time.monotonic() - t0
     assert r.status == "timeout" and r.cycle_exists is None
-    assert elapsed < 2.5, elapsed
+    assert r.note == "search hit the time budget"
+    assert elapsed < 0.5, elapsed
+
+
+@pytest.mark.parametrize("spec", [
+    GraphSpec("kneser", 9, 4), GraphSpec("kneser", 11, 5), GraphSpec("kneser", 13, 6),
+    GraphSpec("kneser", 15, 7),
+    GraphSpec("gen-kneser", 11, 5, 1),  # the union graph hamilton_generalized_kneser searches
+], ids=lambda spec: f"{spec.family}-{spec.n}-{spec.k}-{spec.s}")
+def test_posa_matches_position_map_reference(spec):
+    """Given equal seeded rngs, the search finds the tour the position-map search finds."""
+    verts = spec.vertices()
+    adjacency = families._adjacency(spec, verts, time.monotonic() + 60)
+    seed = f"{spec.family}:{spec.n}:{spec.k}:{spec.s}"
+    got = families._posa_tour(verts, adjacency, time.monotonic() + 60, random.Random(seed))
+    want = posa_tour_positions(verts, adjacency, time.monotonic() + 60, random.Random(seed))
+    assert got[0] == "cycle" and got == want
 
 
 def test_posa_budget_holds():
@@ -319,6 +338,8 @@ GOLDEN = {
         ("cycle", "6d3a0d95add89955a6cbc2cc5e291a455fd05bfaced10e047c15070d44985420"),
     ("kneser", 13, 6, 0):
         ("cycle", "7bb89d64297fcffd0d1bb9a0601b37d78b2012eec1f09eab49633bb6df7f2bde"),
+    ("kneser", 15, 7, 0):
+        ("cycle", "1c5a6c8085e6340a74c539e9d07327ff095a3526c79c0f21c062f98621340ac8"),
     ("kneser", 5, 2, 0):
         ("path", "8781d7f58dafe3381e6c7a7c82dfdafa07ab8a9a514c375d895d41403233b4ae"),
     ("johnson", 12, 5, 2):
