@@ -37,7 +37,7 @@ def main() -> None:
     steps = args.steps if args.steps is not None else per.glider_period
     print(f"string period {per.string_period}, glider period "
           f"{per.glider_period}, running {steps} steps")
-    tr = motion_trace(x, steps, verify=True)
+    tr = motion_trace(x, steps)
     print()
     print(render_trace(tr))
 

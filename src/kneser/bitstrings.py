@@ -38,7 +38,6 @@ __all__ = [
     "parenthesis_match",
     "annotated",
     "apply_f",
-    "apply_f_inverse",
     "Cycle",
     "CycleFactor",
     "cycle_factor",
@@ -218,11 +217,6 @@ def _f_bits(bits: int, n: int) -> int:
     return _scan_match(bits, n)[1]
 
 
-def _f_inv_bits(bits: int, n: int) -> int:
-    # f conjugated by position reversal is its own inverse
-    return reverse_bits(_f_bits(reverse_bits(bits, n), n), n)
-
-
 @dataclass(frozen=True)
 class Matching:
     """Cyclic parenthesis matching of one bitstring, as bit masks.
@@ -264,10 +258,6 @@ def annotated(x: CyclicBitstring) -> str:
 
 def apply_f(x: CyclicBitstring) -> CyclicBitstring:
     return CyclicBitstring(x.n, x.k, _f_bits(x.bits, x.n))
-
-
-def apply_f_inverse(x: CyclicBitstring) -> CyclicBitstring:
-    return CyclicBitstring(x.n, x.k, _f_inv_bits(x.bits, x.n))
 
 
 @dataclass(frozen=True)

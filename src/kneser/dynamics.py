@@ -27,7 +27,6 @@ from .bitstrings import (
     _annotate,
     _f_bits,
     annotated,
-    apply_f_inverse,
     rotate_bits,
 )
 from .errors import InternalConsistencyError, ParameterError
@@ -50,7 +49,6 @@ __all__ = [
     "OrbitPeriod",
     "find_period",
     "motion_matrix",
-    "shift_glider",
     "TauResult",
     "tau",
     "render_trace",
@@ -271,9 +269,9 @@ class MotionTrace:
     final: CyclicBitstring
 
 
-def motion_trace(
-    x: CyclicBitstring, steps: int, verify: bool = True
-) -> MotionTrace:
+def motion_trace(x: CyclicBitstring, steps: int) -> MotionTrace:
+    """Run the dynamics for steps applications of f, checking each step's
+    step-type image and the motion law."""
     if steps < 0:
         raise ParameterError(f"steps must be nonnegative, got {steps}")
     p = glider_partition(x)
@@ -285,7 +283,7 @@ def motion_trace(
     out: list[MotionStep] = []
     cur = x
     for t in range(steps):
-        adv = advance(cur, partition=p, verify=verify)
+        adv = advance(cur, partition=p)
         class_at = tuple(
             -1 if gid < 0 else cls_of[gid] for gid in p.pos_class
         )
@@ -303,10 +301,7 @@ def motion_trace(
         cls_of = {adv.bijection[gid]: c for gid, c in cls_of.items()}
         p = adv.next_partition
         cur = adv.fx
-        if verify:
-            _check_motion_law(
-                t + 1, speeds, start2s, pos2, counters2, p, cls_of, cur.n
-            )
+        _check_motion_law(t + 1, speeds, start2s, pos2, counters2, p, cls_of, cur.n)
     return MotionTrace(x, speeds, start2s, out, pos2, counters2, cur)
 
 
@@ -462,35 +457,6 @@ def _require_shiftable(p: GliderPartition, g: Glider) -> None:
     raise InternalConsistencyError("glider missing from its train")
 
 
-def shift_glider(
-    x: CyclicBitstring, glider: Glider, partition: GliderPartition | None = None
-) -> CyclicBitstring:
-    """Transpose the two bits just right of the peak and of the last step of
-    the glider's preimage copy, nudging the glider one position forward
-    without disturbing anything else.  f commutes with the shift, which is
-    what makes parallel-orbit tracking work."""
-    p = partition if partition is not None else glider_partition(x)
-    _require_shiftable(p, glider)
-    n = x.n
-    y = apply_f_inverse(x)
-    adv = advance(y, verify=False)
-    target = glider.key(n)
-    back = None
-    for gid, nid in adv.bijection.items():
-        if adv.next_partition.gliders[nid].key(n) == target:
-            back = adv.partition.gliders[gid]
-            break
-    if back is None:
-        raise InternalConsistencyError("no preimage glider under f")
-    i1 = (back.s1 + 1) % n
-    i2 = (back.s2 + 1) % n
-    b1 = (x.bits >> i1) & 1
-    b2 = (x.bits >> i2) & 1
-    if b1 == b2:
-        raise InternalConsistencyError("shift positions carry equal bits")
-    return CyclicBitstring(n, x.k, x.bits ^ (1 << i1) ^ (1 << i2))
-
-
 @dataclass(frozen=True)
 class TauResult:
     t: int
@@ -514,19 +480,25 @@ def tau(
     positions, is upright and open, and carries the wanted bit at pos.
 
     Runs two parallel orbits, the second with the glider shifted by one.
-    Their two differing bits reveal the previous step's peak and last-step
+    The second starts at t = 1 from f(x) with bits s1 + 1 and s2 + 1 of
+    the given glider flipped: that is f of x with the glider's preimage
+    copy nudged one position forward.  The two orbits keep differing in
+    exactly two bits, which reveal the previous step's peak and last-step
     coordinates, so each candidate t is tested one step late against the
     retained previous string; no partitions are recomputed along the way."""
     n, k = x.n, x.k
     a = glider.speed
     p = partition if partition is not None else glider_partition(x)
+    _require_shiftable(p, glider)
     cap = n * comb(n, k)
-    cur_shifted = shift_glider(x, glider, p).bits
-    run = (1 << a) - 1
     prev = x.bits
+    cur = _f_bits(prev, n)  # prev's matched-zero mask
+    i1, i2 = (glider.s1 + 1) % n, (glider.s2 + 1) % n
+    if not (cur >> i1 ^ cur >> i2) & 1:
+        raise InternalConsistencyError("shift positions carry equal bits")
+    cur_shifted = cur ^ (1 << i1) ^ (1 << i2)
+    run = (1 << a) - 1
     for t in range(1, cap + 2):
-        cur = _f_bits(prev, n)  # prev's matched-zero mask
-        cur_shifted = _f_bits(cur_shifted, n)
         diff = cur ^ cur_shifted
         if diff.bit_count() != 2:
             raise InternalConsistencyError("parallel orbits drifted apart")
@@ -553,6 +525,8 @@ def tau(
         if hits:
             return TauResult(t - 1, CyclicBitstring(n, k, prev))
         prev = cur
+        cur = _f_bits(cur, n)
+        cur_shifted = _f_bits(cur_shifted, n)
     raise InternalConsistencyError("first-visit search exceeded its cap")
 
 

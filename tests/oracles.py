@@ -6,7 +6,9 @@ the bit scan reads one position at a time where the package reads a byte,
 the determinant does rational Gaussian elimination instead of fraction-free
 elimination, the partition order is built by explicit enumeration, the
 first-visit search follows a glider class through `advance` step by step
-instead of reading two parallel orbits, the splice walk keeps a
+instead of reading two parallel orbits, the glider shift finds its two bit
+positions on the preimage f⁻¹(x) through `advance` where `tau` reads them
+off the glider itself, the splice walk keeps a
 neighbour table for every vertex instead of for the splice endpoints alone,
 and the rotation-extension search keeps a position map of its path instead
 of searching the path.
@@ -17,8 +19,8 @@ import time
 from fractions import Fraction
 from math import comb
 
-from kneser.bitstrings import _f_bits, apply_f
-from kneser.dynamics import TauResult, advance
+from kneser.bitstrings import CyclicBitstring, _f_bits, apply_f, reverse_bits
+from kneser.dynamics import TauResult, _require_shiftable, advance
 from kneser.errors import InternalConsistencyError, ParameterError
 from kneser.gliders import glider_partition
 from kneser.gluing import is_connector
@@ -192,6 +194,39 @@ def _open_clean_carries(p, g, bit: int, pos: int) -> bool:
     if bit == 1:
         return (pos - q) % n < a
     return (pos - q - a) % n < a
+
+
+def apply_f_inverse(x):
+    # f conjugated by position reversal is its own inverse
+    n = x.n
+    return CyclicBitstring(n, x.k, reverse_bits(_f_bits(reverse_bits(x.bits, n), n), n))
+
+
+def shift_glider(x, glider, partition=None):
+    """Transpose the two bits just right of the peak and of the last step of
+    the glider's preimage copy, nudging the glider one position forward
+    without disturbing anything else.  f commutes with the shift, which is
+    what makes parallel-orbit tracking work."""
+    p = partition if partition is not None else glider_partition(x)
+    _require_shiftable(p, glider)
+    n = x.n
+    y = apply_f_inverse(x)
+    adv = advance(y, verify=False)
+    target = glider.key(n)
+    back = None
+    for gid, nid in adv.bijection.items():
+        if adv.next_partition.gliders[nid].key(n) == target:
+            back = adv.partition.gliders[gid]
+            break
+    if back is None:
+        raise InternalConsistencyError("no preimage glider under f")
+    i1 = (back.s1 + 1) % n
+    i2 = (back.s2 + 1) % n
+    b1 = (x.bits >> i1) & 1
+    b2 = (x.bits >> i2) & 1
+    if b1 == b2:
+        raise InternalConsistencyError("shift positions carry equal bits")
+    return CyclicBitstring(n, x.k, x.bits ^ (1 << i1) ^ (1 << i2))
 
 
 def tau_slow(x, glider, bit: int, pos: int, cap: int | None = None) -> TauResult:

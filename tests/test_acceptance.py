@@ -135,7 +135,7 @@ def test_criterion_4_full_period_dynamics(factors):
             per = find_period(x)
             assert per.string_period == len(c)
             assert per.glider_period % per.string_period == 0
-            tr = motion_trace(x, per.glider_period, verify=True)
+            tr = motion_trace(x, per.glider_period)
             assert tr.final == x
             for start, end in zip(tr.start2s, tr.pos2):
                 assert (end - start) % (2 * n) == 0

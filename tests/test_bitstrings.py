@@ -9,14 +9,20 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import vertices
-from oracles import cyclic_equal, naive_f, naive_matching, naive_reverse_bits, naive_scan_match
+from oracles import (
+    apply_f_inverse,
+    cyclic_equal,
+    naive_f,
+    naive_matching,
+    naive_reverse_bits,
+    naive_scan_match,
+)
 
 from kneser.bitstrings import (
     CyclicBitstring,
     _scan_match,
     annotated,
     apply_f,
-    apply_f_inverse,
     cycle_factor,
     descent_count,
     from_string,

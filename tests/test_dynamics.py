@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from math import comb
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import kneser
 from conftest import vertices
-from oracles import det_fractions, tau_slow
+from oracles import det_fractions, shift_glider, tau_slow
 
 from kneser.bitstrings import CyclicBitstring, apply_f, iter_bits
 from kneser.dynamics import (
@@ -91,7 +92,7 @@ def test_step_displacement_balance(x):
 @given(vertices(max_n=10))
 def test_motion_trace_checks_out(x):
     steps = 2 * x.n
-    tr = motion_trace(x, steps, verify=True)
+    tr = motion_trace(x, steps)
     assert tr.final == f_power(x, steps)
     assert len(tr.steps) == steps
 
@@ -102,7 +103,7 @@ def test_period_closes_the_orbit(x):
     per = find_period(x, verify=True)
     assert per.glider_period % per.string_period == 0
     assert f_power(x, per.string_period) == x
-    tr = motion_trace(x, per.glider_period, verify=True)
+    tr = motion_trace(x, per.glider_period)
     assert tr.final == x
     for c, (start, end) in enumerate(zip(tr.start2s, tr.pos2)):
         assert (end - start) % (2 * x.n) == 0, f"class {c} not back on its steps"
@@ -143,6 +144,59 @@ def test_tau_matches_reference_exhaustive(n, k):
                 fast = tau(x, g, bit, 0, partition=p)
                 slow = tau_slow(x, g, bit, 0)
                 assert (fast.t, fast.z) == (slow.t, slow.z), (str(x), g.id, bit)
+
+
+def _shifted_start_holds(x, p, g) -> bool:
+    """f of the preimage shift is f(x) with bits s1 + 1 and s2 + 1 flipped,
+    which is where tau starts its second orbit."""
+    n = x.n
+    flips = 1 << (g.s1 + 1) % n | 1 << (g.s2 + 1) % n
+    return apply_f(shift_glider(x, g, p)).bits == apply_f(x).bits ^ flips
+
+
+def test_shifted_start_matches_preimage_shift_exhaustive():
+    pairs = 0
+    for n in range(3, 13):
+        for k in range(1, (n - 1) // 2 + 1):
+            for bits in iter_bits(n, k):
+                x = CyclicBitstring(n, k, bits)
+                p = glider_partition(x)
+                for g in trackable(p):
+                    assert _shifted_start_holds(x, p, g), (str(x), g.id)
+                    pairs += 1
+    assert pairs == 4229
+
+
+def _sampled_vertex(rng: random.Random) -> CyclicBitstring:
+    """Half uniform, half rotated blocks 1^a 0^a with a >= vmin split by short
+    runs of zeros, so that slow gliders of every speed up to 7 turn up."""
+    n = rng.randint(13, 26)
+    if rng.random() < 0.5:
+        k = rng.randint(1, (n - 1) // 2)
+        return CyclicBitstring(n, k, sum(1 << i for i in rng.sample(range(n), k)))
+    vmin = rng.randint(1, min(7, (n - 1) // 2))
+    s = "1" * vmin + "0" * vmin
+    while True:
+        a = rng.randint(vmin, vmin + 2)
+        block = "0" * rng.randint(0, 2) + "1" * a + "0" * a
+        if len(s) + len(block) >= n or s.count("1") + a > (n - 1) // 2:
+            break
+        s += block
+    return v(s.ljust(n, "0")).rotate(rng.randrange(n))
+
+
+def test_shifted_start_matches_preimage_shift_sampled():
+    rng = random.Random(11)
+    speeds = set()
+    pairs = 0
+    while pairs < 1000:
+        x = _sampled_vertex(rng)
+        p = glider_partition(x)
+        for g in trackable(p):
+            assert _shifted_start_holds(x, p, g), (str(x), g.id)
+            speeds.add(g.speed)
+            pairs += 1
+    assert speeds == set(range(1, 8))
 
 
 @given(vertices(min_n=6, max_n=9), st.integers(0, 1), st.integers(0, 8))

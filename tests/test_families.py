@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import kneser
-from kneser import families
+from kneser import dynamics, families
 from kneser.bitstrings import from_string
 from kneser.errors import InternalConsistencyError, ParameterError
 from kneser.families import (
@@ -356,6 +356,20 @@ def test_golden_tour_digests():
         r = hamilton_tour(GraphSpec(family, n, k, s))
         got = hashlib.sha256(" ".join(map(str, r.vertices)).encode()).hexdigest()
         assert (r.status, got) == (status, digest), (family, n, k, s)
+
+
+def test_construction_runs_without_advance(monkeypatch):
+    """The two-way probes of the plan track their glider without the
+    capture analysis: with advance broken, K(17,7) still gives its golden
+    tour."""
+
+    def broken(*args, **kwargs):
+        raise AssertionError("advance reached from the construction")
+
+    monkeypatch.setattr(dynamics, "advance", broken)
+    r = hamilton_kneser(17, 7)
+    got = hashlib.sha256(" ".join(map(str, r.vertices)).encode()).hexdigest()
+    assert (r.status, got) == GOLDEN[("kneser", 17, 7, 0)]
 
 
 # -- one front door -------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import vertices
-from oracles import assemble_hamilton_table, box, connector_four_cycle
+from oracles import assemble_hamilton_table, box, connector_four_cycle, tau_slow
 
 from kneser import bitstrings, gluing
 from kneser.bitstrings import (
@@ -19,6 +19,7 @@ from kneser.bitstrings import (
     parenthesis_match,
     rotate_bits,
 )
+from kneser.dynamics import tau
 from kneser.errors import InternalConsistencyError, ParameterError
 from kneser.families import GraphSpec, verify_tour
 from kneser.gliders import glider_partition, speed_partition
@@ -349,6 +350,29 @@ def test_branched_rewrites_occur(plans):
     assert any(rm.branched for rm in plan.tree) or any(
         rm.branched for rm in plan.rewrites
     )
+
+
+def test_two_way_probes_match_reference(monkeypatch):
+    """Every tau probe the full plans make up to K(17,7) agrees with the
+    reference that follows the glider through advance."""
+    calls = []
+    real_tau = gluing.tau
+
+    def record(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real_tau(*args, **kwargs)
+
+    monkeypatch.setattr(gluing, "tau", record)
+    for n in range(5, 18):
+        for k in range(1, (n - 3) // 2 + 1):
+            build_gluing_plan(n, k, full=True)
+    monkeypatch.undo()
+    assert len(calls) == 539
+    for args, kwargs in calls:
+        x, g, bit, pos = args
+        fast = tau(*args, **kwargs)
+        slow = tau_slow(x, g, bit, pos)
+        assert (fast.t, fast.z) == (slow.t, slow.z), (str(x), g.id, bit, pos)
 
 
 # -- assembly -----------------------------------------------------------------------
