@@ -10,8 +10,11 @@ instead of reading two parallel orbits, the glider shift finds its two bit
 positions on the preimage f⁻¹(x) through `advance` where `tau` reads them
 off the glider itself, the splice walk keeps a
 neighbour table for every vertex instead of for the splice endpoints alone,
-and the rotation-extension search keeps a position map of its path instead
-of searching the path.
+the rotation-extension search keeps a position map of its path instead
+of searching the path, the glider partition recurses on lists of positions
+(`decompose` and `arch`) and finds the trapping sets by walking up the
+ancestors where the package reads one height walk, and V recurses on
+sub-words (`_w`) where the package makes one stack pass.
 The connector 4-cycle and the clean-glider test are read by tests alone.
 """
 
@@ -19,10 +22,17 @@ import time
 from fractions import Fraction
 from math import comb
 
-from kneser.bitstrings import CyclicBitstring, _f_bits, apply_f, reverse_bits
+from kneser.bitstrings import (
+    CyclicBitstring,
+    _f_bits,
+    apply_f,
+    descent_count,
+    parenthesis_match,
+    reverse_bits,
+)
 from kneser.dynamics import TauResult, _require_shiftable, advance
 from kneser.errors import InternalConsistencyError, ParameterError
-from kneser.gliders import glider_partition
+from kneser.gliders import Glider, GliderPartition, glider_partition
 from kneser.gluing import is_connector
 
 
@@ -194,6 +204,155 @@ def _open_clean_carries(p, g, bit: int, pos: int) -> bool:
     if bit == 1:
         return (pos - q) % n < a
     return (pos - q - a) % n < a
+
+
+def _window_blocks(x: CyclicBitstring) -> tuple[int, list[list[int]]]:
+    """Anchor and the maximal matched runs, in window-absolute coordinates."""
+    m = parenthesis_match(x)
+    a, n = m.anchor, x.n
+    matched = x.bits | m.matched_zeros
+    blocks: list[list[int]] = []
+    run: list[int] = []
+    for j in range(a + 1, a + n + 1):
+        if (matched >> (j % n)) & 1:
+            run.append(j)
+        elif run:
+            blocks.append(run)
+            run = []
+    if run:
+        raise InternalConsistencyError("the anchor must close the window unmatched")
+    return a, blocks
+
+
+def glider_partition_recursive(x: CyclicBitstring) -> GliderPartition:
+    bits, n = x.bits, x.n
+    a, blocks = _window_blocks(x)
+    recs: list[dict] = []
+
+    def up_at(j: int, flip: bool) -> bool:
+        return bool((bits >> (j % n)) & 1) ^ flip
+
+    def decompose(region: list[int], flip: bool, parent: int | None, via_dent: bool) -> None:
+        # region is a balanced walk in effective steps; split at returns to 0
+        h = 0
+        start = 0
+        for idx, j in enumerate(region):
+            h += 1 if up_at(j, flip) else -1
+            if h < 0:
+                raise InternalConsistencyError("a region walk dips below zero")
+            if h == 0:
+                arch(region[start : idx + 1], flip, parent, via_dent)
+                start = idx + 1
+        if start != len(region):
+            raise InternalConsistencyError("a region walk does not return to zero")
+
+    def arch(region: list[int], flip: bool, parent: int | None, via_dent: bool) -> None:
+        m = len(region)
+        h = 0
+        heights = []
+        for j in region:
+            h += 1 if up_at(j, flip) else -1
+            heights.append(h)
+        hmax = max(heights)
+        peak = heights.index(hmax)
+        # the glider takes the last crossing of each level on both flanks;
+        # whatever it skips hangs off the staircase as a child region
+        last_up: dict[int, int] = {}
+        for i in range(peak + 1):
+            if up_at(region[i], flip):
+                last_up[heights[i]] = i
+        a_idx = [last_up[lvl] for lvl in range(1, hmax + 1)]
+        if a_idx[0] != 0 or a_idx[-1] != peak:
+            raise InternalConsistencyError("a staircase must rise from the start to the peak")
+        last_down: dict[int, int] = {}
+        for i in range(peak + 1, m):
+            if not up_at(region[i], flip):
+                last_down[heights[i] + 1] = i
+        b_idx = [last_down[lvl] for lvl in range(hmax, 0, -1)]
+        if b_idx[-1] != m - 1 or any(b_idx[t] >= b_idx[t + 1] for t in range(hmax - 1)):
+            raise InternalConsistencyError("a staircase must descend to the end")
+        gid = len(recs)
+        recs.append(
+            {
+                "A": tuple(region[i] for i in a_idx),
+                "B": tuple(region[i] for i in b_idx),
+                "parent": parent,
+                "via_dent": via_dent,
+                "flip": flip,
+            }
+        )
+        for t in range(hmax - 1):
+            inner = region[a_idx[t] + 1 : a_idx[t + 1]]
+            if inner:
+                decompose(inner, flip, gid, False)
+        bounds = [peak] + b_idx
+        for t in range(hmax):
+            inner = region[bounds[t] + 1 : bounds[t + 1]]
+            if inner:
+                decompose(inner, not flip, gid, True)
+
+    for blk in blocks:
+        decompose(blk, False, None, False)
+
+    trapped: list[frozenset[int]] = []
+    for i, rec in enumerate(recs):
+        tb: set[int] = set()
+        cur: int | None = i
+        while cur is not None:
+            if recs[cur]["via_dent"]:
+                tb.add(recs[cur]["parent"])
+            cur = recs[cur]["parent"]
+        trapped.append(frozenset(tb))
+        if rec["flip"] != (len(tb) % 2 == 1):
+            raise InternalConsistencyError("inversion disagrees with the trapping dents")
+
+    gliders = tuple(
+        Glider(i, r["A"], r["B"], r["parent"], r["via_dent"], r["flip"], trapped[i])
+        for i, r in enumerate(recs)
+    )
+    pos_class = [-1] * n
+    for g in gliders:
+        for j in g.A + g.B:
+            if pos_class[j % n] != -1:
+                raise InternalConsistencyError("two gliders claim one position")
+            pos_class[j % n] = g.id
+    if sum(g.speed for g in gliders) != x.k:
+        raise InternalConsistencyError(f"glider speeds do not sum to k for {x}")
+    if len(gliders) != descent_count(bits, n):
+        raise InternalConsistencyError(
+            f"glider count {len(gliders)} != descent count for {x}"
+        )
+    return GliderPartition(x, a, gliders, tuple(pos_class))
+
+
+def _w(word: list[int]) -> list[int]:
+    """Speed multiset of a balanced 1/0 word by structural recursion: an
+    innermost pair contributes speed 1, and each enclosing pair rides on
+    the fastest glider inside it."""
+    out: list[int] = []
+    h = 0
+    start = 0
+    for i, b in enumerate(word):
+        h += 1 if b else -1
+        if h == 0:
+            inner = word[start + 1 : i]
+            if inner:
+                speeds = sorted(_w(inner))
+                speeds[-1] += 1
+                out.extend(speeds)
+            else:
+                out.append(1)
+            start = i + 1
+    return out
+
+
+def speed_multiset_recursive(x: CyclicBitstring) -> tuple[int, ...]:
+    """V(x) from the nesting structure alone, bypassing the partition."""
+    _, blocks = _window_blocks(x)
+    out: list[int] = []
+    for blk in blocks:
+        out.extend(_w([(x.bits >> (j % x.n)) & 1 for j in blk]))
+    return tuple(sorted(out))
 
 
 def apply_f_inverse(x):

@@ -1,4 +1,6 @@
+import dataclasses
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -9,8 +11,11 @@ import pytest
 from hypothesis import given
 
 import kneser
+from kneser import gliders
 from conftest import vertices
+from oracles import glider_partition_recursive, speed_multiset_recursive
 from kneser.bitstrings import CyclicBitstring, descent_count, iter_bits, parenthesis_match
+from kneser.errors import InternalConsistencyError
 from kneser.gliders import (
     glider_partition,
     render_gliders,
@@ -101,6 +106,40 @@ def test_speed_multiset_two_ways_exhaustive(n, k):
         assert glider_partition(x).speeds() == speed_multiset_direct(x)
 
 
+def _all_strings(max_n: int):
+    for n in range(3, max_n + 1):
+        for k in range(1, (n - 1) // 2 + 1):
+            for bits in iter_bits(n, k):
+                yield CyclicBitstring(n, k, bits)
+
+
+def test_partition_matches_recursive_reference_exhaustive():
+    # partitions compare every field: anchor, pos_class, and each glider's
+    # id, A, B, parent, via_dent, inversion and trapping set
+    count = 0
+    for x in _all_strings(14):
+        assert glider_partition(x) == glider_partition_recursive(x), x
+        count += 1
+    assert count == 14_016
+
+
+def test_partition_matches_recursive_reference_sampled():
+    rng = random.Random(12)
+    for _ in range(1_000):
+        n = rng.randint(15, 40)
+        k = rng.randint(1, (n - 1) // 2)
+        x = CyclicBitstring(n, k, sum(1 << i for i in rng.sample(range(n), k)))
+        assert glider_partition(x) == glider_partition_recursive(x), x
+
+
+def test_speed_multiset_matches_recursive_reference():
+    count = 0
+    for x in _all_strings(16):
+        assert speed_multiset_direct(x) == speed_multiset_recursive(x), x
+        count += 1
+    assert count == 56_731
+
+
 @given(vertices())
 def test_speed_partition_sorted(x):
     part = speed_partition(glider_partition(x))
@@ -154,10 +193,26 @@ def test_trains_separate_equal_speeds():
     assert split[1].composition == (1, 1)
 
 
+@pytest.mark.parametrize("zeros", [0b100, 0b110, 0])
+def test_faulty_matched_zeros_raise(monkeypatch, zeros):
+    """The 1 of 1000000 closes on position 1.  Closing it on position 2
+    leaves an unmatched zero inside the excursion, closing two zeros takes
+    the walk below zero, and closing none leaves it open at the anchor."""
+    def faulty(x):
+        return dataclasses.replace(parenthesis_match(x), matched_zeros=zeros)
+
+    monkeypatch.setattr(gliders, "parenthesis_match", faulty)
+    with pytest.raises(InternalConsistencyError):
+        glider_partition(v("1000000"))
+    if zeros != 0b100:  # V reads only the nesting, which is still sound there
+        with pytest.raises(InternalConsistencyError):
+            speed_multiset_direct(v("1000000"))
+
+
 def test_glider_invariant_survives_optimized_mode():
-    """A matching that reports a matched position as its anchor leaves a block
-    open at the end of the window; python -O, which strips asserts, must still
-    raise instead of returning a speed multiset."""
+    """A matching that reports a matched position as its anchor leaves the
+    walk open at the end of the window; python -O, which strips asserts, must
+    still raise instead of returning a speed multiset or a partition."""
     code = (
         "import dataclasses\n"
         "from kneser import gliders\n"
@@ -166,11 +221,13 @@ def test_glider_invariant_survives_optimized_mode():
         "def faulty(x):  # reports position 0, a 1, as the anchor\n"
         "    return dataclasses.replace(parenthesis_match(x), anchor=0)\n"
         "gliders.parenthesis_match = faulty\n"
-        "try:\n"
-        "    print(gliders.speed_multiset_direct(CyclicBitstring.from_string('110100000')))\n"
-        "except InternalConsistencyError:\n"
-        "    raise SystemExit(0)\n"
-        "raise SystemExit('no InternalConsistencyError')\n"
+        "x = CyclicBitstring.from_string('110100000')\n"
+        "for fn in (gliders.speed_multiset_direct, gliders.glider_partition):\n"
+        "    try:\n"
+        "        print(fn(x))\n"
+        "    except InternalConsistencyError:\n"
+        "        continue\n"
+        "    raise SystemExit(f'no InternalConsistencyError from {fn.__name__}')\n"
     )
     src = str(Path(kneser.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
