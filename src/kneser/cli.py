@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 from collections import Counter
+from itertools import repeat
 from math import gcd
 
 from .bitstrings import CyclicBitstring, cycle_factor, from_string, to_string
@@ -109,14 +110,29 @@ def _cmd_gen(args) -> int:
                     for v in r.vertices))
             else:
                 print(_tour_header(spec, r.status), file=out)
-                for v in r.vertices:
-                    print(_fmt_vertex(v, spec.n, args.format), file=out)
+                _write_tour(out, r.vertices, spec.n, args.format)
         if r.status not in ("cycle",):
             print(f"{r.status}: {r.note}", file=sys.stderr)
     finally:
         if args.output:
             out.close()
     return _exit_code(spec, r)
+
+
+_CHUNK = 4096  # tour lines per write
+
+
+def _write_tour(out, verts, n: int, fmt: str) -> None:
+    """One line per vertex in the bits or sets format, a chunk of lines per
+    write; the whole tour is never held as one string."""
+    width = f"0{n}b"
+    for i in range(0, len(verts), _CHUNK):
+        chunk = verts[i:i + _CHUNK]
+        if fmt == "bits":  # to_string, inlined
+            lines = [s[::-1] for s in map(format, chunk, repeat(width))]
+        else:
+            lines = [_fmt_vertex(v, n, fmt) for v in chunk]
+        out.write("\n".join(lines) + "\n")
 
 
 def _write_json(out, head: dict, key: str, items) -> None:

@@ -232,8 +232,9 @@ def _least_rotation(t: tuple[int, ...]) -> tuple[int, ...]:
 def train_composition(p: GliderPartition) -> dict[int, TrainComposition]:
     n = p.x.n
     out: dict[int, TrainComposition] = {}
+    by_position = p.by_position()
     for v in sorted({g.speed for g in p.gliders}):
-        ids = [g.id for g in p.by_position() if g.speed == v]
+        ids = [g.id for g in by_position if g.speed == v]
         m = len(ids)
         breaks = []  # gap after ids[t] is broken
         for t in range(m):

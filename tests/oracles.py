@@ -13,18 +13,24 @@ neighbour table for every vertex instead of for the splice endpoints alone,
 the rotation-extension search keeps a position map of its path instead
 of searching the path, the glider partition recurses on lists of positions
 (`decompose` and `arch`) and finds the trapping sets by walking up the
-ancestors where the package reads one height walk, and V recurses on
-sub-words (`_w`) where the package makes one stack pass.
+ancestors where the package reads one height walk, V recurses on
+sub-words (`_w`) where the package makes one stack pass, and the factor
+scans every vertex where the package scans one glider period per rotation
+class.
 The connector 4-cycle and the clean-glider test are read by tests alone.
 """
 
 import time
 from fractions import Fraction
+from itertools import repeat
 from math import comb
 
 from kneser.bitstrings import (
+    Cycle,
+    CycleFactor,
     CyclicBitstring,
     _f_bits,
+    _iter_strings,
     apply_f,
     descent_count,
     parenthesis_match,
@@ -386,6 +392,25 @@ def shift_glider(x, glider, partition=None):
     if b1 == b2:
         raise InternalConsistencyError("shift positions carry equal bits")
     return CyclicBitstring(n, x.k, x.bits ^ (1 << i1) ^ (1 << i2))
+
+
+def cycle_factor_per_vertex(n: int, k: int) -> CycleFactor:
+    """Reference factor: one matching scan per vertex.  Strings are visited
+    in lexicographic order, and each one not yet met starts a new orbit,
+    which it keys; f is walked around the whole orbit."""
+    cycles: list[Cycle] = []
+    index: dict[int, int] = {}
+    for v in _iter_strings(n, k):
+        if v in index:
+            continue
+        orbit = [v]
+        b = _f_bits(v, n)
+        while b != v:
+            orbit.append(b)
+            b = _f_bits(b, n)
+        index.update(zip(orbit, repeat(len(cycles))))
+        cycles.append(Cycle(n, k, tuple(orbit)))
+    return CycleFactor(n, k, tuple(cycles), index)
 
 
 def tau_slow(x, glider, bit: int, pos: int, cap: int | None = None) -> TauResult:

@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 from conftest import vertices
 from oracles import (
     apply_f_inverse,
+    cycle_factor_per_vertex,
     cyclic_equal,
     naive_f,
     naive_matching,
@@ -33,7 +34,8 @@ from kneser.bitstrings import (
     to_string,
 )
 import kneser
-from kneser.errors import ParameterError
+from kneser import bitstrings
+from kneser.errors import InternalConsistencyError, ParameterError
 
 SMALL = [(5, 2), (7, 2), (7, 3), (8, 3), (9, 4), (9, 3), (11, 5)]
 
@@ -315,6 +317,55 @@ def test_cycle_key_is_least_string(factors):
         for k in range(1, (n - 1) // 2 + 1):
             for c in factors(n, k).cycles:
                 assert to_string(c.key, n) == min(to_string(b, n) for b in c.vertices)
+
+
+def _same_factor(n, k):
+    got, want = cycle_factor(n, k), cycle_factor_per_vertex(n, k)
+    assert [c.vertices for c in got.cycles] == [c.vertices for c in want.cycles]
+    assert list(got.index.items()) == list(want.index.items())
+
+
+def test_factor_matches_per_vertex_reference():
+    for n in range(3, 19):
+        for k in range(1, (n - 1) // 2 + 1):
+            _same_factor(n, k)
+
+
+@pytest.mark.parametrize("n,k", [(19, 8), (24, 4), (24, 6), (28, 5)])
+def test_factor_matches_per_vertex_reference_large(n, k):
+    _same_factor(n, k)
+
+
+@pytest.mark.parametrize("n,k,scans", [
+    (15, 6, 335), (17, 7, 1144), (19, 8, 3978), (24, 4, 446), (28, 5, 3510),
+])
+def test_factor_scans_one_period_per_rotation_class(n, k, scans, monkeypatch):
+    """Each period vertex is the one scanned vertex of its rotation class, so
+    the scans count the rotation classes of X(n, k)."""
+    calls = 0
+    scan = bitstrings._f_bits
+
+    def counted(bits, width):
+        nonlocal calls
+        calls += 1
+        return scan(bits, width)
+
+    monkeypatch.setattr(bitstrings, "_f_bits", counted)
+    cycle_factor(n, k)
+    assert calls == scans
+
+
+def test_factor_raises_on_a_cycle_left_pending(monkeypatch):
+    n, k = 9, 3
+    want = cycle_factor_per_vertex(n, k)
+    # the key of a cycle that is a rotation of an earlier one: it waits in pending
+    key = next(c.key for i, c in enumerate(want.cycles)
+               if any(want.index[rotate_bits(c.key, n, j)] < i for j in range(n)))
+    strings = bitstrings._iter_strings
+    monkeypatch.setattr(bitstrings, "_iter_strings",
+                        lambda n, k: (b for b in strings(n, k) if b != key))
+    with pytest.raises(InternalConsistencyError, match="never met its key"):
+        cycle_factor(n, k)
 
 
 def test_factor_requires_sparse_side():

@@ -112,6 +112,24 @@ def test_gen_output_file(tmp_path, capsys):
     assert target.read_text().splitlines()[0] == "7 2 kneser"
 
 
+@pytest.mark.parametrize("n, k", [(7, 3), (17, 7)])  # one chunk, several chunks
+@pytest.mark.parametrize("fmt", ["bits", "sets"])
+@pytest.mark.parametrize("to_file", [False, True])
+def test_gen_writes_one_line_per_vertex(tmp_path, capsys, n, k, fmt, to_file):
+    """The chunked writer prints what one line per vertex would."""
+    verts = hamilton_tour(GraphSpec("kneser", n, k)).vertices
+    want = [f"{n} {k} kneser"] + [
+        to_string(v, n) if fmt == "bits" else ",".join(str(i + 1) for i in range(n) if v >> i & 1)
+        for v in verts]
+    path = tmp_path / "tour.txt"
+    argv = ["gen", "--kneser", str(n), str(k), "--format", fmt] + (["-o", str(path)] if to_file else [])
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    text = path.read_text() if to_file else out
+    assert text == "\n".join(want) + "\n"
+    assert out == ("" if to_file else text)
+
+
 # -- verify -------------------------------------------------------------------
 
 
