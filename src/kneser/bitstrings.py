@@ -305,50 +305,40 @@ def _iter_strings(n: int, k: int) -> Iterator[int]:
         v = (v & ((1 << z) - 1)) | (1 << z) | (full ^ (full >> run))
 
 
-def _cut_at_key(orbit: list[int], n: int) -> tuple[int, ...]:
-    """The orbit restarted at its key, the least string: the largest lowest
-    set bit, ties broken by the least reverse_bits."""
-    lows = list(map(int.__and__, orbit, map(int.__neg__, orbit)))
-    low = max(lows)
-    j = lows.index(low)
-    if lows.count(low) > 1:
-        j = min((reverse_bits(b, n), i) for i, b in enumerate(orbit) if lows[i] == low)[1]
-    return tuple(orbit[j:] + orbit[:j])
-
-
 def cycle_factor(n: int, k: int) -> CycleFactor:
     """The orbits of f, from one glider period per rotation class.
 
     Strings are visited in lexicographic order, so the first vertex met on
     each new orbit is its key and the orbits come out sorted.  f commutes
-    with rotation.  From a new key v, f is walked up to its first rotation
-    f^m(v) = rot_s(v); those m vertices are the period.  With d the least
-    rotational period of v and s taken mod d, v's orbit is the period
-    rotated by 0, s, 2s, ... (mod d) until it is back at v: a string with a
-    rotational symmetry closes its orbit before n / gcd(s, n) copies.  The
-    rest of the rotation class lies on v's orbit rotated by i for
-    1 <= i < gcd(s, d), which is d when s = 0; any other rotation maps the
-    orbit onto one of these, so no orbit is added twice.  Each rotated orbit
-    is cut at its key, the string with the largest lowest set bit (ties
-    broken by reverse_bits), and waits in ``pending`` until the visit
-    reaches that key.  The index doubles as the set of vertices already met.
+    with rotation, so rot_i of an orbit is the orbit of rot_i of its vertex.
+    A new key v is rotated one step at a time.  If some r = rot_j(v) is
+    already in a cycle, v's orbit is that cycle read from r and rotated by
+    n - j; the other vertices need not have v's period.  Otherwise v comes
+    back, and f is walked from v up to its first rotation f^m(v) = rot_s(v);
+    those m vertices are the period.  With d the least rotational period of
+    v and s taken mod d, v's orbit is the period rotated by 0, s, 2s, ...
+    (mod d) until it is back at v: a string with a rotational symmetry
+    closes its orbit before n / gcd(s, n) copies.  The index doubles as the
+    set of vertices already met.
     """
     if k < 1 or n < 2 * k + 1:
         raise ParameterError(f"need k >= 1 and n >= 2k+1, got n={n} k={k}")
     mask = (1 << n) - 1
     cycles: list[Cycle] = []
     index: dict[int, int] = {}
-    pending: dict[int, tuple[int, ...]] = {}
     for v in _iter_strings(n, k):
         if v in index:
             continue
-        orbit = pending.pop(v, None)
-        if orbit is None:
-            rots: dict[int, int] = {}  # rot_j(v) -> j, for 0 <= j < d
-            r = v
-            while r not in rots:
-                rots[r] = len(rots)
-                r = rotate_bits(r, n, 1)
+        rots = {v: 0}  # rot_j(v) -> j, for 0 <= j < d
+        r = rotate_bits(v, n, 1)
+        while r != v and r not in index:
+            rots[r] = len(rots)
+            r = rotate_bits(r, n, 1)
+        if r != v:  # r = rot_j(v) with j = len(rots)
+            met = cycles[index[r]].vertices
+            p = met.index(r)
+            period, shifts = met[p:] + met[:p], [n - len(rots)]
+        else:
             d = len(rots)
             period = [v]
             b = _f_bits(v, n)
@@ -356,16 +346,10 @@ def cycle_factor(n: int, k: int) -> CycleFactor:
                 period.append(b)
                 b = _f_bits(b, n)
             s = rots[b]
-            g = gcd(s, d)
-            shifts = [t * s % d for t in range(d // g)]
-            orbit = tuple([((b << i) | (b >> (n - i))) & mask for i in shifts for b in period])
-            for i in range(1, g):
-                rotated = _cut_at_key([((b << i) | (b >> (n - i))) & mask for b in orbit], n)
-                pending[rotated[0]] = rotated
+            shifts = [t * s % d for t in range(d // gcd(s, d))]
+        orbit = tuple([((b << i) | (b >> (n - i))) & mask for i in shifts for b in period])
         index.update(zip(orbit, repeat(len(cycles))))
         cycles.append(Cycle(n, k, orbit))
-    if pending:
-        raise InternalConsistencyError("a rotated factor cycle never met its key")
     if len(index) != comb(n, k):
         raise InternalConsistencyError("factor cycles do not cover X(n, k)")
     return CycleFactor(n, k, tuple(cycles), index)

@@ -50,18 +50,10 @@ def _add_family_flags(p: argparse.ArgumentParser, required: bool) -> None:
 
 
 def _spec_from_args(args) -> GraphSpec | None:
-    if args.kneser is not None:
-        n, k = args.kneser
-        return GraphSpec("kneser", n, k)
-    if args.johnson is not None:
-        n, k, s = args.johnson
-        return GraphSpec("johnson", n, k, s)
-    if args.gen_kneser is not None:
-        n, k, s = args.gen_kneser
-        return GraphSpec("gen-kneser", n, k, s)
-    if args.bipartite is not None:
-        n, k = args.bipartite
-        return GraphSpec("bipartite", n, k)
+    for dest in ("kneser", "johnson", "gen_kneser", "bipartite"):
+        values = getattr(args, dest)
+        if values is not None:
+            return GraphSpec(dest.replace("_", "-"), *values)
     return None
 
 
@@ -162,7 +154,8 @@ def _parse_tour(text: str) -> tuple[GraphSpec, list[int], bool]:
     if text.startswith("{"):
         payload = json.loads(text)
         try:
-            spec = GraphSpec(payload["family"], payload["n"], payload["k"], payload.get("s") or 0)
+            s = payload.get("s")
+            spec = GraphSpec(payload["family"], payload["n"], payload["k"], 0 if s is None else s)
             verts = [_set_bits(elems, spec.n) for elems in payload["vertices"]]
         except (KeyError, TypeError) as exc:  # an entry missing or of the wrong JSON type
             raise ParameterError(f"malformed JSON tour: {exc!r}") from None
@@ -275,7 +268,7 @@ def _cmd_trace(args) -> int:
     if k != args.k:
         raise ParameterError(f"start string has {k} ones, k={args.k}")
     x = CyclicBitstring(args.n, args.k, bits)
-    tr = motion_trace(x, args.steps)
+    tr = motion_trace(x, args.n if args.steps is None else args.steps)
     print(render_trace(tr))
     if args.svg:
         with open(args.svg, "w") as fh:
@@ -359,8 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "steps", 0) is None:
-        args.steps = args.n
     try:
         return args.func(args)
     except ParameterError as exc:

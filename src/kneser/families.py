@@ -56,6 +56,10 @@ class GraphSpec:
     def __post_init__(self):
         if self.family not in ("kneser", "johnson", "gen-kneser", "bipartite"):
             raise ParameterError(f"unknown graph family {self.family!r}")
+        for name in ("n", "k", "s"):
+            value = getattr(self, name)
+            if type(value) is not int:  # a bool is an int subclass and is refused too
+                raise ParameterError(f"{name} must be an integer, got {value!r}")
         if not 1 <= self.k <= self.n:
             raise ParameterError(f"need 1 <= k <= n, got n={self.n} k={self.k}")
         if self.s < 0:
@@ -530,22 +534,20 @@ def hamilton_generalized_kneser(
         return _checked(HamiltonResult(spec, "cycle", tuple(iter_bits(n, k)), True,
                                        "all pairs adjacent, any order works"))
     deadline = time.monotonic() + fallback_secs  # one budget for every piece
-    best: HamiltonResult | None = None
     for t in range(s, -1, -1):
         inner = hamilton_johnson(n, k, t, fallback_cap, deadline - time.monotonic())
         if inner.status == "cycle":
             return _checked(HamiltonResult(spec, "cycle", inner.vertices, True,
                                            f"fixed-overlap cycle with t={t}"))
-        if best is None:
+        if t == s:
             best = inner
     if s == 0:  # K(n, k, 0) is K(n, k), which the t = 0 piece already searched
         return HamiltonResult(spec, best.status, best.vertices, best.cycle_exists, best.note)
     result = _search_result(spec, fallback_cap, deadline, "union graph search")
     if result.status in ("cycle", "path", "none"):
         return result
-    note = best.note if best is not None else ""
     return HamiltonResult(spec, result.status, (), None,
-                          f"no fixed-overlap cycle found ({note}); {result.note}")
+                          f"no fixed-overlap cycle found ({best.note}); {result.note}")
 
 
 # -- bipartite containment graphs --------------------------------------------

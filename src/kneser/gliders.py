@@ -230,40 +230,28 @@ def _least_rotation(t: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def train_composition(p: GliderPartition) -> dict[int, TrainComposition]:
+    """One pass over the gliders in window order.  A child is slower than
+    its parent, so gliders of one speed never nest and each gap runs from
+    one's last step to the next one's first.  The window ends at the anchor,
+    so the gap that closes the circle is always broken."""
     n = p.x.n
-    out: dict[int, TrainComposition] = {}
-    by_position = p.by_position()
-    for v in sorted({g.speed for g in p.gliders}):
-        ids = [g.id for g in by_position if g.speed == v]
-        m = len(ids)
-        breaks = []  # gap after ids[t] is broken
-        for t in range(m):
-            g1 = p.gliders[ids[t]]
-            g2 = p.gliders[ids[(t + 1) % m]]
-            j = (g1.s2 + 1) % n
-            end = g2.s0 % n
-            coupled = True
-            while j != end:
-                c = p.pos_class[j]
-                if c < 0 or p.gliders[c].speed >= v:
-                    coupled = False
-                    break
-                j = (j + 1) % n
-            if not coupled:
-                breaks.append(t)
-        if not breaks:
-            raise InternalConsistencyError("a flat step always breaks the circle")
-        trains: list[tuple[int, ...]] = []
-        prev = breaks[-1]
-        for b in breaks:
-            size = (b - prev) % m or m
-            startidx = (prev + 1) % m
-            trains.append(tuple(ids[(startidx + i) % m] for i in range(size)))
-            prev = b
-        out[v] = TrainComposition(
-            v, tuple(trains), _least_rotation(tuple(len(t) for t in trains))
-        )
-    return out
+    off = p.anchor + 1  # window coordinate of index 0
+    speed_at = [n] * n  # window index -> speed of the glider there; n when unmatched
+    for g in p.gliders:
+        for j in g.A + g.B:
+            speed_at[j - off] = len(g.A)
+    trains: dict[int, list[list[int]]] = {}
+    last: dict[int, Glider] = {}  # speed -> the last glider of that speed so far
+    for g in p.by_position():
+        v = len(g.A)
+        prev = last.get(v)
+        last[v] = g
+        if prev is not None and max(speed_at[prev.s2 + 1 - off:g.s0 - off], default=0) < v:
+            trains[v][-1].append(g.id)
+        else:
+            trains.setdefault(v, []).append([g.id])
+    return {v: TrainComposition(v, tuple(map(tuple, ts)), _least_rotation(tuple(map(len, ts))))
+            for v, ts in sorted(trains.items())}
 
 
 _GLYPHS = "0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"

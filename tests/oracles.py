@@ -14,9 +14,10 @@ the rotation-extension search keeps a position map of its path instead
 of searching the path, the glider partition recurses on lists of positions
 (`decompose` and `arch`) and finds the trapping sets by walking up the
 ancestors where the package reads one height walk, V recurses on
-sub-words (`_w`) where the package makes one stack pass, and the factor
+sub-words (`_w`) where the package makes one stack pass, the factor
 scans every vertex where the package scans one glider period per rotation
-class.
+class, and the train composition walks each gap mod n per speed and cuts
+the circle at its breaks where the package makes one pass in window order.
 The connector 4-cycle and the clean-glider test are read by tests alone.
 """
 
@@ -38,7 +39,13 @@ from kneser.bitstrings import (
 )
 from kneser.dynamics import TauResult, _require_shiftable, advance
 from kneser.errors import InternalConsistencyError, ParameterError
-from kneser.gliders import Glider, GliderPartition, glider_partition
+from kneser.gliders import (
+    Glider,
+    GliderPartition,
+    TrainComposition,
+    _least_rotation,
+    glider_partition,
+)
 from kneser.gluing import is_connector
 
 
@@ -411,6 +418,46 @@ def cycle_factor_per_vertex(n: int, k: int) -> CycleFactor:
         index.update(zip(orbit, repeat(len(cycles))))
         cycles.append(Cycle(n, k, tuple(orbit)))
     return CycleFactor(n, k, tuple(cycles), index)
+
+
+def train_composition_cyclic(p: GliderPartition) -> dict[int, TrainComposition]:
+    """Reference train composition: per speed, walk every gap between
+    cyclically consecutive gliders one position at a time mod n, then cut
+    the circle of gliders at the broken gaps."""
+    n = p.x.n
+    out: dict[int, TrainComposition] = {}
+    by_position = p.by_position()
+    for v in sorted({g.speed for g in p.gliders}):
+        ids = [g.id for g in by_position if g.speed == v]
+        m = len(ids)
+        breaks = []  # gap after ids[t] is broken
+        for t in range(m):
+            g1 = p.gliders[ids[t]]
+            g2 = p.gliders[ids[(t + 1) % m]]
+            j = (g1.s2 + 1) % n
+            end = g2.s0 % n
+            coupled = True
+            while j != end:
+                c = p.pos_class[j]
+                if c < 0 or p.gliders[c].speed >= v:
+                    coupled = False
+                    break
+                j = (j + 1) % n
+            if not coupled:
+                breaks.append(t)
+        if not breaks:
+            raise InternalConsistencyError("a flat step always breaks the circle")
+        trains: list[tuple[int, ...]] = []
+        prev = breaks[-1]
+        for b in breaks:
+            size = (b - prev) % m or m
+            startidx = (prev + 1) % m
+            trains.append(tuple(ids[(startidx + i) % m] for i in range(size)))
+            prev = b
+        out[v] = TrainComposition(
+            v, tuple(trains), _least_rotation(tuple(len(t) for t in trains))
+        )
+    return out
 
 
 def tau_slow(x, glider, bit: int, pos: int, cap: int | None = None) -> TauResult:

@@ -35,7 +35,7 @@ from kneser.bitstrings import (
 )
 import kneser
 from kneser import bitstrings
-from kneser.errors import InternalConsistencyError, ParameterError
+from kneser.errors import ParameterError
 
 SMALL = [(5, 2), (7, 2), (7, 3), (8, 3), (9, 4), (9, 3), (11, 5)]
 
@@ -87,6 +87,16 @@ def test_iter_bits_is_sorted_and_complete():
     assert got == sorted(got)
     assert len(got) == comb(5, 2) == len(set(got))
     assert all(b.bit_count() == 2 for b in got)
+
+
+def test_iter_strings_is_lexicographic_and_complete():
+    # the factor's keys rest on this order alone
+    for n in range(1, 13):
+        for k in range(1, n + 1):
+            strings = [to_string(b, n) for b in bitstrings._iter_strings(n, k)]
+            assert all(a < b for a, b in zip(strings, strings[1:])), (n, k)
+            assert len(strings) == comb(n, k), (n, k)
+            assert all(s.count("1") == k for s in strings), (n, k)
 
 
 def test_vertex_validation():
@@ -353,19 +363,6 @@ def test_factor_scans_one_period_per_rotation_class(n, k, scans, monkeypatch):
     monkeypatch.setattr(bitstrings, "_f_bits", counted)
     cycle_factor(n, k)
     assert calls == scans
-
-
-def test_factor_raises_on_a_cycle_left_pending(monkeypatch):
-    n, k = 9, 3
-    want = cycle_factor_per_vertex(n, k)
-    # the key of a cycle that is a rotation of an earlier one: it waits in pending
-    key = next(c.key for i, c in enumerate(want.cycles)
-               if any(want.index[rotate_bits(c.key, n, j)] < i for j in range(n)))
-    strings = bitstrings._iter_strings
-    monkeypatch.setattr(bitstrings, "_iter_strings",
-                        lambda n, k: (b for b in strings(n, k) if b != key))
-    with pytest.raises(InternalConsistencyError, match="never met its key"):
-        cycle_factor(n, k)
 
 
 def test_factor_requires_sparse_side():

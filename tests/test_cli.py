@@ -263,9 +263,14 @@ def test_verify_rejects_set_element_zero(tmp_path, capsys, text):
     ('{"n": 7, "k": 2, "vertices": [[1, 2], [3, 4]]}', "malformed JSON tour: KeyError('family')"),
     ('{"n": 7, "k": 2, "family": "kneser", "vertices": [[1, 2], [3, "a"]]}',
      "malformed JSON tour: TypeError("),
+    ('{"n": 5.0, "k": 2, "family": "kneser", "vertices": [[1, 2], [3, 4]]}',
+     "n must be an integer, got 5.0"),
+    ('{"n": 5, "k": true, "family": "kneser", "vertices": [[1], [2]]}',
+     "k must be an integer, got True"),
     ("7 2 kneser\n1,2\n3,8\n", "set element 8 is not a position 1..7"),
     ("7 2 kneser\n1000001\n011000\n", "set element 11000 is not a position 1..7"),
-], ids=["json-no-family", "json-non-integer", "sets-above-n", "short-bitstring"])
+], ids=["json-no-family", "json-non-integer", "json-float-n", "json-bool-k", "sets-above-n",
+        "short-bitstring"])
 def test_verify_rejects_malformed_tours(tmp_path, capsys, text, err):
     tour = tmp_path / "tour.txt"
     tour.write_text(text)
@@ -354,6 +359,12 @@ def test_trace_runs(capsys):
     lines = out.splitlines()
     assert len(lines) == 6
     assert lines[0].startswith("t=0")
+
+
+def test_trace_steps_default_to_n(capsys):
+    default = run(capsys, "trace", "6", "2", "--start", "100100")
+    assert default == run(capsys, "trace", "6", "2", "--start", "100100", "--steps", "6")
+    assert default[0] == 0
 
 
 def test_trace_svg(tmp_path, capsys):

@@ -52,6 +52,10 @@ def test_spec_validation():
         GraphSpec("kneser", 5, 6)
     with pytest.raises(ParameterError):
         GraphSpec("johnson", 5, 2, -1)
+    # bools are ints in Python, and a float n reached comb as a TypeError
+    for n, k, s in [(5.0, 2, 0), (5, True, 0), (5, 2, 1.0), (5, 2, False)]:
+        with pytest.raises(ParameterError, match="must be an integer"):
+            GraphSpec("johnson", n, k, s)
 
 
 def test_adjacency_semantics():

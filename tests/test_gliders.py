@@ -13,7 +13,7 @@ from hypothesis import given
 import kneser
 from kneser import gliders
 from conftest import vertices
-from oracles import glider_partition_recursive, speed_multiset_recursive
+from oracles import glider_partition_recursive, speed_multiset_recursive, train_composition_cyclic
 from kneser.bitstrings import CyclicBitstring, descent_count, iter_bits, parenthesis_match
 from kneser.errors import InternalConsistencyError
 from kneser.gliders import (
@@ -132,6 +132,27 @@ def test_partition_matches_recursive_reference_sampled():
         assert glider_partition(x) == glider_partition_recursive(x), x
 
 
+def _same_trains(x):
+    p = glider_partition(x)
+    assert list(train_composition(p).items()) == list(train_composition_cyclic(p).items()), x
+
+
+def test_train_composition_matches_cyclic_reference_exhaustive():
+    count = 0
+    for x in _all_strings(14):
+        _same_trains(x)
+        count += 1
+    assert count == 14_016
+
+
+def test_train_composition_matches_cyclic_reference_sampled():
+    rng = random.Random(13)
+    for _ in range(1_000):
+        n = rng.randint(15, 40)
+        k = rng.randint(1, (n - 1) // 2)
+        _same_trains(CyclicBitstring(n, k, sum(1 << i for i in rng.sample(range(n), k))))
+
+
 def test_speed_multiset_matches_recursive_reference():
     count = 0
     for x in _all_strings(16):
@@ -153,6 +174,15 @@ def test_trapped_gliders_are_slower(x):
     for g in p.gliders:
         for t in g.trapped_by:
             assert p.gliders[t].speed > g.speed
+
+
+@given(vertices())
+def test_children_are_slower(x):
+    # so gliders of one speed never nest, which train_composition relies on
+    p = glider_partition(x)
+    for g in p.gliders:
+        if g.parent is not None:
+            assert p.gliders[g.parent].speed > g.speed
 
 
 def test_render_gliders_smoke():
