@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from kneser.bitstrings import CyclicBitstring
 from kneser.dynamics import find_period, motion_trace, render_trace, trace_svg
+from kneser.errors import ParameterError
 from kneser.gliders import glider_partition, render_gliders
 
 
@@ -27,8 +28,13 @@ def main() -> None:
                     help="steps to run (default: one full glider period)")
     ap.add_argument("--svg", help="also write the diagram as SVG")
     args = ap.parse_args()
+    if args.steps is not None and args.steps < 0:
+        ap.error(f"--steps must be nonnegative, got {args.steps}")
+    try:
+        x = CyclicBitstring.from_string(args.start)
+    except ParameterError as exc:
+        ap.error(f"--start {args.start}: {exc}")
 
-    x = CyclicBitstring.from_string(args.start)
     p = glider_partition(x)
     print(f"start {args.start}  (n={x.n}, k={x.k}, {len(p.gliders)} gliders)")
     print(render_gliders(p))

@@ -141,6 +141,8 @@ def _set_bits(elems, n: int) -> int:
     element counts once."""
     mask = 0
     for e in elems:
+        if type(e) is not int:  # a JSON true would pass as the int 1
+            raise TypeError(f"set element {e!r} is not an integer")
         if not 1 <= e <= n:
             raise ParameterError(f"set element {e} is not a position 1..{n}")
         mask |= 1 << (e - 1)
@@ -157,9 +159,12 @@ def _parse_tour(text: str) -> tuple[GraphSpec, list[int], bool]:
             s = payload.get("s")
             spec = GraphSpec(payload["family"], payload["n"], payload["k"], 0 if s is None else s)
             verts = [_set_bits(elems, spec.n) for elems in payload["vertices"]]
+            closed = payload.get("closed", True)
+            if type(closed) is not bool:
+                raise TypeError(f"closed must be a JSON boolean, got {closed!r}")
         except (KeyError, TypeError) as exc:  # an entry missing or of the wrong JSON type
             raise ParameterError(f"malformed JSON tour: {exc!r}") from None
-        return spec, verts, bool(payload.get("closed", True))
+        return spec, verts, closed
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     head = lines[0].split()
     if len(head) < 3:

@@ -103,7 +103,7 @@ class CaptureAnalysis:
 def capture_analysis(p: GliderPartition) -> CaptureAnalysis:
     x = p.x
     n, k = x.n, x.k
-    m0 = _f_bits(x.bits, n)  # f(x) is x's matched-zero mask
+    m0 = p.fx  # f(x) is x's matched-zero mask
     glyphs = _annotate(x.bits, m0, n)
     free = [g for g in p.gliders if g.free]
     cap = (k + 2) * n  # the walk gains at least n-2k >= 1 per lap
@@ -170,20 +170,17 @@ class AdvanceResult:
     release_events: tuple[tuple[int, int], ...]
 
 
-def advance(
-    x: CyclicBitstring,
-    partition: GliderPartition | None = None,
-    verify: bool = True,
-) -> AdvanceResult:
+def advance(x: CyclicBitstring, partition: GliderPartition | None = None) -> AdvanceResult:
     """One application of f with the glider bijection across it.
 
     Movers are rekeyed (A,B) -> (B, landing staircase); everything else
-    keeps its steps.  The result is checked against the fresh partition of
-    f(x), and with verify=True the full step-type image is checked too."""
+    keeps its steps.  f(x) is read off the partition of x, and f(f(x)) off
+    the partition of f(x), which is built fresh.  The result is checked
+    against that partition, and so is the full step-type image."""
     n, k = x.n, x.k
     p = partition if partition is not None else glider_partition(x)
     ana = capture_analysis(p)
-    fx = CyclicBitstring(n, k, _f_bits(x.bits, n))
+    fx = CyclicBitstring(n, k, p.fx)
     q = glider_partition(fx)
     if len(q.gliders) != len(p.gliders):
         raise InternalConsistencyError("glider count changed across f")
@@ -221,20 +218,19 @@ def advance(
     traps = tuple(sorted(new_rel - old_rel))
     releases = tuple(sorted(old_rel - new_rel))
 
-    if verify:
-        sx = _annotate(x.bits, fx.bits, n)
-        phi = ["-"] * n
-        claimed = [False] * n
-        for gid in ana.movers:
-            g = p.gliders[gid]
-            for j in range(g.s1 + 1, ana.s_plus[gid] + 1):
-                r = j % n
-                if claimed[r]:
-                    raise InternalConsistencyError("jump intervals overlap mod n")
-                claimed[r] = True
-                phi[r] = "1" if sx[r] == "0" else "0"
-        if "".join(phi) != _annotate(fx.bits, _f_bits(fx.bits, n), n):
-            raise InternalConsistencyError(f"step-type image mismatch at {x}")
+    sx = _annotate(x.bits, fx.bits, n)
+    phi = ["-"] * n
+    claimed = [False] * n
+    for gid in ana.movers:
+        g = p.gliders[gid]
+        for j in range(g.s1 + 1, ana.s_plus[gid] + 1):
+            r = j % n
+            if claimed[r]:
+                raise InternalConsistencyError("jump intervals overlap mod n")
+            claimed[r] = True
+            phi[r] = "1" if sx[r] == "0" else "0"
+    if "".join(phi) != _annotate(fx.bits, q.fx, n):
+        raise InternalConsistencyError(f"step-type image mismatch at {x}")
     return AdvanceResult(
         x, fx, p, q, ana, bij, delta2s, traps, releases
     )
@@ -341,34 +337,27 @@ class OrbitPeriod:
     class_cycles: tuple[tuple[int, ...], ...]  # permutation cycles on classes
 
 
-def find_period(x: CyclicBitstring, verify: bool = False) -> OrbitPeriod:
-    """String period L and glider period T = L * lcm of the class shuffle."""
+def find_period(x: CyclicBitstring) -> OrbitPeriod:
+    """String period L and glider period T = L * lcm of the class shuffle.
+
+    The shuffle is read off a checked trace of L + 1 steps.  Record L is x
+    again, with x's partition, and record 0 shows each glider's id as its
+    class: where record L shows class c, record 0 shows the id of the glider
+    that c has moved onto."""
     n = x.n
     length = 1
     b = _f_bits(x.bits, n)
     while b != x.bits:
         b = _f_bits(b, n)
         length += 1
-    p0 = glider_partition(x)
-    cls_of = {g.id: i for i, g in enumerate(p0.gliders)}
-    cur = x
-    p = p0
-    for _ in range(length):
-        adv = advance(cur, partition=p, verify=verify)
-        cls_of = {adv.bijection[gid]: c for gid, c in cls_of.items()}
-        p = adv.next_partition
-        cur = adv.fx
-    if cur != x:
-        raise InternalConsistencyError("the orbit did not return to x")
-    # the final partition has the ids of p0 again; class c now occupies the
-    # steps of glider forward[c]
-    forward = {c: gid for gid, c in cls_of.items()}
+    tr = motion_trace(x, length + 1)
+    forward = {c: d for c, d in zip(tr.steps[length].class_at, tr.steps[0].class_at) if c >= 0}
     for c, d in forward.items():
-        if p0.gliders[c].speed != p0.gliders[d].speed:
+        if tr.speeds[c] != tr.speeds[d]:
             raise InternalConsistencyError("a class moved onto a glider of another speed")
     seen: set[int] = set()
     cycles: list[tuple[int, ...]] = []
-    for c in range(len(p0.gliders)):
+    for c in range(len(tr.speeds)):
         if c in seen:
             continue
         cyc = [c]
@@ -492,7 +481,7 @@ def tau(
     _require_shiftable(p, glider)
     cap = n * comb(n, k)
     prev = x.bits
-    cur = _f_bits(prev, n)  # prev's matched-zero mask
+    cur = p.fx  # f(x)
     i1, i2 = (glider.s1 + 1) % n, (glider.s2 + 1) % n
     if not (cur >> i1 ^ cur >> i2) & 1:
         raise InternalConsistencyError("shift positions carry equal bits")

@@ -11,6 +11,9 @@ way, upside down below the staircase's down side.  The speed
 multiset V(x) and the train composition Z(x) are invariants of the factor
 cycle through x.
 
+A partition also keeps f(x), the matched-zero mask of the matching it is
+read off, so the dynamics step from x to f(x) with no second scan.
+
 Coordinates inside a partition are window-absolute: position p of the
 string appears as the unique j in [anchor+1, anchor+n] with j = p mod n,
 so coordinates compare left to right within one matching window.
@@ -21,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import accumulate, pairwise
 
-from .bitstrings import CyclicBitstring, _annotate, annotated, descent_count, parenthesis_match
+from .bitstrings import CyclicBitstring, _annotate, descent_count, parenthesis_match
 from .errors import InternalConsistencyError
 
 __all__ = [
@@ -88,6 +91,7 @@ class Glider:
 class GliderPartition:
     x: CyclicBitstring
     anchor: int
+    fx: int  # f(x), the matched-zero mask of the partition's own matching
     gliders: tuple[Glider, ...]
     pos_class: tuple[int, ...] = field(repr=False)  # position mod n -> glider id, -1 unmatched
 
@@ -105,19 +109,20 @@ class GliderPartition:
 _STEP = {"1": 1, "0": -1, "-": 0}
 
 
-def _window(x: CyclicBitstring) -> tuple[int, str]:
-    """Anchor and the annotated string read from the position after it."""
+def _window(x: CyclicBitstring) -> tuple[int, int, str]:
+    """Anchor, f(x) and the annotated string read from the position after
+    the anchor."""
     m = parenthesis_match(x)
     a = m.anchor
     s = _annotate(x.bits, m.matched_zeros, x.n)
     if s[a] != "-":
         raise InternalConsistencyError("the anchor must close the window unmatched")
-    return a, s[a + 1 :] + s[: a + 1]
+    return a, m.matched_zeros, s[a + 1 :] + s[: a + 1]
 
 
 def glider_partition(x: CyclicBitstring) -> GliderPartition:
     n = x.n
-    a, w = _window(x)
+    a, fx, w = _window(x)
     h = list(accumulate(map(_STEP.__getitem__, w), initial=0))  # h[i]: height before step i
     if h[n]:
         raise InternalConsistencyError("the walk does not return to zero at the anchor")
@@ -174,7 +179,7 @@ def glider_partition(x: CyclicBitstring) -> GliderPartition:
         raise InternalConsistencyError(f"glider speeds do not sum to k for {x}")
     if len(gliders) != descent_count(x.bits, n):
         raise InternalConsistencyError(f"glider count {len(gliders)} != descent count for {x}")
-    return GliderPartition(x, a, tuple(gliders), tuple(pos_class))
+    return GliderPartition(x, a, fx, tuple(gliders), tuple(pos_class))
 
 
 # The plan needs V of every cycle for its potential, and this stack pass is
@@ -185,7 +190,7 @@ def speed_multiset_direct(x: CyclicBitstring) -> tuple[int, ...]:
     inside it so far.  A pair's glider rides on that speed plus one; it
     displaces its parent's entry if faster, and a speed that stops being the
     fastest in its pair is final."""
-    _, w = _window(x)
+    _, _, w = _window(x)
     out: list[int] = []
     stack: list[int] = []
     for c in w:
@@ -264,7 +269,7 @@ def render_gliders(p: GliderPartition) -> str:
         "." if p.pos_class[i] < 0 else _GLYPHS[p.pos_class[i] % len(_GLYPHS)]
         for i in range(n)
     )
-    lines = [annotated(p.x), ids]
+    lines = [_annotate(p.x.bits, p.fx, n), ids]
     for g in p.gliders:
         tags = []
         if g.inverted:

@@ -335,7 +335,7 @@ def glider_partition_recursive(x: CyclicBitstring) -> GliderPartition:
         raise InternalConsistencyError(
             f"glider count {len(gliders)} != descent count for {x}"
         )
-    return GliderPartition(x, a, gliders, tuple(pos_class))
+    return GliderPartition(x, a, _f_bits(bits, n), gliders, tuple(pos_class))
 
 
 def _w(word: list[int]) -> list[int]:
@@ -383,7 +383,7 @@ def shift_glider(x, glider, partition=None):
     _require_shiftable(p, glider)
     n = x.n
     y = apply_f_inverse(x)
-    adv = advance(y, verify=False)
+    adv = advance(y)
     target = glider.key(n)
     back = None
     for gid, nid in adv.bijection.items():
@@ -471,7 +471,7 @@ def tau_slow(x, glider, bit: int, pos: int, cap: int | None = None) -> TauResult
         g = p.gliders[gid]
         if _open_clean_carries(p, g, bit, pos):
             return TauResult(t, cur)
-        adv = advance(cur, partition=p, verify=False)
+        adv = advance(cur, partition=p)
         gid = adv.bijection[gid]
         p = adv.next_partition
         cur = adv.fx

@@ -267,10 +267,14 @@ def test_verify_rejects_set_element_zero(tmp_path, capsys, text):
      "n must be an integer, got 5.0"),
     ('{"n": 5, "k": true, "family": "kneser", "vertices": [[1], [2]]}',
      "k must be an integer, got True"),
+    ('{"n": 5, "k": 2, "family": "kneser", "closed": "false", "vertices": [[1, 2], [3, 4]]}',
+     "malformed JSON tour: TypeError(\"closed must be a JSON boolean, got 'false'\")"),
+    ('{"n": 5, "k": 2, "family": "kneser", "vertices": [[true, 2], [3, 4]]}',
+     "malformed JSON tour: TypeError('set element True is not an integer')"),
     ("7 2 kneser\n1,2\n3,8\n", "set element 8 is not a position 1..7"),
     ("7 2 kneser\n1000001\n011000\n", "set element 11000 is not a position 1..7"),
-], ids=["json-no-family", "json-non-integer", "json-float-n", "json-bool-k", "sets-above-n",
-        "short-bitstring"])
+], ids=["json-no-family", "json-non-integer", "json-float-n", "json-bool-k", "json-string-closed",
+        "json-bool-element", "sets-above-n", "short-bitstring"])
 def test_verify_rejects_malformed_tours(tmp_path, capsys, text, err):
     tour = tmp_path / "tour.txt"
     tour.write_text(text)

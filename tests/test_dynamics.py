@@ -12,6 +12,7 @@ import kneser
 from conftest import vertices
 from oracles import det_fractions, shift_glider, tau_slow
 
+from kneser import bitstrings
 from kneser.bitstrings import CyclicBitstring, apply_f, iter_bits
 from kneser.dynamics import (
     advance,
@@ -89,6 +90,23 @@ def test_step_displacement_balance(x):
 # -- many steps ---------------------------------------------------------------
 
 
+def test_motion_trace_scans_once_per_step(monkeypatch):
+    """Each step reads f(x) off the partition it is given and f(f(x)) off
+    the partition of f(x) it builds, so T steps make T + 1 matching scans."""
+    calls = [0]
+    scan = bitstrings._scan_match
+
+    def counting(bits, n):
+        calls[0] += 1
+        return scan(bits, n)
+
+    monkeypatch.setattr(bitstrings, "_scan_match", counting)
+    for s in ("110101000000", "1001010000", "1101000000"):
+        calls[0] = 0
+        motion_trace(v(s), 100)
+        assert calls[0] == 101, (s, calls[0])
+
+
 @given(vertices(max_n=10))
 def test_motion_trace_checks_out(x):
     steps = 2 * x.n
@@ -100,7 +118,7 @@ def test_motion_trace_checks_out(x):
 @given(vertices(max_n=9))
 @settings(max_examples=40)
 def test_period_closes_the_orbit(x):
-    per = find_period(x, verify=True)
+    per = find_period(x)
     assert per.glider_period % per.string_period == 0
     assert f_power(x, per.string_period) == x
     tr = motion_trace(x, per.glider_period)
@@ -257,6 +275,13 @@ def test_trace_svg_smoke():
 # -- always-on invariants ---------------------------------------------------------
 
 
+def _exits_cleanly(code: str, *flags: str) -> None:
+    src = str(Path(kneser.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
 def test_capture_invariant_survives_optimized_mode():
     """An annotated string that calls every landing step a matched zero breaks
     the capture analysis; python -O, which strips asserts, must still raise
@@ -267,12 +292,34 @@ def test_capture_invariant_survives_optimized_mode():
         "from kneser.errors import InternalConsistencyError\n"
         "dynamics._annotate = lambda bits, fx, n: '0' * n\n"
         "try:\n"
-        "    dynamics.advance(CyclicBitstring.from_string('1001010000'), verify=False)\n"
+        "    dynamics.advance(CyclicBitstring.from_string('1001010000'))\n"
         "except InternalConsistencyError:\n"
         "    raise SystemExit(0)\n"
         "raise SystemExit('no InternalConsistencyError')\n"
     )
-    src = str(Path(kneser.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": src})
-    assert proc.returncode == 0, proc.stdout + proc.stderr
+    _exits_cleanly(code, "-O")
+
+
+# advance steps from y = f(1001010000) = 0100101000, given a partition of y
+# whose fx claims f(y) = y, a wrong string of the same weight; the step's
+# checks must catch it with asserts stripped too
+_WRONG_FX = (
+    "from dataclasses import replace\n"
+    "from kneser.bitstrings import CyclicBitstring, apply_f\n"
+    "from kneser.dynamics import advance\n"
+    "from kneser.errors import InternalConsistencyError\n"
+    "from kneser.gliders import glider_partition\n"
+    "y = apply_f(CyclicBitstring.from_string('1001010000'))\n"
+    "p = glider_partition(y)\n"
+    "bad = replace(p, fx=y.bits)\n"
+    "try:\n"
+    "    advance(y, partition=bad)\n"
+    "except InternalConsistencyError:\n"
+    "    raise SystemExit(0)\n"
+    "raise SystemExit('no InternalConsistencyError')\n"
+)
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_advance_rejects_a_wrong_fx_of_its_partition(flags):
+    _exits_cleanly(_WRONG_FX, *flags)

@@ -1,9 +1,12 @@
-"""The scripts in scripts/ run to the end on their documented options."""
+"""The scripts in scripts/ run to the end on their documented options and
+refuse bad ones with exit 2."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import kneser
 
@@ -11,13 +14,17 @@ SRC = Path(kneser.__file__).resolve().parents[1]
 SCRIPTS = SRC.parent / "scripts"
 
 
-def _run(script: str, *args: str) -> str:
-    proc = subprocess.run(
+def _call(script: str, *args: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
         [sys.executable, str(SCRIPTS / script), *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": str(SRC)},
     )
+
+
+def _run(script: str, *args: str) -> str:
+    proc = _call(script, *args)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     return proc.stdout
 
@@ -30,3 +37,21 @@ def test_factor_census_runs():
 def test_overtaking_demo_runs():
     out = _run("overtaking_demo.py")
     assert "string period 18, glider period 18" in out
+
+
+def test_overtaking_demo_writes_svg(tmp_path):
+    svg = tmp_path / "demo.svg"
+    out = _run("overtaking_demo.py", "--start", "1101000000", "--svg", str(svg))
+    assert f"wrote {svg}" in out
+    assert svg.read_text().startswith("<svg")
+
+
+@pytest.mark.parametrize("args, err", [
+    (["--steps", "-1"], "--steps must be nonnegative, got -1"),
+    (["--start", "1111"], "--start 1111: need k >= 1 and n >= 2k+1, got n=4 k=4"),
+], ids=["negative-steps", "too-many-ones"])
+def test_overtaking_demo_rejects_bad_options(args, err):
+    proc = _call("overtaking_demo.py", *args)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1].endswith("error: " + err), proc.stderr
