@@ -10,11 +10,13 @@ Matching interprets a bitstring cyclically as a parenthesis expression:
 exactly n - 2k zeros stay unmatched.  The map f flips every matched bit;
 iterating f partitions X(n, k) into disjoint cycles (the cycle factor).
 
-A matching is kept as bit masks (``Matching``).  Its one per-position view
-is the annotated string: '1' for a 1, '0' for a matched 0 and '-' for an
-unmatched 0, position 0 first.  Read from the position after the anchor
-it is a walk: 1s step up, matched 0s step down and unmatched 0s are flat.
-The walk never dips below zero and ends at zero.
+A matching is kept as bit masks (``Matching``), and checks read those
+masks.  Its per-position view is the annotated string that ``_annotate``
+builds from x and f(x) for the glider partition's walk, the rewrite rules'
+windows and display: '1' for a 1, '0' for a matched 0 and '-' for an
+unmatched 0, position 0 first.  Read from the position after the anchor it
+is a walk: 1s step up, matched 0s step down and unmatched 0s are flat.  The
+walk never dips below zero and ends at zero.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .errors import InternalConsistencyError, ParameterError
 
 __all__ = [
     "rotate_bits",
-    "reverse_bits",
     "to_string",
     "from_string",
     "descent_count",
@@ -36,7 +37,6 @@ __all__ = [
     "CyclicBitstring",
     "Matching",
     "parenthesis_match",
-    "annotated",
     "apply_f",
     "Cycle",
     "CycleFactor",
@@ -49,11 +49,6 @@ def rotate_bits(bits: int, n: int, i: int) -> int:
     i %= n
     mask = (1 << n) - 1
     return ((bits << i) | (bits >> (n - i))) & mask if i else bits
-
-
-def reverse_bits(bits: int, n: int) -> int:
-    """Exchange positions j and n-1-j."""
-    return int(format(bits, f"0{n}b")[::-1], 2)
 
 
 def to_string(bits: int, n: int) -> str:
@@ -112,15 +107,6 @@ class CyclicBitstring:
 
     def __str__(self) -> str:
         return to_string(self.bits, self.n)
-
-    def rotate(self, i: int) -> "CyclicBitstring":
-        return CyclicBitstring(self.n, self.k, rotate_bits(self.bits, self.n, i))
-
-    def reverse(self) -> "CyclicBitstring":
-        return CyclicBitstring(self.n, self.k, reverse_bits(self.bits, self.n))
-
-    def bit(self, i: int) -> int:
-        return (self.bits >> (i % self.n)) & 1
 
 
 def _scan_byte(byte: int) -> tuple[int, int, int]:
@@ -249,11 +235,6 @@ def _annotate(bits: int, fx: int, n: int) -> str:
     # each bit becomes a hex digit: 1 for a 1, 2 for an unmatched 0
     digits = int(format(bits, "b"), 16) + 2 * int(format(unmatched, "b"), 16)
     return format(digits, f"0{n}x")[::-1].replace("2", "-")
-
-
-def annotated(x: CyclicBitstring) -> str:
-    """String form with unmatched zeros shown as '-'."""
-    return _annotate(x.bits, _f_bits(x.bits, x.n), x.n)
 
 
 def apply_f(x: CyclicBitstring) -> CyclicBitstring:

@@ -22,13 +22,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from math import comb, lcm
 
-from .bitstrings import (
-    CyclicBitstring,
-    _annotate,
-    _f_bits,
-    annotated,
-    rotate_bits,
-)
+from .bitstrings import CyclicBitstring, _annotate, _f_bits, rotate_bits
 from .errors import InternalConsistencyError, ParameterError
 from .gliders import (
     Glider,
@@ -104,7 +98,6 @@ def capture_analysis(p: GliderPartition) -> CaptureAnalysis:
     x = p.x
     n, k = x.n, x.k
     m0 = p.fx  # f(x) is x's matched-zero mask
-    glyphs = _annotate(x.bits, m0, n)
     free = [g for g in p.gliders if g.free]
     cap = (k + 2) * n  # the walk gains at least n-2k >= 1 per lap
     s_plus: dict[int, int] = {}
@@ -114,7 +107,8 @@ def capture_analysis(p: GliderPartition) -> CaptureAnalysis:
         if len(stair) != g.speed or stair[-1] != sp or stair != sorted(set(stair)):
             raise InternalConsistencyError("landing staircase is not one step per level")
         # unmatched 0s first, then 1s, never a matched 0
-        if "".join([glyphs[c % n] for c in stair]).lstrip("-").lstrip("1"):
+        ones = [x.bits >> c % n & 1 for c in stair]
+        if ones != sorted(ones) or any(m0 >> c % n & 1 for c in stair):
             raise InternalConsistencyError(f"landing steps {stair} are out of order")
         s_plus[g.id] = sp
         landing[g.id] = tuple(stair)
@@ -218,18 +212,18 @@ def advance(x: CyclicBitstring, partition: GliderPartition | None = None) -> Adv
     traps = tuple(sorted(new_rel - old_rel))
     releases = tuple(sorted(old_rel - new_rel))
 
-    sx = _annotate(x.bits, fx.bits, n)
-    phi = ["-"] * n
-    claimed = [False] * n
+    # outside the movers' jump intervals f(x) has only unmatched 0s; inside,
+    # x's matched 0s become its 1s and the rest its matched 0s, so the
+    # intervals are exactly f(x) | f(f(x))
+    jumped = 0
     for gid in ana.movers:
         g = p.gliders[gid]
-        for j in range(g.s1 + 1, ana.s_plus[gid] + 1):
-            r = j % n
-            if claimed[r]:
-                raise InternalConsistencyError("jump intervals overlap mod n")
-            claimed[r] = True
-            phi[r] = "1" if sx[r] == "0" else "0"
-    if "".join(phi) != _annotate(fx.bits, q.fx, n):
+        span = ana.s_plus[gid] - g.s1  # the interval s1 + 1 .. s_plus
+        interval = rotate_bits((1 << min(span, n)) - 1, n, g.s1 + 1)
+        if span > n or jumped & interval:
+            raise InternalConsistencyError("jump intervals overlap mod n")
+        jumped |= interval
+    if jumped != p.fx | q.fx:
         raise InternalConsistencyError(f"step-type image mismatch at {x}")
     return AdvanceResult(
         x, fx, p, q, ana, bij, delta2s, traps, releases
@@ -523,12 +517,15 @@ _HUES = [0, 210, 120, 30, 270, 180, 60, 330, 150, 240, 90, 300]
 
 
 def render_trace(trace: MotionTrace) -> str:
-    """Text table: step, string with unmatched shown as '-', class ids."""
-    n, k = trace.x0.n, trace.x0.k
+    """Text table: step, string with unmatched shown as '-', class ids.
+
+    Each record's f(x) is the next record's string, or the final string."""
+    n = trace.x0.n
     lines = []
     width = len(str(len(trace.steps)))
-    for st in trace.steps:
-        s = annotated(CyclicBitstring(n, k, st.bits))
+    images = [st.bits for st in trace.steps[1:]] + [trace.final.bits]
+    for st, fx in zip(trace.steps, images):
+        s = _annotate(st.bits, fx, n)
         ids = "".join(
             "." if c < 0 else ("0123456789abcdefghijklmnopqrstuvwxyz"[c % 36])
             for c in st.class_at

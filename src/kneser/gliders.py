@@ -2,7 +2,7 @@
 
 Read from the position after the matching anchor, a bitstring's annotated
 string ('1', '0' for a matched 0, '-' for an unmatched 0; see
-``bitstrings.annotated``) is a walk: 1s step up, matched 0s step down,
+``bitstrings._annotate``) is a walk: 1s step up, matched 0s step down,
 unmatched 0s are flat.  The partition is read off this one height walk,
 kept as a list of heights: each excursion is a glider, a staircase pattern
 that moves rigidly under the flip map f, with a speed equal to its step

@@ -35,7 +35,6 @@ from kneser.bitstrings import (
     apply_f,
     descent_count,
     parenthesis_match,
-    reverse_bits,
 )
 from kneser.dynamics import TauResult, _require_shiftable, advance
 from kneser.errors import InternalConsistencyError, ParameterError
@@ -113,6 +112,11 @@ def naive_f(bits: int, n: int) -> int:
     for a, b in pairs:
         mask |= (1 << a) | (1 << b)
     return bits ^ mask
+
+
+def reverse_bits(bits: int, n: int) -> int:
+    """Exchange positions j and n-1-j."""
+    return int(format(bits, f"0{n}b")[::-1], 2)
 
 
 def naive_reverse_bits(bits: int, n: int) -> int:

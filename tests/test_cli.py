@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from kneser import bitstrings
 from kneser.bitstrings import CyclicBitstring, cycle_factor, to_string
 from kneser.cli import main
 from kneser.families import GraphSpec, hamilton_tour
@@ -363,6 +364,20 @@ def test_trace_runs(capsys):
     lines = out.splitlines()
     assert len(lines) == 6
     assert lines[0].startswith("t=0")
+
+
+def test_trace_scans_once_per_step(capsys, monkeypatch):
+    calls = [0]
+    scan = bitstrings._scan_match
+
+    def counting(bits, n):
+        calls[0] += 1
+        return scan(bits, n)
+
+    monkeypatch.setattr(bitstrings, "_scan_match", counting)
+    code, out, _ = run(capsys, "trace", "12", "4", "--start", "110101000000", "--steps", "40")
+    assert code == 0 and len(out.splitlines()) == 40
+    assert calls[0] == 41
 
 
 def test_trace_steps_default_to_n(capsys):

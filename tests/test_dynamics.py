@@ -13,7 +13,7 @@ from conftest import vertices
 from oracles import det_fractions, shift_glider, tau_slow
 
 from kneser import bitstrings
-from kneser.bitstrings import CyclicBitstring, apply_f, iter_bits
+from kneser.bitstrings import CyclicBitstring, apply_f, iter_bits, rotate_bits
 from kneser.dynamics import (
     advance,
     capture_analysis,
@@ -92,7 +92,8 @@ def test_step_displacement_balance(x):
 
 def test_motion_trace_scans_once_per_step(monkeypatch):
     """Each step reads f(x) off the partition it is given and f(f(x)) off
-    the partition of f(x) it builds, so T steps make T + 1 matching scans."""
+    the partition of f(x) it builds, so T steps make T + 1 matching scans.
+    Rendering reads each f(x) off the next record and makes none."""
     calls = [0]
     scan = bitstrings._scan_match
 
@@ -103,7 +104,7 @@ def test_motion_trace_scans_once_per_step(monkeypatch):
     monkeypatch.setattr(bitstrings, "_scan_match", counting)
     for s in ("110101000000", "1001010000", "1101000000"):
         calls[0] = 0
-        motion_trace(v(s), 100)
+        render_trace(motion_trace(v(s), 100))
         assert calls[0] == 101, (s, calls[0])
 
 
@@ -200,7 +201,8 @@ def _sampled_vertex(rng: random.Random) -> CyclicBitstring:
         if len(s) + len(block) >= n or s.count("1") + a > (n - 1) // 2:
             break
         s += block
-    return v(s.ljust(n, "0")).rotate(rng.randrange(n))
+    x = v(s.ljust(n, "0"))
+    return CyclicBitstring(n, x.k, rotate_bits(x.bits, n, rng.randrange(n)))
 
 
 def test_shifted_start_matches_preimage_shift_sampled():
@@ -283,18 +285,22 @@ def _exits_cleanly(code: str, *flags: str) -> None:
 
 
 def test_capture_invariant_survives_optimized_mode():
-    """An annotated string that calls every landing step a matched zero breaks
-    the capture analysis; python -O, which strips asserts, must still raise
-    from advance."""
+    """A capture walk whose landing staircase starts on the glider's own last
+    step, a matched zero, breaks the landing order; python -O, which strips
+    asserts, must still raise from advance."""
     code = (
         "from kneser import dynamics\n"
         "from kneser.bitstrings import CyclicBitstring\n"
         "from kneser.errors import InternalConsistencyError\n"
-        "dynamics._annotate = lambda bits, fx, n: '0' * n\n"
+        "walk = dynamics._capture_walk\n"
+        "def onto_matched_zero(m0, n, s2, v, cap):\n"
+        "    sp, stair = walk(m0, n, s2, v, cap)\n"
+        "    return sp, [s2, *stair[1:]]\n"
+        "dynamics._capture_walk = onto_matched_zero\n"
         "try:\n"
-        "    dynamics.advance(CyclicBitstring.from_string('1001010000'))\n"
-        "except InternalConsistencyError:\n"
-        "    raise SystemExit(0)\n"
+        "    dynamics.advance(CyclicBitstring.from_string('1100000'))\n"
+        "except InternalConsistencyError as e:\n"
+        "    raise SystemExit(0 if 'out of order' in str(e) else repr(e))\n"
         "raise SystemExit('no InternalConsistencyError')\n"
     )
     _exits_cleanly(code, "-O")
@@ -323,3 +329,27 @@ _WRONG_FX = (
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
 def test_advance_rejects_a_wrong_fx_of_its_partition(flags):
     _exits_cleanly(_WRONG_FX, *flags)
+
+
+# advance from x = 1001010000 while each partition it builds carries its own
+# string as fx, so the partition of f(x) claims f(f(x)) = f(x); of advance's
+# checks only the step-type image reads that fx
+_WRONG_IMAGE = (
+    "from dataclasses import replace\n"
+    "from kneser import dynamics\n"
+    "from kneser.bitstrings import CyclicBitstring\n"
+    "from kneser.errors import InternalConsistencyError\n"
+    "build = dynamics.glider_partition\n"
+    "dynamics.glider_partition = lambda y: replace(build(y), fx=y.bits)\n"
+    "x = CyclicBitstring.from_string('1001010000')\n"
+    "try:\n"
+    "    dynamics.advance(x, partition=build(x))\n"
+    "except InternalConsistencyError as e:\n"
+    "    raise SystemExit(0 if 'step-type image mismatch' in str(e) else repr(e))\n"
+    "raise SystemExit('no InternalConsistencyError')\n"
+)
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_advance_rejects_a_wrong_image_of_its_next_partition(flags):
+    _exits_cleanly(_WRONG_IMAGE, *flags)
