@@ -49,9 +49,6 @@ __all__ = [
     "trace_svg",
 ]
 
-ClassKey = tuple[frozenset[int], frozenset[int]]
-
-
 def _capture_walk(
     m0: int, n: int, s2: int, v: int, cap: int
 ) -> tuple[int, list[int]]:
@@ -94,60 +91,71 @@ class CaptureAnalysis:
     captured: dict[int, tuple[CapturedCopy, ...]]  # mover gid -> overrun copies
 
 
+def _mask(coords: tuple[int, ...], n: int) -> int:
+    """The positions of coords mod n as a bitmask: Glider.key as an int."""
+    m = 0
+    for c in coords:
+        m |= 1 << c % n
+    return m
+
+
 def capture_analysis(p: GliderPartition) -> CaptureAnalysis:
     x = p.x
     n, k = x.n, x.k
     m0 = p.fx  # f(x) is x's matched-zero mask
-    free = [g for g in p.gliders if g.free]
     cap = (k + 2) * n  # the walk gains at least n-2k >= 1 per lap
     s_plus: dict[int, int] = {}
     landing: dict[int, tuple[int, ...]] = {}
-    for g in free:
-        sp, stair = _capture_walk(m0, n, g.s2, g.speed, cap)
-        if len(stair) != g.speed or stair[-1] != sp or stair != sorted(set(stair)):
+    free: list[tuple[int, int, int, int, int, int]] = []  # id, s0, s1, s2, s_plus, speed
+    for g in p.gliders:
+        if g.trapped_by:
+            continue
+        v, s2 = len(g.A), g.B[-1]
+        sp, stair = _capture_walk(m0, n, s2, v, cap)
+        if len(stair) != v or stair[-1] != sp or stair != sorted(set(stair)):
             raise InternalConsistencyError("landing staircase is not one step per level")
         # unmatched 0s first, then 1s, never a matched 0
         ones = [x.bits >> c % n & 1 for c in stair]
-        if ones != sorted(ones) or any(m0 >> c % n & 1 for c in stair):
+        if ones != sorted(ones) or m0 & _mask(stair, n):
             raise InternalConsistencyError(f"landing steps {stair} are out of order")
         s_plus[g.id] = sp
         landing[g.id] = tuple(stair)
+        free.append((g.id, g.A[0], g.A[-1], s2, sp, v))
 
+    # gi moves when no free gj's jump, translated to start before gi's
+    # peak, ends beyond gi's
     movers: set[int] = set()
-    for gi in free:
-        ok = True
-        for gj in free:
-            t_star = (gi.s1 - 1 - gj.s1) // n
-            if s_plus[gj.id] + t_star * n > s_plus[gi.id]:
-                ok = False
+    for gid, _, s1i, _, spi, _ in free:
+        for _, _, s1j, _, spj, _ in free:
+            if spj + (s1i - 1 - s1j) // n * n > spi:
                 break
-        if ok:
-            movers.add(gi.id)
+        else:
+            movers.add(gid)
 
     captured: dict[int, tuple[CapturedCopy, ...]] = {}
-    for gid in movers:
-        gi = p.gliders[gid]
-        lo = gi.s2 + 1
-        hi = s_plus[gid]
-        copies: list[CapturedCopy] = []
-        for gj in free:
-            if gj.id == gid:
+    for gid, _, _, s2, hi, v in free:
+        if gid not in movers:
+            continue
+        lo = s2 + 1
+        copies: list[tuple[int, CapturedCopy]] = []
+        for gj, s0j, _, _, spj, vj in free:
+            if gj == gid:
                 continue
             # translates with lo <= s0 + tn and s_plus + tn <= hi
-            t_min = -((gj.s0 - lo) // n)  # ceil((lo - s0) / n)
-            t_max = (hi - s_plus[gj.id]) // n
+            t_min = -((s0j - lo) // n)  # ceil((lo - s0) / n)
+            t_max = (hi - spj) // n
             if t_min > t_max:
                 continue
             if t_min != t_max:
                 raise InternalConsistencyError("more than one translate of a class fits")
             t = t_min
-            if s_plus[gj.id] + t * n >= hi:
+            if spj + t * n >= hi:
                 raise InternalConsistencyError("captured copy reaches its mover's end")
-            stratum = bisect_left(landing[gid], gj.s0 + t * n)
-            if gj.speed >= gi.speed - stratum:
+            stratum = bisect_left(landing[gid], s0j + t * n)
+            if vj >= v - stratum:
                 raise InternalConsistencyError("captured copy is not slower than its stratum")
-            copies.append(CapturedCopy(gj.id, t, stratum))
-        captured[gid] = tuple(sorted(copies, key=lambda c: p.gliders[c.glider].s0 + c.shift * n))
+            copies.append((s0j + t * n, CapturedCopy(gj, t, stratum)))
+        captured[gid] = tuple(c for _, c in sorted(copies, key=lambda sc: sc[0]))
     return CaptureAnalysis(p, s_plus, landing, frozenset(movers), captured)
 
 
@@ -178,18 +186,15 @@ def advance(x: CyclicBitstring, partition: GliderPartition | None = None) -> Adv
     q = glider_partition(fx)
     if len(q.gliders) != len(p.gliders):
         raise InternalConsistencyError("glider count changed across f")
-    keymap = {g.key(n): g.id for g in q.gliders}
+    keymap = {(_mask(g.A, n), _mask(g.B, n)): g.id for g in q.gliders}
     if len(keymap) != len(q.gliders):
         raise InternalConsistencyError("two gliders of f(x) share a class key")
     bij: dict[int, int] = {}
     for g in p.gliders:
         if g.id in ana.movers:
-            newkey: ClassKey = (
-                frozenset(b % n for b in g.B),
-                frozenset(s % n for s in ana.landing[g.id]),
-            )
+            newkey = (_mask(g.B, n), _mask(ana.landing[g.id], n))
         else:
-            newkey = g.key(n)
+            newkey = (_mask(g.A, n), _mask(g.B, n))
         nid = keymap.get(newkey)
         if nid is None:
             raise InternalConsistencyError(
@@ -261,37 +266,62 @@ class MotionTrace:
 
 def motion_trace(x: CyclicBitstring, steps: int) -> MotionTrace:
     """Run the dynamics for steps applications of f, checking each step's
-    step-type image and the motion law."""
+    step-type image and the motion law.
+
+    The string orbit of x closes after L steps, but its gliders may need
+    several laps to return to their own steps.  advance is a function of the
+    string alone, so a trace steps each string of the orbit once: steps
+    t < L keep what advance found, in glider ids, and every later step t
+    reads step t mod L again.  When the orbit closes, the fresh partition
+    of x must be the one the trace started from.  Only the class labels,
+    positions, trap counters and the motion law run on every step, so a
+    trace, and `kneser trace ... --steps T` with it, makes min(T, L) + 1
+    matching scans."""
     if steps < 0:
         raise ParameterError(f"steps must be nonnegative, got {steps}")
-    p = glider_partition(x)
+    p = start = glider_partition(x)
     speeds = tuple(g.speed for g in p.gliders)
     start2s = tuple(g.s1 + g.s2 for g in p.gliders)
-    cls_of: dict[int, int] = {g.id: i for i, g in enumerate(p.gliders)}
+    nu = len(speeds)
+    cls_of = list(range(nu))  # glider id -> class
     pos2 = list(start2s)
+    law2 = [0] * nu  # per class: the motion law's trap terms so far
     counters2: dict[tuple[int, int], int] = {}
     out: list[MotionStep] = []
+    lap: list[tuple] = []  # per string of the orbit, what advance found
+    closed = False
     cur = x
     for t in range(steps):
-        adv = advance(cur, partition=p)
-        class_at = tuple(
-            -1 if gid < 0 else cls_of[gid] for gid in p.pos_class
-        )
-        d2 = [0] * len(speeds)
-        for gid, d in adv.delta2s.items():
+        if not closed:
+            adv = advance(cur, partition=p)
+            p = adv.next_partition
+            lap.append((cur.bits, adv.partition.pos_class, adv.analysis.movers, adv.delta2s,
+                        adv.bijection, adv.trap_events, adv.release_events,
+                        tuple(g.s1 + g.s2 for g in p.gliders), adv.fx))
+            closed = adv.fx.bits == x.bits
+            if closed and (p.anchor, p.fx, p.gliders, p.pos_class) != (
+                    start.anchor, start.fx, start.gliders, start.pos_class):
+                raise InternalConsistencyError(f"the orbit of {x} closed on another partition")
+        bits, pos_class, movers, delta2s, bij, trap_ev, rel_ev, next2s, cur = lap[t % len(lap)]
+        d2 = [0] * nu
+        for gid, d in delta2s.items():
             d2[cls_of[gid]] = d
-        movers = tuple(sorted(cls_of[g] for g in adv.analysis.movers))
-        traps = tuple(sorted((cls_of[a], cls_of[b]) for a, b in adv.trap_events))
-        rels = tuple(sorted((cls_of[a], cls_of[b]) for a, b in adv.release_events))
-        out.append(MotionStep(t, cur.bits, class_at, movers, tuple(d2), traps, rels))
+        traps = tuple(sorted((cls_of[a], cls_of[b]) for a, b in trap_ev))
+        rels = tuple(sorted((cls_of[a], cls_of[b]) for a, b in rel_ev))
+        lut = cls_of + [-1]  # an unmatched position, id -1, reads the last entry
+        out.append(MotionStep(t, bits, tuple(map(lut.__getitem__, pos_class)),
+                              tuple(sorted(cls_of[g] for g in movers)), tuple(d2), traps, rels))
         for c, d in enumerate(d2):
             pos2[c] += d
-        for pair in traps + rels:
-            counters2[pair] = counters2.get(pair, 0) + 1
-        cls_of = {adv.bijection[gid]: c for gid, c in cls_of.items()}
-        p = adv.next_partition
-        cur = adv.fx
-        _check_motion_law(t + 1, speeds, start2s, pos2, counters2, p, cls_of, cur.n)
+        for a, b in traps + rels:
+            counters2[a, b] = counters2.get((a, b), 0) + 1
+            law2[b] += 2 * speeds[a]
+            law2[a] -= 2 * speeds[a]
+        relabel = [0] * nu
+        for gid, nid in bij.items():
+            relabel[nid] = cls_of[gid]
+        cls_of = relabel
+        _check_motion_law(t + 1, speeds, start2s, pos2, law2, next2s, cls_of, x.n)
     return MotionTrace(x, speeds, start2s, out, pos2, counters2, cur)
 
 
@@ -300,25 +330,20 @@ def _check_motion_law(
     speeds: tuple[int, ...],
     start2s: tuple[int, ...],
     pos2: list[int],
-    counters2: dict[tuple[int, int], int],
-    p: GliderPartition,
-    cls_of: dict[int, int],
+    law2: list[int],
+    now2s: tuple[int, ...],
+    cls_of: list[int],
     n: int,
 ) -> None:
-    nu = len(speeds)
-    for c in range(nu):
-        rhs = start2s[c] + 2 * speeds[c] * t
-        for other in range(nu):
-            rhs += 2 * speeds[other] * counters2.get((other, c), 0)
-            rhs -= 2 * speeds[c] * counters2.get((c, other), 0)
-        if pos2[c] != rhs:
+    """pos2 against the law's running trap terms, and against the doubled
+    positions now2s of the string's gliders modulo a lap."""
+    for c, v in enumerate(speeds):
+        if pos2[c] != start2s[c] + 2 * v * t + law2[c]:
             raise InternalConsistencyError(
                 f"motion law violated for class {c} at step {t}"
             )
-    # accumulated positions agree with the fresh partition modulo a lap
-    for gid, c in cls_of.items():
-        g = p.gliders[gid]
-        if (pos2[c] - (g.s1 + g.s2)) % n:
+    for gid, c in enumerate(cls_of):
+        if (pos2[c] - now2s[gid]) % n:
             raise InternalConsistencyError(
                 f"tracked position of class {c} drifted at step {t}"
             )

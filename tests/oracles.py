@@ -6,7 +6,9 @@ the bit scan reads one position at a time where the package reads a byte,
 the determinant does rational Gaussian elimination instead of fraction-free
 elimination, the partition order is built by explicit enumeration, the
 first-visit search follows a glider class through `advance` step by step
-instead of reading two parallel orbits, the glider shift finds its two bit
+instead of reading two parallel orbits, the dynamics trace runs `advance`
+on every step where the package steps each string of the orbit once, the
+glider shift finds its two bit
 positions on the preimage f⁻¹(x) through `advance` where `tau` reads them
 off the glider itself, the splice walk keeps a
 neighbour table for every vertex instead of for the splice endpoints alone,
@@ -36,7 +38,7 @@ from kneser.bitstrings import (
     descent_count,
     parenthesis_match,
 )
-from kneser.dynamics import TauResult, _require_shiftable, advance
+from kneser.dynamics import MotionStep, MotionTrace, TauResult, _require_shiftable, advance
 from kneser.errors import InternalConsistencyError, ParameterError
 from kneser.gliders import (
     Glider,
@@ -480,6 +482,37 @@ def tau_slow(x, glider, bit: int, pos: int, cap: int | None = None) -> TauResult
         p = adv.next_partition
         cur = adv.fx
     raise InternalConsistencyError("first-visit search exceeded its cap")
+
+
+def motion_trace_per_step(x: CyclicBitstring, steps: int) -> MotionTrace:
+    """Reference trace: one advance per step, classes followed through each
+    bijection, trap counters summed per pair."""
+    p = glider_partition(x)
+    speeds = tuple(g.speed for g in p.gliders)
+    start2s = tuple(g.s1 + g.s2 for g in p.gliders)
+    cls_of = {g.id: i for i, g in enumerate(p.gliders)}
+    pos2 = list(start2s)
+    counters2: dict[tuple[int, int], int] = {}
+    out = []
+    cur = x
+    for t in range(steps):
+        adv = advance(cur, partition=p)
+        class_at = tuple(-1 if gid < 0 else cls_of[gid] for gid in p.pos_class)
+        d2 = [0] * len(speeds)
+        for gid, d in adv.delta2s.items():
+            d2[cls_of[gid]] = d
+        movers = tuple(sorted(cls_of[g] for g in adv.analysis.movers))
+        traps = tuple(sorted((cls_of[a], cls_of[b]) for a, b in adv.trap_events))
+        rels = tuple(sorted((cls_of[a], cls_of[b]) for a, b in adv.release_events))
+        out.append(MotionStep(t, cur.bits, class_at, movers, tuple(d2), traps, rels))
+        for c, d in enumerate(d2):
+            pos2[c] += d
+        for pair in traps + rels:
+            counters2[pair] = counters2.get(pair, 0) + 1
+        cls_of = {adv.bijection[gid]: c for gid, c in cls_of.items()}
+        p = adv.next_partition
+        cur = adv.fx
+    return MotionTrace(x, speeds, start2s, out, pos2, counters2, cur)
 
 
 def assemble_hamilton_table(plan) -> tuple[int, ...]:

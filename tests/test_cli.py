@@ -367,6 +367,8 @@ def test_trace_runs(capsys):
 
 
 def test_trace_scans_once_per_step(capsys, monkeypatch):
+    """The orbit of 110101000000 closes after L = 18 strings, so a trace of
+    T steps makes min(T, 18) + 1 matching scans."""
     calls = [0]
     scan = bitstrings._scan_match
 
@@ -375,9 +377,12 @@ def test_trace_scans_once_per_step(capsys, monkeypatch):
         return scan(bits, n)
 
     monkeypatch.setattr(bitstrings, "_scan_match", counting)
-    code, out, _ = run(capsys, "trace", "12", "4", "--start", "110101000000", "--steps", "40")
-    assert code == 0 and len(out.splitlines()) == 40
-    assert calls[0] == 41
+    for steps, scans in ((40, 19), (100, 19), (12, 13)):
+        calls[0] = 0
+        code, out, _ = run(capsys, "trace", "12", "4", "--start", "110101000000",
+                           "--steps", str(steps))
+        assert code == 0 and len(out.splitlines()) == steps
+        assert calls[0] == scans, (steps, calls[0])
 
 
 def test_trace_steps_default_to_n(capsys):

@@ -10,10 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 import kneser
 from conftest import vertices
-from oracles import det_fractions, shift_glider, tau_slow
+from oracles import det_fractions, motion_trace_per_step, shift_glider, tau_slow
 
-from kneser import bitstrings
-from kneser.bitstrings import CyclicBitstring, apply_f, iter_bits, rotate_bits
+from kneser import bitstrings, dynamics
+from kneser.bitstrings import CyclicBitstring, apply_f, cycle_factor, iter_bits, rotate_bits
 from kneser.dynamics import (
     advance,
     capture_analysis,
@@ -91,9 +91,11 @@ def test_step_displacement_balance(x):
 
 
 def test_motion_trace_scans_once_per_step(monkeypatch):
-    """Each step reads f(x) off the partition it is given and f(f(x)) off
-    the partition of f(x) it builds, so T steps make T + 1 matching scans.
-    Rendering reads each f(x) off the next record and makes none."""
+    """Each step of the first lap reads f(x) off the partition it is given
+    and f(f(x)) off the partition of f(x) it builds; later steps read the
+    lap again.  So T steps over an orbit of L strings make min(T, L) + 1
+    matching scans.  Rendering reads each f(x) off the next record and
+    makes none."""
     calls = [0]
     scan = bitstrings._scan_match
 
@@ -102,10 +104,55 @@ def test_motion_trace_scans_once_per_step(monkeypatch):
         return scan(bits, n)
 
     monkeypatch.setattr(bitstrings, "_scan_match", counting)
-    for s in ("110101000000", "1001010000", "1101000000"):
+    for s, steps in (("110101000000", 100), ("110101000000", 10),
+                     ("1001010000", 100), ("1101000000", 100)):
+        length = find_period(v(s)).string_period
         calls[0] = 0
-        render_trace(motion_trace(v(s), 100))
-        assert calls[0] == 101, (s, calls[0])
+        render_trace(motion_trace(v(s), steps))
+        assert calls[0] == min(steps, length) + 1, (s, steps, calls[0])
+    calls[0] = 0
+    motion_trace(v("110101000000"), 100)
+    assert calls[0] == 19  # L = 18
+
+
+def _analysis_starts():
+    """The start shapes of the benchmark's analysis workload: four random
+    k-sets each of K(14,5), K(15,6) and K(16,5)."""
+    rng = random.Random("analysis-starts")
+    for n, k in ((14, 5), (15, 6), (16, 5)):
+        for _ in range(4):
+            yield CyclicBitstring(n, k, sum(1 << i for i in rng.sample(range(n), k)))
+
+
+def test_motion_trace_matches_per_step_reference(monkeypatch):
+    """Reading the first lap again gives every field a trace with one
+    advance per step gives, and calls advance min(T, L) times."""
+    calls = [0]
+    step = dynamics.advance
+
+    def counting(x, partition=None):
+        calls[0] += 1
+        return step(x, partition=partition)
+
+    monkeypatch.setattr(dynamics, "advance", counting)
+    cases = []
+    for n in range(3, 12):
+        for k in range(1, (n - 1) // 2 + 1):
+            for c in cycle_factor(n, k).cycles:
+                length = len(c)
+                cases += [(CyclicBitstring(n, k, c.key), length, steps)
+                          for steps in {0, 1, length - 1, length, length + 1, 3 * length + 2}]
+    starts = list(_analysis_starts())
+    assert [str(x) for x in starts[:2]] == ["10100011000100", "11000010000101"]
+    cases += [(x, find_period(x).string_period, 1000) for x in starts]
+    for x, length, steps in cases:
+        calls[0] = 0
+        tr = motion_trace(x, steps)
+        assert calls[0] == min(steps, length), (str(x), steps)
+        ref = motion_trace_per_step(x, steps)
+        assert tr == ref, (str(x), steps)
+        assert list(tr.counters2.items()) == list(ref.counters2.items())
+    assert len(cases) == 726
 
 
 @given(vertices(max_n=10))
@@ -353,3 +400,86 @@ _WRONG_IMAGE = (
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
 def test_advance_rejects_a_wrong_image_of_its_next_partition(flags):
     _exits_cleanly(_WRONG_IMAGE, *flags)
+
+
+# a trace of x = 1001010000 (L = 10, three gliders of speed 1) through an
+# advance whose result at x reads right `clean` times and wrong after that,
+# read by the items() the trace calls once per step: no times for a fault
+# on the first step, once for one that only the step replaying it a lap
+# later sees; `kind` names the fault
+_TRACE_FAULT = (
+    "from dataclasses import replace\n"
+    "from kneser import dynamics\n"
+    "from kneser.bitstrings import CyclicBitstring\n"
+    "from kneser.errors import InternalConsistencyError\n"
+    "x = CyclicBitstring.from_string('1001010000')\n"
+    "class Faulty(dict):\n"
+    "    def __init__(self, good, bad, clean):\n"
+    "        super().__init__(good)\n"
+    "        self.bad, self.clean = bad, clean\n"
+    "    def items(self):\n"
+    "        self.clean -= 1\n"
+    "        return dict.items(self) if self.clean >= 0 else self.bad.items()\n"
+    "def motion_law(adv, clean):\n"
+    "    m = min(adv.analysis.movers)\n"
+    "    bad = {**adv.delta2s, m: adv.delta2s[m] + 2}\n"
+    "    return replace(adv, delta2s=Faulty(adv.delta2s, bad, clean))\n"
+    "def drift(adv, clean):\n"
+    "    b = adv.bijection\n"
+    "    return replace(adv, bijection=Faulty(b, {**b, 0: b[1], 1: b[0]}, clean))\n"
+    "fault, message = {'motion law': (motion_law, 'motion law violated'),\n"
+    "                  'drift': (drift, 'drifted')}[kind]\n"
+    "step = dynamics.advance\n"
+    "for clean, at in ((0, 1), (1, 11)):\n"
+    "    def faulty(y, partition=None):\n"
+    "        adv = step(y, partition=partition)\n"
+    "        return fault(adv, clean) if y.bits == x.bits else adv\n"
+    "    dynamics.advance = faulty\n"
+    "    try:\n"
+    "        dynamics.motion_trace(x, 25)\n"
+    "    except InternalConsistencyError as e:\n"
+    "        if message not in str(e) or not str(e).endswith(f'at step {at}'):\n"
+    "            raise SystemExit(repr(e))\n"
+    "    else:\n"
+    "        raise SystemExit(f'no InternalConsistencyError with {clean} clean reads')\n"
+)
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+@pytest.mark.parametrize("fault", ["motion law", "drift"])
+def test_motion_trace_rejects_a_faulty_step(fault, flags):
+    """A mover's doubled gain off by 2 breaks the motion law; a bijection
+    that swaps two gliders of one speed breaks the tracked positions.  Both
+    are caught on the first step, and on the step that replays it a lap
+    later."""
+    _exits_cleanly(f"kind = {fault!r}\n" + _TRACE_FAULT, *flags)
+
+
+# the partition of x built when the orbit of 1001010000 closes has its class
+# map rotated by one; advance never reads it, so only the lap's own check can
+_CLOSED_ELSEWHERE = (
+    "from dataclasses import replace\n"
+    "from kneser import dynamics\n"
+    "from kneser.bitstrings import CyclicBitstring\n"
+    "from kneser.errors import InternalConsistencyError\n"
+    "x = CyclicBitstring.from_string('1001010000')\n"
+    "build = dynamics.glider_partition\n"
+    "built = []\n"
+    "def closing_elsewhere(y):\n"
+    "    p = build(y)\n"
+    "    if y.bits != x.bits:\n"
+    "        return p\n"
+    "    built.append(p)\n"
+    "    return p if len(built) == 1 else replace(p, pos_class=p.pos_class[1:] + p.pos_class[:1])\n"
+    "dynamics.glider_partition = closing_elsewhere\n"
+    "try:\n"
+    "    dynamics.motion_trace(x, 25)\n"
+    "except InternalConsistencyError as e:\n"
+    "    raise SystemExit(0 if 'closed on another partition' in str(e) else repr(e))\n"
+    "raise SystemExit('no InternalConsistencyError')\n"
+)
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_motion_trace_rejects_an_orbit_closing_on_another_partition(flags):
+    _exits_cleanly(_CLOSED_ELSEWHERE, *flags)
