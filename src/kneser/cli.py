@@ -12,9 +12,12 @@ Exit codes: 0 success, 1 verification failure, 2 bad parameters,
 """
 
 import argparse
+import io
 import json
 import sys
 from collections import Counter
+from collections.abc import Iterable
+from contextlib import nullcontext
 from itertools import repeat
 from math import gcd
 
@@ -29,7 +32,6 @@ from .families import (
     HamiltonResult,
     hamilton_tour,
     tour_fault,
-    verify_tour,
 )
 from .gluing import build_gluing_plan
 
@@ -73,15 +75,9 @@ def _tour_header(spec: GraphSpec, status: str) -> str:
 
 
 def _exit_code(spec: GraphSpec, r: HamiltonResult) -> int:
-    if r.status == "cycle":
-        return 0
-    if r.status == "path":
-        if r.cycle_exists is False:
-            return 3
+    if r.status == "path" and r.cycle_exists is not False:  # no proof that a cycle is missing
         return 0 if spec.family == "bipartite" else 4
-    if r.status == "none":
-        return 3
-    return 4
+    return {"cycle": 0, "path": 3, "none": 3}.get(r.status, 4)
 
 
 def _cmd_gen(args) -> int:
@@ -149,12 +145,40 @@ def _set_bits(elems, n: int) -> int:
     return mask
 
 
-def _parse_tour(text: str) -> tuple[GraphSpec, list[int], bool]:
-    text = text.strip()
-    if not text:
+def _tour_masks(fh, n: int) -> Iterable[int]:
+    """The masks of the tour lines left in fh, read a chunk of lines at a time.
+    A chunk of lines as gen writes them, n characters from 01 each, goes
+    through int in one map; other chunks go line by line: a line of exactly n
+    positions from 01- is a bitstring (so K(n, 1)'s sets 1 and 10 read as
+    sets), any other line lists set elements."""
+    while block := fh.read(1 << 15):
+        if block[-1] != "\n":
+            block += fh.readline()  # end the chunk on a whole line
+        rows = len(block) // (n + 1)
+        ends = "\n" * rows  # a line end after every n characters and nowhere else
+        if (len(block) == rows * (n + 1) and block[n::n + 1] == ends and block.isascii()
+                and block.encode().translate(None, b"01") == ends.encode()):
+            # read backwards, the chunk lists each line reversed, last line first
+            yield from map(int, reversed(block[::-1].split()), repeat(2))
+            continue
+        for line in map(str.strip, block.splitlines()):
+            if len(line) == n and set(line) <= {"0", "1", "-"}:
+                yield from_string(line)
+            elif line:
+                yield _set_bits([int(tok) for tok in line.split(",")], n)
+
+
+def _read_tour(fh) -> tuple[GraphSpec, Iterable[int], bool]:
+    """The graph, the vertex masks and whether the tour is closed.  A JSON
+    tour is read whole; a text tour's masks are read as they are consumed."""
+    for row in fh:
+        if lines := row.strip().splitlines():
+            break
+    else:
         raise ParameterError("empty tour input")
-    if text.startswith("{"):
-        payload = json.loads(text)
+    head, *rest = lines
+    if head.startswith("{"):
+        payload = json.loads(row + fh.read())
         try:
             s = payload.get("s")
             spec = GraphSpec(payload["family"], payload["n"], payload["k"], 0 if s is None else s)
@@ -165,46 +189,32 @@ def _parse_tour(text: str) -> tuple[GraphSpec, list[int], bool]:
         except (KeyError, TypeError) as exc:  # an entry missing or of the wrong JSON type
             raise ParameterError(f"malformed JSON tour: {exc!r}") from None
         return spec, verts, closed
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    head = lines[0].split()
-    if len(head) < 3:
-        raise ParameterError(f"bad tour header {lines[0]!r}")
-    n, k, family = int(head[0]), int(head[1]), head[2]
-    rest = head[3:]
-    closed = True
-    if rest and rest[-1] == "path":
-        closed = False
-        rest = rest[:-1]
-    s = int(rest[0]) if rest else 0
-    spec = GraphSpec(family, n, k, s)
-    verts = []
-    for ln in lines[1:]:
-        # a bitstring has exactly n positions, so K(n, 1)'s sets 1 and 10 read as sets
-        if len(ln) == n and set(ln) <= {"0", "1", "-"}:
-            verts.append(from_string(ln))
-        else:
-            verts.append(_set_bits([int(tok) for tok in ln.split(",")], n))
-    return spec, verts, closed
+    if rest:  # line breaks other than newlines: read on from the text after the header
+        fh = io.StringIO("\n".join(rest + [fh.read()]))
+    words = head.split()
+    if len(words) < 3:
+        raise ParameterError(f"bad tour header {head.strip()!r}")
+    closed = words[-1] != "path"
+    s = words[3:len(words) - (not closed)]  # n k family [s] [path]
+    spec = GraphSpec(words[2], int(words[0]), int(words[1]), int(s[0]) if s else 0)
+    return spec, _tour_masks(fh, spec.n), closed
 
 
 def _cmd_verify(args) -> int:
-    if args.file:
-        with open(args.file) as fh:
-            text = fh.read()
-    else:
-        text = sys.stdin.read()
-    spec, verts, closed = _parse_tour(text)
-    declared = _spec_from_args(args)
-    if declared is not None and declared != spec:
-        print(f"declared {declared} but the input describes {spec}", file=sys.stderr)
-        return 2
-    if verify_tour(spec, verts, closed):
+    with open(args.file) if args.file else nullcontext(sys.stdin) as fh:
+        spec, verts, closed = _read_tour(fh)
+        declared = _spec_from_args(args)
+        if declared is not None and declared != spec:
+            print(f"declared {declared} but the input describes {spec}", file=sys.stderr)
+            return 2
+        fault = tour_fault(spec, verts, closed)
+    if fault is None:
         kind = "cycle" if closed else "path"
         print(f"ok: Hamilton {kind} of {spec.family} n={spec.n} k={spec.k}"
               + (f" s={spec.s}" if spec.family in ("johnson", "gen-kneser") else "")
-              + f", {len(verts)} vertices")
+              + f", {spec.vertex_count()} vertices")
         return 0
-    print(f"fail: {tour_fault(spec, verts, closed)}", file=sys.stderr)
+    print(f"fail: {fault}", file=sys.stderr)
     return 1
 
 
@@ -285,16 +295,14 @@ def _cmd_trace(args) -> int:
 def _cmd_plan(args) -> int:
     plan = build_gluing_plan(args.n, args.k, args.anchor, full=True)
     n, k = plan.n, plan.k
-    g = gcd(n, k)
     print(f"K({n},{k}): anchor p={plan.anchor}, factor cycles={len(plan.factor.cycles)}, "
           f"vertices={plan.factor.total_vertices()}")
-    print(f"single-glider cycles merged: {g}")
+    print(f"single-glider cycles merged: {gcd(n, k)}")
     print(f"rotation base r={plan.rotation_base}, rotation pairs: {len(plan.rotation_pairs)}")
     for a, b in plan.rotation_pairs:
         print(f"  rotate {a} <-> {b}")
     counts = plan.family_counts()
-    total = sum(counts.values())
-    print(f"rewrite matches: {total} " +
+    print(f"rewrite matches: {sum(counts.values())} " +
           " ".join(f"rule{fam}:{c}" for fam, c in counts.items()))
     print(f"spanning tree: {len(plan.tree)} connectors, "
           f"{len(plan.exceptions)} exceptions (cycles with no downhill rewrite)")

@@ -14,7 +14,9 @@ H(n, k) interleave a Kneser cycle with elementwise complements.
 import random
 import time
 from dataclasses import dataclass
+from itertools import compress, filterfalse, islice
 from math import comb
+from operator import and_
 
 from .bitstrings import iter_bits, to_string
 from .errors import InternalConsistencyError, ParameterError
@@ -36,6 +38,7 @@ __all__ = [
 DEFAULT_FALLBACK_CAP = 10_000
 DEFAULT_FALLBACK_SECS = 60.0
 EXHAUSTIVE_LIMIT = 64  # largest vertex count worth proving infeasibility on
+_CHUNK = 2048  # masks per step of tour_fault
 
 
 @dataclass(frozen=True)
@@ -77,12 +80,8 @@ class GraphSpec:
         return vs
 
     def valid_vertex(self, v: int) -> bool:
-        if v < 0 or v >> self.n:
-            return False
-        c = v.bit_count()
-        if self.family == "bipartite":
-            return c in (self.k, self.n - self.k)
-        return c == self.k
+        weights = (self.k, self.n - self.k) if self.family == "bipartite" else (self.k,)
+        return v >= 0 and not v >> self.n and v.bit_count() in weights
 
     def adjacent(self, a: int, b: int) -> bool:
         if a == b:
@@ -118,38 +117,56 @@ class HamiltonResult:
 
 
 def tour_fault(spec: GraphSpec, vertices, closed: bool = True) -> str | None:
-    """Why the sequence vertices is not a Hamilton cycle (or path) of spec's
-    graph, or None when it is one.  Faults are reported in this order: the
-    count, a repeat, a non-vertex, then the first pair that is not an edge,
-    the closing pair of a cycle last."""
+    """Why the masks of vertices, any iterable, read once, are not a Hamilton
+    cycle (or path) of spec's graph, or None when they are one.  One pass of
+    C-level maps over _CHUNK masks at a time keeps the first fault of each
+    kind, a position found only in a chunk that fails, and reports them in
+    this order: the count, a repeat, a non-vertex, then the first pair that
+    is not an edge, the closing pair of a cycle last."""
+    n, k = spec.n, spec.k
+    weights = {k, n - k} if spec.family == "bipartite" else {k}
+    # u & v marks every Kneser non-edge but u == v == 0, a non-vertex that outranks it
+    cut = and_ if spec.family == "kneser" else lambda u, v: not spec.adjacent(u, v)
+    seen, listed, first, prev, odd, gap = set(), 0, None, None, None, None
+    it = iter(vertices)
+    while chunk := list(islice(it, _CHUNK)):
+        seen.update(chunk)
+        if odd is None and not (min(chunk) >= 0 and max(chunk) >> n == 0 and sum(
+                map(list(map(int.bit_count, chunk)).count, weights)) == len(chunk)):
+            odd = next(filterfalse(spec.valid_vertex, chunk))
+        pairs = chunk if prev is None else [prev, *chunk]  # pairs[0] at listed - 1
+        if gap is None and any(map(cut, pairs, pairs[1:])):
+            i = next(compress(range(len(pairs)), map(cut, pairs, pairs[1:])))
+            gap = (listed - (prev is not None) + i, pairs[i], pairs[i + 1])
+        first = chunk[0] if prev is None else first
+        listed += len(chunk)
+        prev = chunk[-1]
+    if closed and listed and gap is None and cut(prev, first):
+        gap = (listed - 1, prev, first)
     want = spec.vertex_count()
-    if len(vertices) != want:
-        return f"{len(vertices)} vertices listed, the graph has {want}"
-    if len(set(vertices)) != len(vertices):
+    if listed != want:
+        return f"{listed} vertices listed, the graph has {want}"
+    if len(seen) != listed:
         return "repeated vertex"
-    for v in vertices:
-        if not spec.valid_vertex(v):
-            return f"{to_string(v, spec.n)} is not a vertex of this graph"
-    edges = zip(vertices, vertices[1:] + vertices[:1]) if closed else zip(vertices, vertices[1:])
-    for i, (u, v) in enumerate(edges):
-        if not spec.adjacent(u, v):
-            return (f"positions {i} and {i + 1}: "
-                    f"{to_string(u, spec.n)} and {to_string(v, spec.n)} are not adjacent")
+    if odd is not None:
+        return f"{to_string(odd, n)} is not a vertex of this graph"
+    if gap is not None:
+        i, u, v = gap
+        return (f"positions {i} and {i + 1}: "
+                f"{to_string(u, n)} and {to_string(v, n)} are not adjacent")
     return None
 
 
 def verify_tour(spec: GraphSpec, vertices, closed: bool = True) -> bool:
-    """Check that the sequence vertices is a Hamilton cycle (or path) of
-    spec's graph."""
+    """Check that the masks of vertices, any iterable, read once, are a
+    Hamilton cycle (or path) of spec's graph."""
     return tour_fault(spec, vertices, closed) is None
 
 
 def _checked(result: HamiltonResult) -> HamiltonResult:
-    """result, once its tour passes verify_tour; a path with no vertices
-    passes as it is."""
+    """result, once tour_fault finds no fault in its tour or it is an empty path."""
     closed = result.status == "cycle"
-    if (closed or result.vertices) and not verify_tour(result.spec, result.vertices, closed):
-        fault = tour_fault(result.spec, result.vertices, closed)
+    if (closed or result.vertices) and (fault := tour_fault(result.spec, result.vertices, closed)):
         raise InternalConsistencyError(
             f"constructed {result.status} fails verification: {result.spec}: {fault}")
     return result
@@ -241,13 +258,12 @@ def _prune(verts, visited, cnt, adjset, tip, start, want_cycle) -> bool:
         if want_cycle:
             if avail + (v in adjset[start]) < 2:
                 return True
-        else:
-            if avail == 0:
+        elif avail == 0:
+            return True
+        elif avail == 1:
+            slack += 1
+            if slack > 1:
                 return True
-            if avail == 1:
-                slack += 1
-                if slack > 1:
-                    return True
     return False
 
 
@@ -366,14 +382,13 @@ def _posa_tour(verts, adjacency, deadline: float, rng) -> tuple[str | None, tupl
             tip = path[-1]
             fresh = [w for w in adjacency[tip] if w not in seen]
             if fresh:
-                w = fresh[rng.randrange(len(fresh))]
+                w = rng.choice(fresh)
                 seen.add(w)
                 path.append(w)
                 stalls = 0
                 continue
-            nbrs = adjacency[tip]
             # every neighbour of a stuck tip is on the path, so index finds it
-            i = path.index(nbrs[rng.randrange(len(nbrs))])
+            i = path.index(rng.choice(adjacency[tip]))
             if i != len(path) - 2:  # rotating at the predecessor is a no-op
                 path[i + 1:] = path[:i:-1]
             stalls += 1
@@ -386,8 +401,7 @@ def _posa_tour(verts, adjacency, deadline: float, rng) -> tuple[str | None, tupl
                     return "cycle", tuple(path)
                 if time.monotonic() > deadline:
                     break
-                nbrs = adjacency[tip]
-                i = path.index(nbrs[rng.randrange(len(nbrs))])
+                i = path.index(rng.choice(adjacency[tip]))
                 if i != len(path) - 2:
                     path[i + 1:] = path[:i:-1]
             best = tuple(path)
@@ -439,13 +453,8 @@ def _relabel_cycle(seq, n: int, edge: tuple[int, int]) -> list[int]:
             raise InternalConsistencyError("relabel blocks differ in size")
         for i, j in zip(ss, ds):
             perm[i] = j
-    out = []
-    for x in seq:
-        y = 0
-        for i in _positions(x):
-            y |= 1 << perm[i]
-        out.append(y)
-    return out
+    bit = [1 << j for j in perm]  # the mask of each position's image
+    return [sum(map(bit.__getitem__, _positions(x))) for x in seq]
 
 
 def _positions(mask: int) -> list[int]:
@@ -455,13 +464,6 @@ def _positions(mask: int) -> list[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
-
-
-def _mask(it) -> int:
-    m = 0
-    for i in it:
-        m |= 1 << i
-    return m
 
 
 def _johnson_build(spec: GraphSpec, cap: int, deadline: float,
@@ -497,12 +499,12 @@ def _johnson_build(spec: GraphSpec, cap: int, deadline: float,
             return HamiltonResult(spec, half.status, (), half.cycle_exists,
                                   f"recursive piece {half.spec} fell short: {half.note}")
 
-    # joining 4-cycle: a, b contain element n-1; c, d avoid it
-    a = _mask(range(k - 1)) | (1 << (n - 1))
-    b = _mask(range(s - 1)) | _mask(range(k - 1, 2 * k - s - 1)) | (1 << (n - 1))
-    c = _mask(range(k))
-    d = _mask(range(s)) | _mask(range(k, 2 * k - s))
+    # joining 4-cycle: a, b contain element n-1; c, d avoid it; (1 << j) - (1 << i) is i..j-1
     top = 1 << (n - 1)
+    a = (1 << (k - 1)) - 1 | top
+    b = (1 << (s - 1)) - 1 | (1 << (2 * k - s - 1)) - (1 << (k - 1)) | top
+    c = (1 << k) - 1
+    d = (1 << s) - 1 | (1 << (2 * k - s)) - (1 << k)
     cyc1 = [x | top for x in _relabel_cycle(half1.vertices, n - 1, (a ^ top, b ^ top))]
     cyc0 = _relabel_cycle(half0.vertices, n - 1, (c, d))
     merged = cyc1[1:] + [cyc1[0]] + cyc0[1:] + [cyc0[0]]
@@ -578,22 +580,13 @@ def hamilton_bipartite(
     big = len(x)
     full = (1 << n) - 1
     if big % 2 == 1:
-        woven = []
-        for i in range(2 * big):
-            v = x[i % big]
-            woven.append(v if i % 2 == 0 else full ^ v)
+        woven = [v if i % 2 == 0 else full ^ v for i, v in enumerate(x + x)]
         return _checked(HamiltonResult(spec, "cycle", tuple(woven), True,
                                        "odd Kneser cycle interleaved with complements"))
     cycle_a = [x[i] if i % 2 == 0 else full ^ x[i] for i in range(big)]
     cycle_b = [x[i] if i % 2 == 1 else full ^ x[i] for i in range(big)]
-    chord = None
-    for i in range(0, big, 2):
-        for j in range(i + 2, big, 2):
-            if x[i] & x[j] == 0:
-                chord = (i, j)
-                break
-        if chord:
-            break
+    chord = next(((i, j) for i in range(0, big, 2) for j in range(i + 2, big, 2)
+                  if x[i] & x[j] == 0), None)
     if chord is None:
         raise InternalConsistencyError("even Kneser cycle without a same-parity chord")
     i, j = chord

@@ -18,8 +18,11 @@ of searching the path, the glider partition recurses on lists of positions
 ancestors where the package reads one height walk, V recurses on
 sub-words (`_w`) where the package makes one stack pass, the factor
 scans every vertex where the package scans one glider period per rotation
-class, and the train composition walks each gap mod n per speed and cuts
-the circle at its breaks where the package makes one pass in window order.
+class, the train composition walks each gap mod n per speed and cuts
+the circle at its breaks where the package makes one pass in window order,
+and the tour check makes three passes over a list (count and repeats,
+vertices, edges) where the package reads any iterable once, a chunk at a
+time.
 The connector 4-cycle and the clean-glider test are read by tests alone.
 """
 
@@ -37,6 +40,7 @@ from kneser.bitstrings import (
     apply_f,
     descent_count,
     parenthesis_match,
+    to_string,
 )
 from kneser.dynamics import MotionStep, MotionTrace, TauResult, _require_shiftable, advance
 from kneser.errors import InternalConsistencyError, ParameterError
@@ -620,3 +624,22 @@ def posa_tour_positions(verts, adjacency, deadline: float, rng) -> tuple[str | N
                     reverse_suffix(path, pos, i + 1)
             best = tuple(path)
     return ("path", best) if best is not None else (None, None)
+
+
+def tour_fault_passes(spec, vertices, closed: bool = True) -> str | None:
+    """Reference tour check on a list: the count, then repeats by a set, then
+    every vertex, then every edge in order, the closing pair of a cycle last."""
+    want = spec.vertex_count()
+    if len(vertices) != want:
+        return f"{len(vertices)} vertices listed, the graph has {want}"
+    if len(set(vertices)) != len(vertices):
+        return "repeated vertex"
+    for v in vertices:
+        if not spec.valid_vertex(v):
+            return f"{to_string(v, spec.n)} is not a vertex of this graph"
+    edges = zip(vertices, vertices[1:] + vertices[:1]) if closed else zip(vertices, vertices[1:])
+    for i, (u, v) in enumerate(edges):
+        if not spec.adjacent(u, v):
+            return (f"positions {i} and {i + 1}: "
+                    f"{to_string(u, spec.n)} and {to_string(v, spec.n)} are not adjacent")
+    return None

@@ -1,5 +1,6 @@
 import io
 import json
+import tracemalloc
 from math import comb
 
 import pytest
@@ -291,6 +292,94 @@ def test_verify_reads_a_repeated_set_element_once(tmp_path, capsys):
     tour = tmp_path / "tour.txt"
     tour.write_text("\n".join(["7 2 kneser"] + sets) + "\n")
     assert run(capsys, "verify", str(tour))[::2] == (1, "fail: repeated vertex\n")
+
+
+def test_verify_reads_to_the_end_before_it_reports(tmp_path, capsys):
+    """A non-edge at positions 0 and 1 does not stop the read: a malformed
+    line chunks later still exits 2 with its parse error."""
+    tour = tmp_path / "tour.txt"
+    run(capsys, "gen", "--kneser", "17", "7", "-o", str(tour))
+    lines = tour.read_text().splitlines()
+    verts = [int(ln[::-1], 2) for ln in lines[1:]]
+    j = next(i for i in range(3, 40) if verts[0] & verts[i])
+    lines[2], lines[1 + j] = lines[1 + j], lines[2]
+    tour.write_text("\n".join(lines) + "\n")
+    assert run(capsys, "verify", str(tour))[0] == 1
+    tour.write_text("\n".join(lines + ["3,99"]) + "\n")
+    code, _, err = run(capsys, "verify", str(tour))
+    assert (code, err) == (2, "parameter error: set element 99 is not a position 1..17\n")
+
+
+def _marked(line: str) -> str:
+    return line.replace("0", "-", 1)  # a '-' marks an unmatched zero
+
+
+@pytest.mark.parametrize("write", [
+    lambda head, body: "\n\n".join([head] + body) + "\n\n",
+    lambda head, body: "\r\n".join([head] + body) + "\r\n",
+    lambda head, body: "\n".join([head] + [_marked(ln) for ln in body]),
+    lambda head, body: "\r".join([head] + body),
+    lambda head, body: "  \n" + "\n".join([f" {head} "] + [f"{ln} " for ln in body]) + "\n",
+], ids=["blank-lines", "crlf", "markers", "cr", "spaces"])
+@pytest.mark.parametrize("from_stdin", [False, True])
+def test_verify_reads_blank_lines_crlf_and_markers(tmp_path, capsys, monkeypatch, write,
+                                                    from_stdin):
+    """Lines read the same however they are separated and padded, whether
+    the file is opened or handed over as stdin, for a tour and a non-tour."""
+    for body, want in [(K7, (0, "")),
+                       (_swap(K7, 5, 9),
+                        (1, "fail: positions 4 and 5: 0000101 and 0100001 are not adjacent\n"))]:
+        text = write("7 2 kneser", body)
+        if from_stdin:
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            got = run(capsys, "verify")
+        else:
+            tour = tmp_path / "tour.txt"
+            tour.write_bytes(text.encode())
+            got = run(capsys, "verify", str(tour))
+        assert (got[0], got[2]) == want
+
+
+@pytest.mark.parametrize("text, err", [
+    ("\n".join(["7 2 kneser", *K7[:-1], "110"]), "parameter error: set element 110 "),
+    ("\n".join(["7 2 kneser", *K7[:3], "100001", "10000011", *K7[5:]]) + "\n",
+     "parameter error: set element 100001 "),
+    ("\n".join(["7 2 kneser", *K7[:3], "1000\udc8001", *K7[4:]]) + "\n",
+     "error: invalid literal for int() with base 10: '1000\\udc8001'"),
+], ids=["unterminated-short-line", "uneven-lines", "undecodable-byte"])
+def test_verify_reads_only_gen_lines_as_a_block(capsys, monkeypatch, text, err):
+    """A chunk goes through int as a block only when every line is n
+    characters from 01; a chunk with any other line reads line by line."""
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, _, got = run(capsys, "verify")
+    assert code == 2 and got.startswith(err), got
+
+
+def test_verify_reads_lines_across_chunk_ends(tmp_path, capsys):
+    """Two blank lines after the header shift every chunk off the line ends;
+    each chunk is read on to the end of its last line."""
+    tour = tmp_path / "tour.txt"
+    run(capsys, "gen", "--kneser", "17", "7", "-o", str(tour))
+    head, body = tour.read_text().split("\n", 1)
+    tour.write_text(f"{head}\n\n\n{body}")
+    code, out, _ = run(capsys, "verify", str(tour))
+    assert (code, out) == (0, "ok: Hamilton cycle of kneser n=17 k=7, 19448 vertices\n")
+
+
+def test_verify_peak_memory_per_vertex(tmp_path, capsys):
+    """verify holds a chunk of lines and one set of masks, not the tour as a
+    string, a list of lines and a list of ints: under 100 B per vertex at the
+    Python level on K(17,7)."""
+    tour = tmp_path / "tour.txt"
+    run(capsys, "gen", "--kneser", "17", "7", "-o", str(tour))
+    tracemalloc.start()
+    try:
+        code = main(["verify", str(tour)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 100 * comb(17, 7), peak
 
 
 # -- factor ---------------------------------------------------------------------

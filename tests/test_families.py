@@ -1,6 +1,10 @@
+import functools
 import hashlib
+import os
 import random
 import re
+import subprocess
+import sys
 import time
 from math import comb
 from pathlib import Path
@@ -22,7 +26,8 @@ from kneser.families import (
     hamilton_tour,
     verify_tour,
 )
-from oracles import posa_tour_positions
+from kneser.gluing import assemble_hamilton, build_gluing_plan
+from oracles import posa_tour_positions, tour_fault_passes
 
 
 def johnson_expectation(n: int, k: int, s: int) -> str:
@@ -93,6 +98,108 @@ def test_checked_names_the_fault():
     with pytest.raises(InternalConsistencyError, match="path fails .*: repeated vertex$"):
         families._checked(HamiltonResult(r.spec, "path", repeat, None))
     assert families._checked(HamiltonResult(r.spec, "path", (), False)).vertices == ()
+
+
+# -- the one-pass tour check against the three-pass reference ----------------------
+
+
+_FAULT_TOURS = {
+    "K(9,3)": lambda: hamilton_kneser(9, 3),
+    "J(9,3,1)": lambda: hamilton_johnson(9, 3, 1),
+    "K(9,3,1)": lambda: hamilton_generalized_kneser(9, 3, 1),
+    "H(7,2)": lambda: hamilton_bipartite(7, 2),
+    "K(5,2) path": lambda: hamilton_kneser(5, 2),  # read closed, only its closing pair fails
+    "K(17,7)": lambda: hamilton_kneser(17, 7),  # several chunks at the default size
+}
+
+
+@functools.cache
+def _fault_tour(name: str) -> HamiltonResult:
+    return _FAULT_TOURS[name]()
+
+
+def _corrupt(rng: random.Random, spec: GraphSpec, tour: list[int], at: list[int]) -> list[int]:
+    """tour with one to three corruptions, each at a position drawn from at:
+    a drop, a repeat, a non-vertex or a swap."""
+    seq = list(tour)
+    for kind in rng.choices(["drop", "repeat", "non-vertex", "swap"], k=rng.randint(1, 3)):
+        i = min(rng.choice(at), len(seq) - 1)
+        if kind == "drop":
+            del seq[i]
+        elif kind == "repeat":
+            j = rng.choice([j for j in at + [rng.randrange(len(seq))] if j < len(seq)])
+            if rng.random() < 0.5:
+                seq.insert(i, seq[j])
+            elif i != j:
+                seq[i] = seq[j]
+        elif kind == "non-vertex":
+            v = seq[i]  # one bit flipped or moved past n, negated, or empty
+            seq[i] = rng.choice([v ^ 1 << rng.randrange(spec.n), (v & v - 1) | 1 << spec.n,
+                                 -v, 0])
+        else:
+            j = min(rng.choice(at + [rng.randrange(len(seq))]), len(seq) - 1)
+            seq[i], seq[j] = seq[j], seq[i]
+    return seq
+
+
+@pytest.mark.parametrize("name, chunk", [
+    (name, chunk) for name in _FAULT_TOURS if name != "K(17,7)" for chunk in (1, 2, 7, None)
+] + [("K(17,7)", None)])
+def test_tour_fault_matches_the_reference(monkeypatch, name, chunk):
+    """The one-pass check names the fault the three-pass reference names, for
+    corruptions on both sides of each chunk seam, at both ends of the tour and
+    at the closing pair, read closed and as a path, from a list, a tuple or a
+    generator."""
+    if chunk is not None:
+        monkeypatch.setattr(families, "_CHUNK", chunk)
+    size = families._CHUNK
+    r = _fault_tour(name)
+    tour = list(r.vertices)
+    at = [0, size - 1, size, size + 1, len(tour) - 1]
+    rng = random.Random(f"tour-fault:{name}:{chunk}")
+    kinds = set()
+    for case in range(150):
+        seq = tour if case < 2 else _corrupt(rng, r.spec, tour, at)
+        closed = case % 2 == 0
+        want = tour_fault_passes(r.spec, seq, closed)
+        shape = rng.choice([list, tuple, lambda s: (v for v in s)])
+        assert families.tour_fault(r.spec, shape(seq), closed) == want, (case, closed)
+        assert verify_tour(r.spec, shape(seq), closed) is (want is None)
+        kinds.add(want and re.sub(r"[-\d]+", "#", want))
+    assert kinds >= {"# vertices listed, the graph has #", "repeated vertex",
+                     "# is not a vertex of this graph",
+                     "positions # and #: # and # are not adjacent"}, kinds
+
+
+def test_a_non_edge_across_a_chunk_seam_raises_under_python_O():
+    """A glued tour with two vertices swapped just past a chunk seam fails its
+    check at the seam pair even under python -O, which strips asserts."""
+    n, k, at = 15, 6, families._CHUNK
+    spec = GraphSpec("kneser", n, k)
+    tour = list(assemble_hamilton(build_gluing_plan(n, k)))
+    tour[at], tour[at + 1] = tour[at + 1], tour[at]
+    want = tour_fault_passes(spec, tour)
+    assert want.startswith(f"positions {at - 1} and {at}: ") and want.endswith(" not adjacent")
+    code = (
+        "from kneser import families\n"
+        "from kneser.errors import InternalConsistencyError\n"
+        "assemble = families.assemble_hamilton\n"
+        "def swapped(plan):\n"
+        "    tour = list(assemble(plan))\n"
+        f"    tour[{at}], tour[{at + 1}] = tour[{at + 1}], tour[{at}]\n"
+        "    return tuple(tour)\n"
+        "families.assemble_hamilton = swapped\n"
+        "assert False, 'asserts run'\n"
+        "try:\n"
+        f"    families.hamilton_tour(families.GraphSpec('kneser', {n}, {k}))\n"
+        "except InternalConsistencyError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = str(Path(kneser.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"constructed cycle fails verification: {spec}: {want}\n"
 
 
 # -- Kneser dispatch ----------------------------------------------------------------
