@@ -21,10 +21,10 @@ walk never dips below zero and ends at zero.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from itertools import repeat
 from math import comb, gcd
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import InternalConsistencyError, ParameterError
 
@@ -241,7 +241,7 @@ def apply_f(x: CyclicBitstring) -> CyclicBitstring:
     return CyclicBitstring(x.n, x.k, _f_bits(x.bits, x.n))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cycle:
     """One orbit of f, listed in f-order starting from the canonical key
     (the lexicographically least string form in the orbit)."""
@@ -258,79 +258,249 @@ class Cycle:
         return len(self.vertices)
 
 
+class _Orbits(NamedTuple):
+    """One rotation class of orbits, read off its glider period p_0, ...,
+    p_{m-1}: the period vertices start, ..., start + m - 1.
+
+    f^m(p_0) = rot_s(p_0), and every string of the class has least
+    rotational period d.  With g = gcd(s, d), orbit j < g lists
+    rot_{j+ts}(p_i) for t < d/g and i < m in f-order, and its cycle starts
+    at the entry offsets[j] of that list.  inv is the inverse of s/g mod
+    d/g, which takes a rotation back to its t."""
+
+    start: int
+    d: int
+    m: int
+    inv: int
+    cycles: tuple[int, ...]  # orbit j -> its position in the factor's cycles
+    offsets: tuple[int, ...]
+
+
 @dataclass(frozen=True)
 class CycleFactor:
-    """All orbits of f on X(n, k), sorted by canonical key."""
+    """All orbits of f on X(n, k), sorted by canonical key.
+
+    The period vertices of all rotation classes are numbered in one
+    sequence.  necklaces maps each fixed-density necklace, the least string
+    among its rotations, to h * n + e when period vertex h is rot_e of it,
+    and classes holds the rotation class of each period vertex.  Every
+    vertex is a rotation of exactly one period vertex, so the two locate
+    any x."""
 
     n: int
     k: int
     cycles: tuple[Cycle, ...]
-    index: dict[int, int] = field(repr=False)  # bits -> position in cycles
+    necklaces: dict[int, int] = field(repr=False)
+    classes: tuple[_Orbits, ...] = field(repr=False)
 
     def total_vertices(self) -> int:
         return sum(len(c) for c in self.cycles)
 
+    @property
+    def index(self) -> Mapping[int, int]:
+        """x -> the position of x's cycle in cycles, iterated in cycle order."""
+        return _CycleIndex(self)
 
-def _iter_strings(n: int, k: int) -> Iterator[int]:
-    """All k-element masks of width n in lexicographic order of their strings."""
-    full = (1 << n) - 1
-    v = full ^ (full >> k)  # 0^(n-k) 1^k
-    while True:
-        yield v
-        top = v.bit_length()  # one past the last 1
-        z = (v ^ ((1 << top) - 1)).bit_length() - 1  # the last 0 before it
-        if z < 0:
+    def locate(self, x: int) -> tuple[int, int]:
+        """(position of x's cycle in cycles, position of x in that cycle).
+
+        x = rot_q(r) for its necklace r, and period vertex h = rot_e(r), so
+        x = rot_u(h) with u = q - e (mod d).  That puts x on orbit u mod g,
+        at the step t with j + ts = u (mod d)."""
+        n = self.n
+        if not (isinstance(x, int) and 0 <= x < 1 << n and x.bit_count() == self.k):
+            raise KeyError(x)
+        r, q = _necklace_of(x, n)
+        h, e = divmod(self.necklaces[r], n)
+        start, d, m, inv, cycles, offsets = self.classes[h]
+        g = len(cycles)
+        j = (q - e) % g
+        t = _step(q - e, g, d, inv)
+        return cycles[j], (t * m + h - start - offsets[j]) % (m * d // g)
+
+
+def _step(u: int, g: int, d: int, inv: int) -> int:
+    """The t < d/g with j + ts = u (mod d), j = u mod g, where g = gcd(s, d)
+    and inv is the inverse of s/g mod d/g."""
+    return u % d // g * inv % (d // g)
+
+
+class _CycleIndex(Mapping):
+    """A factor's vertices in cycle order, each mapped to its cycle's
+    position; lookups go through the necklace table."""
+
+    __slots__ = ("_factor",)
+
+    def __init__(self, factor: CycleFactor) -> None:
+        self._factor = factor
+
+    def __getitem__(self, x: int) -> int:
+        return self._factor.locate(x)[0]
+
+    def __iter__(self) -> Iterator[int]:
+        for c in self._factor.cycles:
+            yield from c.vertices
+
+    def __len__(self) -> int:
+        return comb(self._factor.n, self._factor.k)
+
+
+def _necklaces(n: int, k: int) -> list[int]:
+    """The k-element masks of width n that are least among their rotations,
+    in lexicographic order of their strings.
+
+    Such a string reads 0^a_1 1 0^a_2 1 ... 0^a_k 1, and it is least among
+    its rotations exactly when its gaps a are greatest among theirs; a
+    greater gap first makes a lesser string.  So the gaps are chosen as in
+    the FKM algorithm with the order of gap lengths reversed: a_t repeats
+    a_{t-p}, where p is the period of the gaps chosen so far, or falls
+    below it and makes p = t.  The gaps sum to n - k and
+    none exceeds a_1, which bounds each choice from both sides; p must
+    divide k at the end."""
+    out: list[int] = []
+    gaps = [n - k] * (k + 1)  # gaps[t] for t = 1..k; gaps[0] caps a_1
+
+    def extend(t: int, p: int, rest: int, bits: int, pos: int) -> None:
+        top = gaps[t - p]
+        if t == k:  # the last gap takes the rest, and the last 1 ends the string
+            if rest < top or rest == top and k % p == 0:
+                out.append(bits | 1 << (n - 1))
             return
-        # the 1 after z moves onto z, and the rest of its run to the end
-        run = top - z - 2
-        v = (v & ((1 << z) - 1)) | (1 << z) | (full ^ (full >> run))
+        # the k - t later gaps hold at most a_1 each
+        low = -(-rest // k) if t == 1 else max(0, rest - (k - t) * gaps[1])
+        for a in range(min(top, rest), low - 1, -1):
+            gaps[t] = a
+            extend(t + 1, p if a == top else t, rest - a, bits | 1 << (pos + a), pos + a + 1)
+
+    extend(1, 1, n - k, 0, 0)
+    return out
+
+
+def _necklace_of(bits: int, n: int) -> tuple[int, int]:
+    """(r, q): the least string r among the rotations of bits, and q with
+    bits = rot_q(r).
+
+    r starts with a 0 and ends with a 1, or moving its last 0 to the front
+    would make it less; so r is one of the rotations that bring a 1 of bits
+    followed by a 0 to position n - 1.  Of two masks, the lesser string has
+    a 0 at the lowest differing position."""
+    mask = (1 << n) - 1
+    twice = bits << n | bits  # bit i + j is bit (i + j) mod n for j < n
+    best, low = mask, 0
+    rest = bits & ~(twice >> 1)  # the 1s followed by a 0
+    while rest:
+        one = rest & -rest
+        rest ^= one
+        c = twice >> one.bit_length() & mask  # that 1 moved to position n - 1
+        diff = c ^ best
+        if best & diff & -diff:
+            best, low = c, one
+    return best, low.bit_length() % n
 
 
 def cycle_factor(n: int, k: int) -> CycleFactor:
-    """The orbits of f, from one glider period per rotation class.
+    """The orbits of f, from one glider period per rotation class, visiting
+    only the fixed-density necklaces.
 
-    Strings are visited in lexicographic order, so the first vertex met on
-    each new orbit is its key and the orbits come out sorted.  f commutes
-    with rotation, so rot_i of an orbit is the orbit of rot_i of its vertex.
-    A new key v is rotated one step at a time.  If some r = rot_j(v) is
-    already in a cycle, v's orbit is that cycle read from r and rotated by
-    n - j; the other vertices need not have v's period.  Otherwise v comes
-    back, and f is walked from v up to its first rotation f^m(v) = rot_s(v);
-    those m vertices are the period.  With d the least rotational period of
-    v and s taken mod d, v's orbit is the period rotated by 0, s, 2s, ...
-    (mod d) until it is back at v: a string with a rotational symmetry
-    closes its orbit before n / gcd(s, n) copies.  The index doubles as the
-    set of vertices already met.
+    f commutes with rotation, so rot_i of an orbit is the orbit of rot_i of
+    its vertex.  The necklaces come in lexicographic order from a generator
+    on the gap lengths in the manner of Sawada's necklaces with fixed
+    content (TCS 2003).  A necklace v not marked yet starts a rotation
+    class: f is walked from v up to its first rotation f^m(v) = rot_s(v),
+    and those m vertices are its period.  No two of them are rotations of
+    each other, so each marks its own necklace, its least rotation.  Booth's
+    algorithm (1980) finds a least rotation in linear time; on a mask, only
+    the <= k rotations that bring a 1 to the end can be least.  A period
+    that meets a necklace already marked, or classes that do not cover
+    C(n, k) strings, raise.
+
+    With d the least rotational period of v, s taken mod d and
+    g = gcd(s, d), the class holds g orbits: orbit j is the period rotated
+    by j, j + s, j + 2s, ... (mod d).  Its key, its least string, is the
+    least rotation on the orbit of a period vertex's necklace.  A class's
+    necklaces are tried least first: the first one that lies on the orbit
+    ends the search, and one before it is searched over its rotations on
+    the orbit only while it is below the best key so far.  The orbits are
+    sorted by key and listed in f-order from it.
     """
     if k < 1 or n < 2 * k + 1:
         raise ParameterError(f"need k >= 1 and n >= 2k+1, got n={n} k={k}")
     mask = (1 << n) - 1
-    cycles: list[Cycle] = []
-    index: dict[int, int] = {}
-    for v in _iter_strings(n, k):
-        if v in index:
+    table: dict[int, int] = {}  # as CycleFactor.necklaces
+    period: list[int] = []  # the period vertices of all classes, in order
+    owner: list[int] = []  # each period vertex's class
+    starts: list[int] = []  # each class's first period vertex
+    shifts: list[tuple[int, int]] = []  # each class's d and s
+    ranked: list[list[int]] = []  # each class's table entries, least necklace first
+    for v in _necklaces(n, k):
+        h = table.get(v)
+        if h is not None:
+            ranked[owner[h // n]].append(h)
             continue
-        rots = {v: 0}  # rot_j(v) -> j, for 0 <= j < d
-        r = rotate_bits(v, n, 1)
-        while r != v and r not in index:
-            rots[r] = len(rots)
-            r = rotate_bits(r, n, 1)
-        if r != v:  # r = rot_j(v) with j = len(rots)
-            met = cycles[index[r]].vertices
-            p = met.index(r)
-            period, shifts = met[p:] + met[:p], [n - len(rots)]
-        else:
-            d = len(rots)
-            period = [v]
-            b = _f_bits(v, n)
-            while b not in rots:
-                period.append(b)
-                b = _f_bits(b, n)
-            s = rots[b]
-            shifts = [t * s % d for t in range(d // gcd(s, d))]
-        orbit = tuple([((b << i) | (b >> (n - i))) & mask for i in shifts for b in period])
-        index.update(zip(orbit, repeat(len(cycles))))
-        cycles.append(Cycle(n, k, orbit))
-    if len(index) != comb(n, k):
+        c = len(starts)
+        starts.append(len(period))
+        b, r, e = v, v, 0
+        while True:
+            table[r] = len(period) * n + e
+            period.append(b)
+            owner.append(c)
+            b = _f_bits(b, n)
+            r, e = _necklace_of(b, n)
+            if r == v:
+                break
+            if r in table:
+                raise InternalConsistencyError("a glider period meets a necklace already marked")
+        d = next(d for d in range(1, n + 1) if ((v << d) | (v >> (n - d))) & mask == v)
+        shifts.append((d, e % d))
+        ranked.append([table[v]])
+    starts.append(len(period))
+    if sum((starts[c + 1] - starts[c]) * d for c, (d, s) in enumerate(shifts)) != comb(n, k):
         raise InternalConsistencyError("factor cycles do not cover X(n, k)")
-    return CycleFactor(n, k, tuple(cycles), index)
+
+    keyed = []  # (the key's string read as a binary numeral, class, orbit, offset)
+    invs = []
+    for c, (d, s) in enumerate(shifts):
+        g = gcd(s, d)
+        invs.append(inv := pow(s // g, -1, d // g))
+        m = starts[c + 1] - starts[c]
+        for j in range(g):
+            best = mask  # above every string of weight k
+            for entry in ranked[c]:
+                h, e = divmod(entry, n)
+                r = ((period[h] >> e) | (period[h] << (n - e))) & mask
+                diff = r ^ best
+                if not best & diff & -diff:
+                    break  # r and its rotations are no less than best
+                # rot_u(r) = rot_{u-e}(p_h) is on orbit j when u = j + e (mod g)
+                first = (j + e) % g
+                for u in range(first, d if first else 1, g):  # r itself when first is 0
+                    rot = ((r << u) | (r >> (n - u))) & mask
+                    diff = rot ^ best
+                    if best & diff & -diff:
+                        best, w = rot, _step(u - e, g, d, inv) * m + h - starts[c]
+                if not first:
+                    break
+            keyed.append((int(to_string(best, n), 2), c, j, w))
+    keyed.sort(reverse=True)  # popped least first, so each is freed as its cycle is built
+    del ranked
+
+    cycles: list[Cycle] = []
+    placed = [([0] * gcd(s, d), [0] * gcd(s, d)) for d, s in shifts]  # orbit -> cycle, offset
+    while keyed:
+        _, c, j, w = keyed.pop()
+        (d, s), first = shifts[c], starts[c]
+        t0, i0 = divmod(w, starts[c + 1] - first)
+        # the period from its i0-th vertex on, then round into the next rotation step
+        head = period[first + i0:starts[c + 1]]
+        head += [((b << s) | (b >> (n - s))) & mask for b in period[first:first + i0]]
+        steps = [(j + (t0 + t) * s) % d for t in range(d // gcd(s, d))]
+        placed[c][0][j], placed[c][1][j] = len(cycles), w
+        # unrotated, the period vertices themselves go in, not copies
+        cycles.append(Cycle(n, k, tuple(
+            [((b << i) | (b >> (n - i))) & mask if i else b for i in steps for b in head]
+        )))
+    classes = [
+        _Orbits(starts[c], d, starts[c + 1] - starts[c], inv, tuple(cyc), tuple(off))
+        for c, ((d, s), inv, (cyc, off)) in enumerate(zip(shifts, invs, placed))
+    ]
+    return CycleFactor(n, k, tuple(cycles), table, tuple(classes[c] for c in owner))

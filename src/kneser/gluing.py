@@ -440,23 +440,27 @@ def build_gluing_plan(n: int, k: int, anchor: int = 0, full: bool = False) -> Gl
         """Cycle cj is a root or has a smaller potential than cycle ci."""
         return cj in roots or potential(cj) < potential(ci)
 
-    found: list[list[RewriteMatch]] = [[] for _ in cycles]
+    # the rewrites found on each cycle, each with its image's cycle; x's
+    # cycle is the one scanned
+    found: list[list[tuple[RewriteMatch, int]]] = [[] for _ in cycles]
     scanned = [0] * len(cycles)  # vertices of each cycle scanned so far
 
-    def scan(ci: int, to_parent: bool) -> RewriteMatch | None:
+    def scan(ci: int, to_parent: bool) -> bool:
         """Go on with cycle ci's scan, to the end or, with to_parent, up to
-        the first rewrite that leads downhill, which is returned."""
+        the first rewrite that leads downhill, which ends found[ci] and
+        makes the result True."""
         vs = cycles[ci].vertices  # in f-order, so f(x) is the next vertex
         vx = speeds_of(ci) if scanned[ci] < len(vs) else None
         for i in range(scanned[ci], len(vs)):
             rm = match_rewrite(CyclicBitstring(n, k, vs[i]), p, vs[(i + 1) % len(vs)], vx)
             if rm is not None:
-                found[ci].append(rm)
-                if to_parent and downhill(ci, index[rm.image.bits]):
+                cj = index[rm.image.bits]
+                found[ci].append((rm, cj))
+                if to_parent and downhill(ci, cj):
                     scanned[ci] = i + 1
-                    return rm
+                    return True
         scanned[ci] = len(vs)
-        return None
+        return False
 
     # union-find over cycles, with all roots as one node
     comp = list(range(len(cycles)))
@@ -471,8 +475,8 @@ def build_gluing_plan(n: int, k: int, anchor: int = 0, full: bool = False) -> Gl
             a = comp[a]
         return a
 
-    def join(rm: RewriteMatch) -> None:
-        a, b = find(index[rm.x.bits]), find(index[rm.image.bits])
+    def join(ci: int, rm: RewriteMatch, cj: int) -> None:
+        a, b = find(ci), find(cj)
         if a != b:
             comp[a] = b
             tree.append(rm)
@@ -480,26 +484,25 @@ def build_gluing_plan(n: int, k: int, anchor: int = 0, full: bool = False) -> Gl
     exceptions = []
     for ci in range(len(cycles)):
         if ci not in roots:
-            rm = scan(ci, to_parent=True)
-            if rm is None:
-                exceptions.append(ci)
+            if scan(ci, to_parent=True):
+                join(ci, *found[ci][-1])
             else:
-                join(rm)
+                exceptions.append(ci)
     for ci in exceptions:
-        for rm in found[ci]:
-            join(rm)
+        for rm, cj in found[ci]:
+            join(ci, rm, cj)
     for ci in range(len(cycles)):
         if len(tree) == spanning:
             break
         scan(ci, to_parent=False)
-        for rm in found[ci]:
-            join(rm)
+        for rm, cj in found[ci]:
+            join(ci, rm, cj)
     if len(tree) != spanning:
         raise InternalConsistencyError("the auxiliary cycle graph is disconnected")
     if full and k >= 2:  # with k = 1 the factor is one cycle, and the rules need k >= 2
         for ci in range(len(cycles)):
             scan(ci, to_parent=False)
-    rewrites = [rm for lst in found for rm in lst]
+    rewrites = [rm for lst in found for rm, _ in lst]
 
     touched: set[int] = set()
     for rm in rewrites:
@@ -548,7 +551,7 @@ def assemble_hamilton(plan: GluingPlan) -> tuple[int, ...]:
     sets, and the walk must first return to its start after C(n, k) steps:
     the spliced graph is 2-regular, so it is then one Hamilton cycle.  The
     tour is returned as the tuple of vertex bitmasks in cycle order."""
-    cycles, index = plan.factor.cycles, plan.factor.index
+    cycles = plan.factor.cycles
     if any(len(c) < 3 for c in cycles):
         raise InternalConsistencyError("factor cycle too short to splice")
     # endpoint -> [neighbour, neighbour, its cycle's vertices, its position]
@@ -556,8 +559,8 @@ def assemble_hamilton(plan: GluingPlan) -> tuple[int, ...]:
 
     def successor(u: int) -> int:
         """f(u), read off u's cycle; u and f(u) get their slots."""
-        vs = cycles[index[u]].vertices
-        i = vs.index(u)
+        ci, i = plan.factor.locate(u)
+        vs = cycles[ci].vertices
         for j in (i, (i + 1) % len(vs)):
             if vs[j] not in slots:
                 slots[vs[j]] = [vs[j - 1], vs[(j + 1) % len(vs)], vs, j]

@@ -27,16 +27,16 @@ The connector 4-cycle and the clean-glider test are read by tests alone.
 """
 
 import time
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from math import comb
+from typing import Iterator
 
 from kneser.bitstrings import (
     Cycle,
-    CycleFactor,
     CyclicBitstring,
     _f_bits,
-    _iter_strings,
     apply_f,
     descent_count,
     parenthesis_match,
@@ -411,12 +411,43 @@ def shift_glider(x, glider, partition=None):
     return CyclicBitstring(n, x.k, x.bits ^ (1 << i1) ^ (1 << i2))
 
 
-def cycle_factor_per_vertex(n: int, k: int) -> CycleFactor:
+def _iter_strings(n: int, k: int) -> Iterator[int]:
+    """All k-element masks of width n in lexicographic order of their strings."""
+    full = (1 << n) - 1
+    v = full ^ (full >> k)  # 0^(n-k) 1^k
+    while True:
+        yield v
+        top = v.bit_length()  # one past the last 1
+        z = (v ^ ((1 << top) - 1)).bit_length() - 1  # the last 0 before it
+        if z < 0:
+            return
+        # the 1 after z moves onto z, and the rest of its run to the end
+        run = top - z - 2
+        v = (v & ((1 << z) - 1)) | (1 << z) | (full ^ (full >> run))
+
+
+@dataclass(frozen=True)
+class PerVertexFactor:
+    """A factor with a dict entry per vertex: index maps x to its cycle's
+    position in cycles, place to its position in that cycle."""
+
+    n: int
+    k: int
+    cycles: tuple[Cycle, ...]
+    index: dict[int, int]
+    place: dict[int, int]
+
+    def locate(self, x: int) -> tuple[int, int]:
+        return self.index[x], self.place[x]
+
+
+def cycle_factor_per_vertex(n: int, k: int) -> PerVertexFactor:
     """Reference factor: one matching scan per vertex.  Strings are visited
     in lexicographic order, and each one not yet met starts a new orbit,
     which it keys; f is walked around the whole orbit."""
     cycles: list[Cycle] = []
     index: dict[int, int] = {}
+    place: dict[int, int] = {}
     for v in _iter_strings(n, k):
         if v in index:
             continue
@@ -426,8 +457,9 @@ def cycle_factor_per_vertex(n: int, k: int) -> CycleFactor:
             orbit.append(b)
             b = _f_bits(b, n)
         index.update(zip(orbit, repeat(len(cycles))))
+        place.update(zip(orbit, range(len(orbit))))
         cycles.append(Cycle(n, k, tuple(orbit)))
-    return CycleFactor(n, k, tuple(cycles), index)
+    return PerVertexFactor(n, k, tuple(cycles), index, place)
 
 
 def train_composition_cyclic(p: GliderPartition) -> dict[int, TrainComposition]:

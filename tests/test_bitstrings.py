@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 
 from conftest import vertices
 from oracles import (
+    _iter_strings,
     apply_f_inverse,
     cycle_factor_per_vertex,
     cyclic_equal,
@@ -35,7 +36,7 @@ from kneser.bitstrings import (
 )
 import kneser
 from kneser import bitstrings
-from kneser.errors import ParameterError
+from kneser.errors import InternalConsistencyError, ParameterError
 
 SMALL = [(5, 2), (7, 2), (7, 3), (8, 3), (9, 4), (9, 3), (11, 5)]
 
@@ -93,7 +94,7 @@ def test_iter_strings_is_lexicographic_and_complete():
     # the factor's keys rest on this order alone
     for n in range(1, 13):
         for k in range(1, n + 1):
-            strings = [to_string(b, n) for b in bitstrings._iter_strings(n, k)]
+            strings = [to_string(b, n) for b in _iter_strings(n, k)]
             assert all(a < b for a, b in zip(strings, strings[1:])), (n, k)
             assert len(strings) == comb(n, k), (n, k)
             assert all(s.count("1") == k for s in strings), (n, k)
@@ -365,6 +366,91 @@ def test_factor_scans_one_period_per_rotation_class(n, k, scans, monkeypatch):
     monkeypatch.setattr(bitstrings, "_f_bits", counted)
     cycle_factor(n, k)
     assert calls == scans
+
+
+def test_necklaces_are_the_least_rotations_in_order():
+    """The generator gives the least string among the rotations of every
+    mask, once each and in lexicographic order; K(12,4) and K(16,4) include
+    strings with a rotational symmetry, such as (100)^4 and (0001)^4."""
+    for n in range(3, 17):
+        for k in range(1, (n - 1) // 2 + 1):
+            want = sorted({min(to_string(rotate_bits(b, n, i), n) for i in range(n))
+                           for b in iter_bits(n, k)})
+            assert [to_string(b, n) for b in bitstrings._necklaces(n, k)] == want, (n, k)
+    assert 0b100100100100 in bitstrings._necklaces(12, 4)  # 001001001001
+    assert 0b1000100010001000 in bitstrings._necklaces(16, 4)  # 0001000100010001
+
+
+@pytest.mark.parametrize("n,k,count", [
+    (15, 6, 335), (17, 7, 1144), (19, 8, 3978), (24, 4, 446), (28, 5, 3510),
+])
+def test_necklace_counts_match_period_scans(n, k, count):
+    """One necklace per period vertex: the counts of the scan-count test."""
+    assert len(bitstrings._necklaces(n, k)) == count
+
+
+def test_locate_matches_per_vertex_reference():
+    for n in range(3, 19):
+        for k in range(1, (n - 1) // 2 + 1):
+            got, want = cycle_factor(n, k), cycle_factor_per_vertex(n, k)
+            for x in want.index:
+                assert got.locate(x) == want.locate(x), (n, k, x)
+                assert got.index[x] == want.index[x], (n, k, x)
+
+
+@pytest.mark.parametrize("x", [
+    0b1111, 0b11, 0, (1 << 12) - 1,  # wrong weight
+    1 << 12 | 0b11, 1 << 40 | 0b11, -0b111,  # out of range
+    "000000000111",
+])
+def test_locate_rejects_a_non_vertex(x, factors):
+    f = factors(12, 3)
+    with pytest.raises(KeyError):
+        f.locate(x)
+    with pytest.raises(KeyError):
+        f.index[x]
+    assert x not in f.index
+
+
+def _every_string_onto_the_first_necklace(bits, n):
+    """f sending every string of K(12,4) to 0^8 1^4: the second period meets
+    the first one's necklace."""
+    return 0b1111 << 8
+
+
+def _first_necklace_through_a_symmetric_one(bits, n):
+    """f with 0^8 1^4 and (100)^4 sent onto each other, each a class of one
+    necklace under the true f: their joint class, read with the least
+    rotational period 12 of 0^8 1^4, counts 24 strings for 15."""
+    first, symmetric = 0b1111 << 8, 0b001001001001
+    if bits == first:
+        return symmetric
+    if bits == symmetric:
+        return first
+    return _scan_match(bits, n)[1]
+
+
+@pytest.mark.parametrize("fake,message", [
+    (_every_string_onto_the_first_necklace, "meets a necklace already marked"),
+    (_first_necklace_through_a_symmetric_one, "do not cover"),
+])
+def test_factor_rejects_a_faulty_period(fake, message, monkeypatch):
+    monkeypatch.setattr(bitstrings, "_f_bits", fake)
+    with pytest.raises(InternalConsistencyError, match=message):
+        cycle_factor(12, 4)
+
+
+def test_factor_faults_are_caught_in_optimized_mode():
+    """The factor's checks are no asserts: python -O still runs them."""
+    here = Path(__file__).resolve().parent
+    src = str(Path(kneser.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{here / 'test_bitstrings.py'}::test_factor_rejects_a_faulty_period"],
+        capture_output=True, text=True, cwd=here.parent,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0 and "2 passed" in proc.stdout, proc.stdout + proc.stderr
 
 
 def test_factor_requires_sparse_side():

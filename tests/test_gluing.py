@@ -428,9 +428,12 @@ def _traced_peak(fn, *args) -> int:
 
 
 def test_factor_memory_per_vertex():
-    """The factor's index is its own seen set: K(17,7) peaks at about 72 B
-    per vertex, against 114 with a separate seen set."""
-    assert _traced_peak(cycle_factor, 17, 7) <= 90 * comb(17, 7)
+    """The factor keeps nothing per vertex but its cycle tuples, about 40 B
+    of int and pointer each, and a table entry per necklace: K(17,7) peaks
+    at about 53 B per vertex and K(28,5) at about 51, against 72 and 115
+    with a dict entry per vertex."""
+    for n, k in [(17, 7), (28, 5)]:
+        assert _traced_peak(cycle_factor, n, k) <= 56 * comb(n, k), (n, k)
 
 
 def test_walk_memory_per_vertex():
