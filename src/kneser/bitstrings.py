@@ -21,7 +21,6 @@ walk never dips below zero and ends at zero.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from math import comb, gcd
 from typing import Iterator, NamedTuple
@@ -246,8 +245,6 @@ class Cycle:
     """One orbit of f, listed in f-order starting from the canonical key
     (the lexicographically least string form in the orbit)."""
 
-    n: int
-    k: int
     vertices: tuple[int, ...]
 
     @property
@@ -293,14 +290,6 @@ class CycleFactor:
     necklaces: dict[int, int] = field(repr=False)
     classes: tuple[_Orbits, ...] = field(repr=False)
 
-    def total_vertices(self) -> int:
-        return sum(len(c) for c in self.cycles)
-
-    @property
-    def index(self) -> Mapping[int, int]:
-        """x -> the position of x's cycle in cycles, iterated in cycle order."""
-        return _CycleIndex(self)
-
     def locate(self, x: int) -> tuple[int, int]:
         """(position of x's cycle in cycles, position of x in that cycle).
 
@@ -308,7 +297,7 @@ class CycleFactor:
         x = rot_u(h) with u = q - e (mod d).  That puts x on orbit u mod g,
         at the step t with j + ts = u (mod d)."""
         n = self.n
-        if not (isinstance(x, int) and 0 <= x < 1 << n and x.bit_count() == self.k):
+        if not (type(x) is int and 0 <= x < 1 << n and x.bit_count() == self.k):
             raise KeyError(x)
         r, q = _necklace_of(x, n)
         h, e = divmod(self.necklaces[r], n)
@@ -323,26 +312,6 @@ def _step(u: int, g: int, d: int, inv: int) -> int:
     """The t < d/g with j + ts = u (mod d), j = u mod g, where g = gcd(s, d)
     and inv is the inverse of s/g mod d/g."""
     return u % d // g * inv % (d // g)
-
-
-class _CycleIndex(Mapping):
-    """A factor's vertices in cycle order, each mapped to its cycle's
-    position; lookups go through the necklace table."""
-
-    __slots__ = ("_factor",)
-
-    def __init__(self, factor: CycleFactor) -> None:
-        self._factor = factor
-
-    def __getitem__(self, x: int) -> int:
-        return self._factor.locate(x)[0]
-
-    def __iter__(self) -> Iterator[int]:
-        for c in self._factor.cycles:
-            yield from c.vertices
-
-    def __len__(self) -> int:
-        return comb(self._factor.n, self._factor.k)
 
 
 def _necklaces(n: int, k: int) -> list[int]:
@@ -496,7 +465,7 @@ def cycle_factor(n: int, k: int) -> CycleFactor:
         steps = [(j + (t0 + t) * s) % d for t in range(d // gcd(s, d))]
         placed[c][0][j], placed[c][1][j] = len(cycles), w
         # unrotated, the period vertices themselves go in, not copies
-        cycles.append(Cycle(n, k, tuple(
+        cycles.append(Cycle(tuple(
             [((b << i) | (b >> (n - i))) & mask if i else b for i in steps for b in head]
         )))
     classes = [

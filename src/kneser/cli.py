@@ -19,7 +19,7 @@ from collections import Counter
 from collections.abc import Iterable
 from contextlib import nullcontext
 from itertools import repeat
-from math import gcd
+from math import comb, gcd
 
 from .bitstrings import CyclicBitstring, cycle_factor, from_string, to_string
 from .dynamics import motion_trace, render_trace, trace_svg
@@ -248,7 +248,7 @@ def _cmd_factor(args) -> int:
     if args.format == "json":
         head = {
             "n": f.n, "k": f.k, "cycle_count": len(f.cycles),
-            "vertex_count": f.total_vertices(),
+            "vertex_count": comb(n, k),
             "length_histogram": {str(length): hist[length] for length in sorted(hist)},
         }
 
@@ -264,7 +264,7 @@ def _cmd_factor(args) -> int:
 
         _write_json(sys.stdout, head, "cycles", cycles())
         return 0
-    print(f"n={f.n} k={f.k} cycles={len(f.cycles)} vertices={f.total_vertices()}")
+    print(f"n={f.n} k={f.k} cycles={len(f.cycles)} vertices={comb(n, k)}")
     print("lengths: " + ", ".join(
         f"{hist[length]} cycles x length {length}" for length in sorted(hist)))
     for i, c in enumerate(f.cycles):
@@ -296,7 +296,7 @@ def _cmd_plan(args) -> int:
     plan = build_gluing_plan(args.n, args.k, args.anchor, full=True)
     n, k = plan.n, plan.k
     print(f"K({n},{k}): anchor p={plan.anchor}, factor cycles={len(plan.factor.cycles)}, "
-          f"vertices={plan.factor.total_vertices()}")
+          f"vertices={comb(n, k)}")
     print(f"single-glider cycles merged: {gcd(n, k)}")
     print(f"rotation base r={plan.rotation_base}, rotation pairs: {len(plan.rotation_pairs)}")
     for a, b in plan.rotation_pairs:

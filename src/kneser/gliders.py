@@ -82,10 +82,6 @@ class Glider:
     def free(self) -> bool:
         return not self.trapped_by
 
-    def key(self, n: int) -> tuple[frozenset[int], frozenset[int]]:
-        """Window-independent identity, used to match gliders across strings."""
-        return (frozenset(a % n for a in self.A), frozenset(b % n for b in self.B))
-
 
 @dataclass(frozen=True)
 class GliderPartition:

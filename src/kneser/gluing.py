@@ -415,13 +415,13 @@ def build_gluing_plan(n: int, k: int, anchor: int = 0, full: bool = False) -> Gl
     if k >= 2 and n < 2 * k + 3:
         raise ParameterError("gluing needs n >= 2k+3 when k >= 2")
     factor = cycle_factor(n, k)
-    cycles, index = factor.cycles, factor.index
+    cycles, locate = factor.cycles, factor.locate
     ell = n - 2 * k
     p = anchor % n
 
     g = gcd(n, k)
     svert = [single_glider_vertex(n, k, i) for i in range(n)]
-    roots = {index[s.bits] for s in svert}
+    roots = {locate(s.bits)[0] for s in svert}
     if len(roots) != g:
         raise InternalConsistencyError("single-glider cycle count differs from gcd(n, k)")
 
@@ -454,7 +454,7 @@ def build_gluing_plan(n: int, k: int, anchor: int = 0, full: bool = False) -> Gl
         for i in range(scanned[ci], len(vs)):
             rm = match_rewrite(CyclicBitstring(n, k, vs[i]), p, vs[(i + 1) % len(vs)], vx)
             if rm is not None:
-                cj = index[rm.image.bits]
+                cj = locate(rm.image.bits)[0]
                 found[ci].append((rm, cj))
                 if to_parent and downhill(ci, cj):
                     scanned[ci] = i + 1

@@ -23,7 +23,8 @@ the circle at its breaks where the package makes one pass in window order,
 and the tour check makes three passes over a list (count and repeats,
 vertices, edges) where the package reads any iterable once, a chunk at a
 time.
-The connector 4-cycle and the clean-glider test are read by tests alone.
+The connector 4-cycle, the clean-glider test and the glider key are read by
+tests alone.
 """
 
 import time
@@ -384,6 +385,11 @@ def apply_f_inverse(x):
     return CyclicBitstring(n, x.k, reverse_bits(_f_bits(reverse_bits(x.bits, n), n), n))
 
 
+def glider_key(glider, n: int) -> tuple[frozenset[int], frozenset[int]]:
+    """Window-independent identity, used to match gliders across strings."""
+    return frozenset(a % n for a in glider.A), frozenset(b % n for b in glider.B)
+
+
 def shift_glider(x, glider, partition=None):
     """Transpose the two bits just right of the peak and of the last step of
     the glider's preimage copy, nudging the glider one position forward
@@ -394,10 +400,10 @@ def shift_glider(x, glider, partition=None):
     n = x.n
     y = apply_f_inverse(x)
     adv = advance(y)
-    target = glider.key(n)
+    target = glider_key(glider, n)
     back = None
     for gid, nid in adv.bijection.items():
-        if adv.next_partition.gliders[nid].key(n) == target:
+        if glider_key(adv.next_partition.gliders[nid], n) == target:
             back = adv.partition.gliders[gid]
             break
     if back is None:
@@ -458,7 +464,7 @@ def cycle_factor_per_vertex(n: int, k: int) -> PerVertexFactor:
             b = _f_bits(b, n)
         index.update(zip(orbit, repeat(len(cycles))))
         place.update(zip(orbit, range(len(orbit))))
-        cycles.append(Cycle(n, k, tuple(orbit)))
+        cycles.append(Cycle(tuple(orbit)))
     return PerVertexFactor(n, k, tuple(cycles), index, place)
 
 
@@ -591,7 +597,7 @@ def assemble_hamilton_table(plan) -> tuple[int, ...]:
     for a, b in plan.rotation_pairs:
         splice(a.bits, b.bits, cross=False)
 
-    total = plan.factor.total_vertices()
+    total = sum(map(len, plan.factor.cycles))
     start = plan.factor.cycles[0].key
     out = [start]
     prev, cur = -1, start

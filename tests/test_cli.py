@@ -149,6 +149,21 @@ def test_gen_verify_roundtrip(tmp_path, capsys, k, fmt):
     assert out.startswith("ok: Hamilton cycle")
 
 
+@pytest.mark.parametrize("fmt", ["bits", "sets"])
+@pytest.mark.parametrize("family", ["johnson", "gen-kneser"])
+def test_gen_verify_roundtrip_with_s(tmp_path, capsys, family, fmt):
+    """s goes into the text header of a Johnson or generalized Kneser tour
+    and is read back from it."""
+    tour = tmp_path / "tour.txt"
+    code, _, err = run(capsys, "gen", f"--{family}", "9", "3", "1", "--format", fmt,
+                       "-o", str(tour))
+    assert code == 0, err
+    assert tour.read_text().splitlines()[0] == f"9 3 {family} 1"
+    code, out, err = run(capsys, "verify", str(tour))
+    assert code == 0, err
+    assert out == f"ok: Hamilton cycle of {family} n=9 k=3 s=1, {comb(9, 3)} vertices\n"
+
+
 def test_verify_from_stdin(capsys, monkeypatch):
     code, out, _ = run(capsys, "gen", "--kneser", "7", "2")
     monkeypatch.setattr("sys.stdin", io.StringIO(out))

@@ -1,8 +1,12 @@
 import dataclasses
 import hashlib
+import os
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from math import comb, gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,8 +14,10 @@ from hypothesis import given, settings
 from conftest import vertices
 from oracles import assemble_hamilton_table, box, connector_four_cycle, tau_slow
 
+import kneser
 from kneser import bitstrings, gluing
 from kneser.bitstrings import (
+    Cycle,
     CyclicBitstring,
     apply_f,
     cycle_factor,
@@ -108,7 +114,7 @@ def test_single_glider_orbit(n, k):
 @pytest.mark.parametrize("n,k", [(7, 2), (9, 3), (10, 4), (12, 4)])
 def test_single_glider_cycles_count(n, k, factors):
     f = factors(n, k)
-    keys = {f.cycles[f.index[single_glider_vertex(n, k, i).bits]].key for i in range(n)}
+    keys = {f.cycles[f.locate(single_glider_vertex(n, k, i).bits)[0]].key for i in range(n)}
     assert len(keys) == gcd(n, k)
 
 
@@ -232,8 +238,8 @@ def test_plan_scans_each_vertex_at_most_twice(monkeypatch):
 
     monkeypatch.setattr(bitstrings, "_scan_match", counting)
     monkeypatch.setattr(gluing, "_scan_match", counting, raising=False)
-    plan = build_gluing_plan(17, 7)
-    assert calls[0] <= 2.0 * plan.factor.total_vertices(), calls[0]
+    build_gluing_plan(17, 7)
+    assert calls[0] <= 2.0 * comb(17, 7), calls[0]
 
 
 def test_plan_computes_speeds_once_per_cycle(monkeypatch):
@@ -248,7 +254,7 @@ def test_plan_computes_speeds_once_per_cycle(monkeypatch):
 
     monkeypatch.setattr(gluing, "speed_multiset_direct", counting)
     plan = build_gluing_plan(17, 7)
-    per_cycle = Counter(plan.factor.index[b] for b in seen)
+    per_cycle = Counter(plan.factor.locate(b)[0] for b in seen)
     assert max(per_cycle.values()) == 1, len(seen)
 
 
@@ -263,8 +269,8 @@ def test_plan_stops_each_scan_at_its_parent(monkeypatch):
         return rewrite(*args)
 
     monkeypatch.setattr(gluing, "match_rewrite", counting)
-    plan = build_gluing_plan(17, 7)
-    assert calls[0] <= 0.2 * plan.factor.total_vertices(), calls[0]
+    build_gluing_plan(17, 7)
+    assert calls[0] <= 0.2 * comb(17, 7), calls[0]
 
 
 # -- the gluing plan ---------------------------------------------------------------
@@ -416,6 +422,91 @@ def test_corrupted_plans_raise():
     bad = dataclasses.replace(rm, image=apply_f(rm.x))
     with pytest.raises(InternalConsistencyError, match="meeting sets"):
         assemble_hamilton(dataclasses.replace(plan, tree=(bad,) + plan.tree[1:]))
+
+
+# -- always-on checks of the plan and the walk, each reached by one fault -------
+
+
+def _misfile_a_root_cycle(monkeypatch):
+    """locate files every vertex of s_0's cycle under s_1's, so the
+    single-glider vertices meet one cycle fewer than gcd(n, k)."""
+    locate = bitstrings.CycleFactor.locate
+
+    def misfiled(self, x):
+        ci, i = locate(self, x)
+        first, second = (locate(self, single_glider_vertex(12, 4, j).bits)[0] for j in (0, 1))
+        return (second if ci == first else ci), i
+
+    monkeypatch.setattr(bitstrings.CycleFactor, "locate", misfiled)
+
+
+def _change_hits(monkeypatch, change):
+    """match_rewrite with change(hit, the hits before it) applied to each hit."""
+    rewrite, hits = gluing.match_rewrite, []
+
+    def changed(*args):
+        rm = rewrite(*args)
+        if rm is not None:
+            rm = change(rm, hits)
+            hits.append(rm)
+        return rm
+
+    monkeypatch.setattr(gluing, "match_rewrite", changed)
+
+
+def _repeat_an_image(monkeypatch):
+    """The second hit takes the first hit's image."""
+    _change_hits(monkeypatch, lambda rm, hits: (
+        dataclasses.replace(rm, image=hits[0].image) if len(hits) == 1 else rm))
+
+
+def _image_off_the_connectors(monkeypatch):
+    """The first hit's image moves on to f(image): a vertex of the same
+    cycle, but disjoint from the image, so no connector of x."""
+    _change_hits(monkeypatch, lambda rm, hits: (
+        rm if hits else dataclasses.replace(rm, image=apply_f(rm.image))))
+
+
+def _fold_single_glider_vertices(monkeypatch):
+    """s_i is s_{i mod g}: still one on each root cycle, but each rotation
+    trial needs 2(g - 1) distinct ends among g strings."""
+    sgv = gluing.single_glider_vertex
+    monkeypatch.setattr(gluing, "single_glider_vertex",
+                        lambda n, k, i: sgv(n, k, i % gcd(n, k)))
+
+
+@pytest.mark.parametrize("fault,message", [
+    (_misfile_a_root_cycle, "single-glider cycle count differs"),
+    (_repeat_an_image, "rewrite endpoints collide"),
+    (_image_off_the_connectors, "fails the connector test"),
+    (_fold_single_glider_vertices, "no rotation offset avoids"),
+], ids=["locate", "collide", "connector", "rotation"])
+def test_plan_rejects_a_faulty_kernel(fault, message, monkeypatch):
+    fault(monkeypatch)
+    with pytest.raises(InternalConsistencyError, match=message):
+        build_gluing_plan(12, 4)
+
+
+def test_walk_rejects_a_factor_cycle_too_short_to_splice():
+    plan = build_gluing_plan(12, 4)
+    cycles = plan.factor.cycles
+    short = dataclasses.replace(plan.factor, cycles=(Cycle(cycles[0].vertices[:2]),) + cycles[1:])
+    with pytest.raises(InternalConsistencyError, match="too short to splice"):
+        assemble_hamilton(dataclasses.replace(plan, factor=short))
+
+
+def test_plan_and_walk_faults_are_caught_in_optimized_mode():
+    """The plan's and the walk's checks are no asserts: python -O still runs them."""
+    here = Path(__file__).resolve().parent
+    src = str(Path(kneser.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{here / 'test_gluing.py'}::test_plan_rejects_a_faulty_kernel",
+         f"{here / 'test_gluing.py'}::test_walk_rejects_a_factor_cycle_too_short_to_splice"],
+        capture_output=True, text=True, cwd=here.parent,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0 and "5 passed" in proc.stdout, proc.stdout + proc.stderr
 
 
 def _traced_peak(fn, *args) -> int:
