@@ -91,14 +91,6 @@ class CaptureAnalysis:
     captured: dict[int, tuple[CapturedCopy, ...]]  # mover gid -> overrun copies
 
 
-def _mask(coords: tuple[int, ...], n: int) -> int:
-    """The positions of coords mod n as a bitmask: Glider.key as an int."""
-    m = 0
-    for c in coords:
-        m |= 1 << c % n
-    return m
-
-
 def capture_analysis(p: GliderPartition) -> CaptureAnalysis:
     x = p.x
     n, k = x.n, x.k
@@ -116,7 +108,7 @@ def capture_analysis(p: GliderPartition) -> CaptureAnalysis:
             raise InternalConsistencyError("landing staircase is not one step per level")
         # unmatched 0s first, then 1s, never a matched 0
         ones = [x.bits >> c % n & 1 for c in stair]
-        if ones != sorted(ones) or m0 & _mask(stair, n):
+        if ones != sorted(ones) or any(m0 >> c % n & 1 for c in stair):
             raise InternalConsistencyError(f"landing steps {stair} are out of order")
         s_plus[g.id] = sp
         landing[g.id] = tuple(stair)
@@ -175,10 +167,11 @@ class AdvanceResult:
 def advance(x: CyclicBitstring, partition: GliderPartition | None = None) -> AdvanceResult:
     """One application of f with the glider bijection across it.
 
-    Movers are rekeyed (A,B) -> (B, landing staircase); everything else
-    keeps its steps.  f(x) is read off the partition of x, and f(f(x)) off
-    the partition of f(x), which is built fresh.  The result is checked
-    against that partition, and so is the full step-type image."""
+    A mover's steps become (B, landing staircase); everything else keeps
+    its steps.  f(x) is read off the partition of x, and f(f(x)) off the
+    partition of f(x), which is built fresh.  Each glider continues as the
+    glider of f(x) at its first new step, whose steps must be its new steps
+    mod n; the full step-type image is checked against that partition too."""
     n, k = x.n, x.k
     p = partition if partition is not None else glider_partition(x)
     ana = capture_analysis(p)
@@ -186,21 +179,15 @@ def advance(x: CyclicBitstring, partition: GliderPartition | None = None) -> Adv
     q = glider_partition(fx)
     if len(q.gliders) != len(p.gliders):
         raise InternalConsistencyError("glider count changed across f")
-    keymap = {(_mask(g.A, n), _mask(g.B, n)): g.id for g in q.gliders}
-    if len(keymap) != len(q.gliders):
-        raise InternalConsistencyError("two gliders of f(x) share a class key")
     bij: dict[int, int] = {}
     for g in p.gliders:
-        if g.id in ana.movers:
-            newkey = (_mask(g.B, n), _mask(ana.landing[g.id], n))
-        else:
-            newkey = (_mask(g.A, n), _mask(g.B, n))
-        nid = keymap.get(newkey)
-        if nid is None:
+        steps = g.B + ana.landing[g.id] if g.id in ana.movers else g.A + g.B
+        h = q.glider_at(steps[0])
+        if h is None or [c % n for c in h.A + h.B] != [c % n for c in steps]:
             raise InternalConsistencyError(
                 f"glider g{g.id} of {x} has no continuation in {fx}"
             )
-        bij[g.id] = nid
+        bij[g.id] = h.id
     if len(set(bij.values())) != len(bij):
         raise InternalConsistencyError("glider continuation is not a bijection")
 

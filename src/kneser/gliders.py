@@ -85,6 +85,9 @@ class Glider:
 
 @dataclass(frozen=True)
 class GliderPartition:
+    """The gliders of x in window order, each before the ones it skips, so
+    they ascend by s0 and their ids count in that order."""
+
     x: CyclicBitstring
     anchor: int
     fx: int  # f(x), the matched-zero mask of the partition's own matching
@@ -94,9 +97,6 @@ class GliderPartition:
     def glider_at(self, pos: int) -> Glider | None:
         gid = self.pos_class[pos % self.x.n]
         return None if gid < 0 else self.gliders[gid]
-
-    def by_position(self) -> tuple[Glider, ...]:
-        return tuple(sorted(self.gliders, key=lambda g: g.s0))
 
     def speeds(self) -> tuple[int, ...]:
         return tuple(sorted(g.speed for g in self.gliders))
@@ -243,7 +243,7 @@ def train_composition(p: GliderPartition) -> dict[int, TrainComposition]:
             speed_at[j - off] = len(g.A)
     trains: dict[int, list[list[int]]] = {}
     last: dict[int, Glider] = {}  # speed -> the last glider of that speed so far
-    for g in p.by_position():
+    for g in p.gliders:
         v = len(g.A)
         prev = last.get(v)
         last[v] = g

@@ -124,8 +124,8 @@ def single_glider_vertex(n: int, k: int, i: int) -> CyclicBitstring:
 # can complete a match starts at or before index 2n and is shorter than n.
 # Inside 1^a 0^a the first 1 pairs with the last 0.  The rules that read such
 # a block all require an unmatched 0 right after it, and no pair encloses an
-# unmatched 0, so that pair is visible.  A rule also gets k and speeds(),
-# which returns V(x).
+# unmatched 0, so that pair is visible.  A rule also gets k and V(x), the
+# speeds of x's gliders in non-decreasing order.
 
 
 class _Hit(NamedTuple):
@@ -173,7 +173,7 @@ def _closes_circle(w: str, i: int) -> bool:
     return i + _run(w, i, "-") == w.rfind("-", 0, n) + 1 + n
 
 
-def _match_rule1(w: str, k: int, speeds) -> _Hit | None:
+def _match_rule1(w: str, k: int, sp: tuple[int, ...]) -> _Hit | None:
     n = len(w) // 3
     ell = n - 2 * k
     if k < 2 or not w.startswith("-10" + "-" * (ell - 1), n):
@@ -181,31 +181,30 @@ def _match_rule1(w: str, k: int, speeds) -> _Hit | None:
     return _Hit(1, n + 1, n + ell + 1)
 
 
-def _match_rule2(w: str, k: int, speeds) -> _Hit | None:
+def _match_rule2(w: str, k: int, sp: tuple[int, ...]) -> _Hit | None:
     tail = _glider_tail(w)
     if tail is None:
         return None
     q, a = tail
     if a % 2 or not w.startswith("---", q + 2 * a):
         return None
-    sp = speeds()
     if len(sp) < 2 or sp[0] != a:
         return None
     return _Hit(2, q, q + 2 * a, q + 2 * a + 1)
 
 
-def _match_rule3(w: str, k: int, speeds) -> _Hit | None:
+def _match_rule3(w: str, k: int, sp: tuple[int, ...]) -> _Hit | None:
     tail = _glider_tail(w)
     if tail is None:
         return None
     q, a = tail
     gap = _run(w, q + 2 * a, "-")
-    if a % 2 or not 1 <= gap <= 2 or speeds()[0] != a:
+    if a % 2 or not 1 <= gap <= 2 or sp[0] != a:
         return None
     return _Hit(3, q, q + 2 * a + gap - 1)
 
 
-def _match_rule4(w: str, k: int, speeds) -> _Hit | None:
+def _match_rule4(w: str, k: int, sp: tuple[int, ...]) -> _Hit | None:
     head = _glider_head(w)
     if head is None:
         return None
@@ -213,13 +212,12 @@ def _match_rule4(w: str, k: int, speeds) -> _Hit | None:
     ell = len(w) // 3 - 2 * k
     if a % 2 == 0 or not w.startswith("-" * (ell if a == 1 else 3), q + 2 * a):
         return None
-    sp = speeds()
     if len(sp) < 2 or sp[0] != a:
         return None
     return _Hit(4, q, q + 2 * a, q + 2 * a + 1)
 
 
-def _match_rule5(w: str, k: int, speeds) -> _Hit | None:
+def _match_rule5(w: str, k: int, sp: tuple[int, ...]) -> _Hit | None:
     head = _glider_head(w)
     if head is None:
         return None
@@ -230,7 +228,6 @@ def _match_rule5(w: str, k: int, speeds) -> _Hit | None:
     ws = q + 2 * a + gap
     if ws + _run(w, ws, "10") > q + len(w) // 3:
         return None  # the next block wraps around into the glider's own
-    sp = speeds()
     if sp[0] != a:
         return None
     if a == 1 and len(sp) >= 3 and sp[1] < sp[2]:
@@ -243,11 +240,10 @@ def _match_rule5(w: str, k: int, speeds) -> _Hit | None:
     return _Hit(5, q, ws - 1)
 
 
-def _match_rule6(w: str, k: int, speeds) -> _Hit | None:
+def _match_rule6(w: str, k: int, sp: tuple[int, ...]) -> _Hit | None:
     n = len(w) // 3
     if not w.startswith("10-", n) or w[n + 3] == "-":
         return None
-    sp = speeds()
     if len(sp) < 3 or sp[1] >= sp[2]:
         return None
     b = sp[1]
@@ -256,11 +252,10 @@ def _match_rule6(w: str, k: int, speeds) -> _Hit | None:
     return _Hit(6, n - 2 * b, n + 2)
 
 
-def _match_rule7(w: str, k: int, speeds) -> _Hit | None:
+def _match_rule7(w: str, k: int, sp: tuple[int, ...]) -> _Hit | None:
     n = len(w) // 3
     if not w.startswith("10-", n):
         return None
-    sp = speeds()
     if len(sp) < 3 or sp[1] >= sp[2] or sp[1] < 2:
         return None
     b = sp[1]
@@ -273,12 +268,11 @@ def _match_rule7(w: str, k: int, speeds) -> _Hit | None:
     return _Hit(7, n, j - 1)
 
 
-def _match_rule8(w: str, k: int, speeds) -> _Hit | None:
+def _match_rule8(w: str, k: int, sp: tuple[int, ...]) -> _Hit | None:
     n = len(w) // 3
     if not w.startswith("10-", n) or w[n - 1] == "-":
         return None
     gap = _run(w, n + 2, "-")
-    sp = speeds()
     if len(sp) < 3 or sp[1] >= sp[2]:
         return None
     b = sp[1]
@@ -290,7 +284,7 @@ def _match_rule8(w: str, k: int, speeds) -> _Hit | None:
     return _Hit(8, i, w.rfind("-", 0, n))
 
 
-def _match_rule9(w: str, k: int, speeds) -> _Hit | None:
+def _match_rule9(w: str, k: int, sp: tuple[int, ...]) -> _Hit | None:
     n = len(w) // 3
     if not w.startswith("10-", n) or w[n - 1] == "-":
         return None
@@ -298,7 +292,6 @@ def _match_rule9(w: str, k: int, speeds) -> _Hit | None:
     i = n + 2 + gap
     if gap < 3 or not w.startswith("10", i) or not _closes_circle(w, i + 2):
         return None
-    sp = speeds()
     if len(sp) < 3 or sp[2] <= 1:
         return None
     return _Hit(9, n, n + gap - 1)
@@ -346,14 +339,8 @@ def match_rewrite(
         raise ParameterError("the rewrite rules need n >= 2k+3")
     p %= x.n
     w = _window(x, p, fx)
-    memo: list[tuple[int, ...]] = [] if vx is None else [vx]
-
-    def speeds() -> tuple[int, ...]:  # V(x), computed at most once
-        if not memo:
-            memo.append(speed_multiset_direct(x))
-        return memo[0]
-
-    hits = [h for rule in _RULES[w[x.n]] if (h := rule(w, x.k, speeds)) is not None]
+    sp = speed_multiset_direct(x) if vx is None else vx
+    hits = [h for rule in _RULES[w[x.n]] if (h := rule(w, x.k, sp)) is not None]
     if not hits:
         return None
     if len(hits) > 1:
@@ -374,7 +361,7 @@ def match_rewrite(
             raise InternalConsistencyError("two-way rule probe is not trackable") from exc
         wz = _window(z, p)
         # z lies on the image's orbit, and V is constant along an orbit
-        if wz[x.n] == "1" and _match_rule4(wz, z.k, part.speeds):
+        if wz[x.n] == "1" and _match_rule4(wz, z.k, part.speeds()):
             image = _move_one(x, p + hit.src, p + hit.alt)
             branched = True
     return RewriteMatch(hit.family, x, image, branched)
@@ -421,19 +408,18 @@ def build_gluing_plan(n: int, k: int, anchor: int = 0, full: bool = False) -> Gl
 
     g = gcd(n, k)
     svert = [single_glider_vertex(n, k, i) for i in range(n)]
+    # a rotation trial's 2(g - 1) ends are svert at distinct offsets below 2k < n
+    if len({s.bits for s in svert}) != n:
+        raise InternalConsistencyError("single-glider vertices repeat")
     roots = {locate(s.bits)[0] for s in svert}
     if len(roots) != g:
         raise InternalConsistencyError("single-glider cycle count differs from gcd(n, k)")
 
-    speeds: dict[int, tuple[int, ...]] = {}  # V of each cycle, constant along it
-
-    def speeds_of(ci: int) -> tuple[int, ...]:
-        if ci not in speeds:
-            speeds[ci] = speed_multiset_direct(CyclicBitstring(n, k, cycles[ci].key))
-        return speeds[ci]
+    # V of each cycle, constant along it
+    speeds = [speed_multiset_direct(CyclicBitstring(n, k, c.key)) for c in cycles]
 
     def potential(ci: int) -> tuple:
-        v = speeds_of(ci)
+        v = speeds[ci]
         return len(v), v[::-1], cycles[ci].key
 
     def downhill(ci: int, cj: int) -> bool:
@@ -450,9 +436,8 @@ def build_gluing_plan(n: int, k: int, anchor: int = 0, full: bool = False) -> Gl
         the first rewrite that leads downhill, which ends found[ci] and
         makes the result True."""
         vs = cycles[ci].vertices  # in f-order, so f(x) is the next vertex
-        vx = speeds_of(ci) if scanned[ci] < len(vs) else None
         for i in range(scanned[ci], len(vs)):
-            rm = match_rewrite(CyclicBitstring(n, k, vs[i]), p, vs[(i + 1) % len(vs)], vx)
+            rm = match_rewrite(CyclicBitstring(n, k, vs[i]), p, vs[(i + 1) % len(vs)], speeds[ci])
             if rm is not None:
                 cj = locate(rm.image.bits)[0]
                 found[ci].append((rm, cj))
@@ -521,8 +506,7 @@ def build_gluing_plan(n: int, k: int, anchor: int = 0, full: bool = False) -> Gl
         trial = [
             (svert[(cand + j) % n], svert[(cand + j + k + 1) % n]) for j in range(g - 1)
         ]
-        ends = {s.bits for pair in trial for s in pair}
-        if len(ends) == 2 * (g - 1) and not (ends & touched):
+        if not {s.bits for pair in trial for s in pair} & touched:
             base, pairs = cand, trial
             break
     if base is None:

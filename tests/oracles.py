@@ -474,9 +474,8 @@ def train_composition_cyclic(p: GliderPartition) -> dict[int, TrainComposition]:
     the circle of gliders at the broken gaps."""
     n = p.x.n
     out: dict[int, TrainComposition] = {}
-    by_position = p.by_position()
     for v in sorted({g.speed for g in p.gliders}):
-        ids = [g.id for g in by_position if g.speed == v]
+        ids = [g.id for g in p.gliders if g.speed == v]
         m = len(ids)
         breaks = []  # gap after ids[t] is broken
         for t in range(m):

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import random
 import subprocess
@@ -24,7 +25,7 @@ from kneser.dynamics import (
     tau,
     trace_svg,
 )
-from kneser.errors import ParameterError
+from kneser.errors import InternalConsistencyError, ParameterError
 from kneser.gliders import glider_partition, train_composition
 
 
@@ -351,6 +352,29 @@ def test_capture_invariant_survives_optimized_mode():
         "raise SystemExit('no InternalConsistencyError')\n"
     )
     _exits_cleanly(code, "-O")
+
+
+def test_advance_rejects_a_glider_with_no_continuation(monkeypatch):
+    """A mover's landing staircase shifted by one: the glider of f(x) at its
+    first new step, its old B, has its true landing as down-steps instead."""
+    analyse = dynamics.capture_analysis
+
+    def landing_off_by_one(p):
+        ana = analyse(p)
+        m = min(ana.movers)
+        return dataclasses.replace(
+            ana, landing={**ana.landing, m: tuple(c + 1 for c in ana.landing[m])})
+
+    monkeypatch.setattr(dynamics, "capture_analysis", landing_off_by_one)
+    with pytest.raises(InternalConsistencyError, match="has no continuation"):
+        advance(v("1001010000"))
+
+
+def test_continuation_check_survives_optimized_mode():
+    test = f"{Path(__file__).resolve()}::test_advance_rejects_a_glider_with_no_continuation"
+    _exits_cleanly("import pytest\n"
+                   f"raise SystemExit(pytest.main(['-q', '-p', 'no:cacheprovider', {test!r}]))\n",
+                   "-O")
 
 
 # advance steps from y = f(1001010000) = 0100101000, given a partition of y

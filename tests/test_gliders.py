@@ -124,7 +124,9 @@ def test_partition_matches_recursive_reference_exhaustive():
     # id, A, B, parent, via_dent, inversion and trapping set
     count = 0
     for x in _all_strings(14):
-        assert glider_partition(x) == glider_partition_recursive(x), x
+        p = glider_partition(x)
+        assert p == glider_partition_recursive(x), x
+        assert [g.s0 for g in p.gliders] == sorted(g.s0 for g in p.gliders), x
         count += 1
     assert count == 14_016
 

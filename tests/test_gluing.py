@@ -468,19 +468,29 @@ def _image_off_the_connectors(monkeypatch):
 
 
 def _fold_single_glider_vertices(monkeypatch):
-    """s_i is s_{i mod g}: still one on each root cycle, but each rotation
-    trial needs 2(g - 1) distinct ends among g strings."""
+    """s_i is s_{i mod g}: still one on each root cycle, but only g distinct
+    strings, where each rotation trial needs 2(g - 1) distinct ends."""
     sgv = gluing.single_glider_vertex
     monkeypatch.setattr(gluing, "single_glider_vertex",
                         lambda n, k, i: sgv(n, k, i % gcd(n, k)))
+
+
+def _rewrite_at_two_anchors(monkeypatch):
+    """Vertices with position 1 set read the rules at anchor 8: the rewrites
+    are still connectors and share no endpoint, but their images take the
+    single-glider vertices of two windows, and every rotation trial meets one."""
+    rewrite = gluing.match_rewrite
+    monkeypatch.setattr(gluing, "match_rewrite", lambda x, p, fx, vx: (
+        rewrite(x, p + 8 if x.bits >> 1 & 1 else p, fx, vx)))
 
 
 @pytest.mark.parametrize("fault,message", [
     (_misfile_a_root_cycle, "single-glider cycle count differs"),
     (_repeat_an_image, "rewrite endpoints collide"),
     (_image_off_the_connectors, "fails the connector test"),
-    (_fold_single_glider_vertices, "no rotation offset avoids"),
-], ids=["locate", "collide", "connector", "rotation"])
+    (_fold_single_glider_vertices, "single-glider vertices repeat"),
+    (_rewrite_at_two_anchors, "no rotation offset avoids the rewrite endpoints"),
+], ids=["locate", "collide", "connector", "rotation", "endpoints"])
 def test_plan_rejects_a_faulty_kernel(fault, message, monkeypatch):
     fault(monkeypatch)
     with pytest.raises(InternalConsistencyError, match=message):
@@ -506,7 +516,7 @@ def test_plan_and_walk_faults_are_caught_in_optimized_mode():
         capture_output=True, text=True, cwd=here.parent,
         env={**os.environ, "PYTHONPATH": src},
     )
-    assert proc.returncode == 0 and "5 passed" in proc.stdout, proc.stdout + proc.stderr
+    assert proc.returncode == 0 and "6 passed" in proc.stdout, proc.stdout + proc.stderr
 
 
 def _traced_peak(fn, *args) -> int:
