@@ -332,21 +332,35 @@ def test_cycle_key_is_least_string(factors):
                 assert to_string(c.key, n) == min(to_string(b, n) for b in c.vertices)
 
 
-def _same_factor(n, k):
-    got, want = cycle_factor(n, k), cycle_factor_per_vertex(n, k)
-    assert [c.vertices for c in got.cycles] == [c.vertices for c in want.cycles]
-    assert [got.locate(x) for x in want.index] == [want.locate(x) for x in want.index], (n, k)
+def _same_cycles(got, want, nk):
+    assert [c.vertices for c in got.cycles] == [c.vertices for c in want.cycles], nk
+
+
+def _same_locate(got, want, nk):
+    assert [got.locate(x) for x in want.index] == [want.locate(x) for x in want.index], nk
+
+
+def _small_pairs():
+    for n in range(3, 19):
+        for k in range(1, (n - 1) // 2 + 1):
+            yield (n, k), cycle_factor(n, k), cycle_factor_per_vertex(n, k)
 
 
 def test_factor_matches_per_vertex_reference():
-    for n in range(3, 19):
-        for k in range(1, (n - 1) // 2 + 1):
-            _same_factor(n, k)
+    for nk, got, want in _small_pairs():
+        _same_cycles(got, want, nk)
+
+
+def test_locate_matches_per_vertex_reference():
+    for nk, got, want in _small_pairs():
+        _same_locate(got, want, nk)
 
 
 @pytest.mark.parametrize("n,k", [(19, 8), (24, 4), (24, 6), (28, 5)])
 def test_factor_matches_per_vertex_reference_large(n, k):
-    _same_factor(n, k)
+    got, want = cycle_factor(n, k), cycle_factor_per_vertex(n, k)
+    _same_cycles(got, want, (n, k))
+    _same_locate(got, want, (n, k))
 
 
 @pytest.mark.parametrize("n,k,scans", [
