@@ -20,9 +20,10 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import accumulate, cycle, repeat
 from math import comb, lcm
 
-from .bitstrings import CyclicBitstring, _annotate, _f_bits, rotate_bits
+from .bitstrings import CycleFactor, CyclicBitstring, _annotate, _f_bits, rotate_bits
 from .errors import InternalConsistencyError, ParameterError
 from .gliders import (
     Glider,
@@ -470,6 +471,7 @@ def tau(
     bit: int,
     pos: int,
     partition: GliderPartition | None = None,
+    factor: CycleFactor | None = None,
 ) -> TauResult:
     """First t >= 0 at which the tracked glider sits cleanly on consecutive
     positions, is upright and open, and carries the wanted bit at pos.
@@ -480,20 +482,30 @@ def tau(
     copy nudged one position forward.  The two orbits keep differing in
     exactly two bits, which reveal the previous step's peak and last-step
     coordinates, so each candidate t is tested one step late against the
-    retained previous string; no partitions are recomputed along the way."""
+    retained previous string; no partitions are recomputed along the way.
+
+    Given factor, x's cycle factor, both orbits are read off its cycles C and
+    C', where the pair repeats after lcm(|C|, |C'|) steps; else f runs twice."""
     n, k = x.n, x.k
     a = glider.speed
     p = partition if partition is not None else glider_partition(x)
     _require_shiftable(p, glider)
-    cap = n * comb(n, k)
     prev = x.bits
-    cur = p.fx  # f(x)
     i1, i2 = (glider.s1 + 1) % n, (glider.s2 + 1) % n
-    if not (cur >> i1 ^ cur >> i2) & 1:
+    if not (p.fx >> i1 ^ p.fx >> i2) & 1:
         raise InternalConsistencyError("shift positions carry equal bits")
-    cur_shifted = cur ^ (1 << i1) ^ (1 << i2)
-    run = (1 << a) - 1
-    for t in range(1, cap + 2):
+    shifted = p.fx ^ (1 << i1) ^ (1 << i2)  # the second orbit's start
+    if factor is None:
+        cap = n * comb(n, k) + 1
+        # the f-orbits of f(x) and of the shifted start, f applied as _f_bits(b, n)
+        pairs = zip(*(accumulate(repeat(n), _f_bits, initial=b) for b in (p.fx, shifted)))
+    else:
+        (ci, i), (cj, j) = factor.locate(prev), factor.locate(shifted)
+        vs, ws = factor.cycles[ci].vertices, factor.cycles[cj].vertices
+        cap = lcm(len(vs), len(ws))
+        pairs = zip(cycle(vs[i + 1:] + vs[:i + 1]), cycle(ws[j:] + ws[:j]))
+    runs = [rotate_bits((1 << a) - 1, n, q) for q in range(n)]  # a 1s from q
+    for t, (cur, cur_shifted) in zip(range(1, cap + 1), pairs):
         diff = cur ^ cur_shifted
         if diff.bit_count() != 2:
             raise InternalConsistencyError("parallel orbits drifted apart")
@@ -507,7 +519,7 @@ def tau(
             # open is the rules' 1^a 0^a - at q: 1s from q, matched 0s from u
             # and an unmatched 0 at w
             q = (u - a) % n
-            ones, zeros = rotate_bits(run, n, q), rotate_bits(run, n, u)
+            ones, zeros = runs[q], runs[u]
             if (
                 prev & ones == ones
                 and cur & zeros == zeros
@@ -520,8 +532,6 @@ def tau(
         if hits:
             return TauResult(t - 1, CyclicBitstring(n, k, prev))
         prev = cur
-        cur = _f_bits(cur, n)
-        cur_shifted = _f_bits(cur_shifted, n)
     raise InternalConsistencyError("first-visit search exceeded its cap")
 
 

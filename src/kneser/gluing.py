@@ -27,17 +27,16 @@ disconnected.
 from collections import Counter
 from dataclasses import dataclass, field
 from math import comb, gcd
-from typing import NamedTuple
 
 from .bitstrings import (
     CycleFactor,
     CyclicBitstring,
     Matching,
-    _annotate,
     _f_bits,
     cycle_factor,
     parenthesis_match,
     rotate_bits,
+    to_string,
 )
 from .dynamics import tau
 from .errors import InternalConsistencyError, ParameterError
@@ -116,193 +115,164 @@ def single_glider_vertex(n: int, k: int, i: int) -> CyclicBitstring:
 # returns to the anchor; this keeps later rewrites on the merged cycle from
 # revisiting the same spot forever.
 #
-# A rule reads one window w: x's annotated string ('1', '0' for a matched 0,
-# '-' for an unmatched 0) rotated so that index n is the anchor, three copies
-# long, so index i is position (i + p) mod n.  Patterns are literal strings
-# compared at an index.  Three copies suffice: the leftmost read is the start
-# of a block before the anchor, which lies after index 0, and every run that
-# can complete a match starts at or before index 2n and is shorter than n.
-# Inside 1^a 0^a the first 1 pairs with the last 0.  The rules that read such
-# a block all require an unmatched 0 right after it, and no pair encloses an
-# unmatched 0, so that pair is visible.  A rule also gets k and V(x), the
-# speeds of x's gliders in non-decreasing order.
+# A rule reads x's 1s (o), matched 0s (z, which is f(x)) and unmatched 0s
+# (u) as masks rotated so that bit 0 is the anchor, and names positions
+# relative to it, negative ones before it.  A run is the trailing 1s of a
+# mask shifted to its start.  Every glyph occurs in x, so a run is shorter
+# than n and wraps at most once: the masks are doubled, o | o << n, and read
+# from the start mod n.  Inside 1^a 0^a the first 1 pairs with the last 0;
+# the rules that read such a block require an unmatched 0 right after it,
+# which no pair encloses, so that pair is visible.  speeds() gives V(x), the
+# speeds of x's gliders in non-decreasing order, once a rule's pattern has
+# held.  A hit is (family, src, dst, alt): the 1 moved, its landing slot
+# and, for a two-way rule, its second slot.
 
 
-class _Hit(NamedTuple):
-    """Window indices of the 1 a rule moves and of its landing slot; a two-way
-    rule has a second slot alt, and its fresh speed-1 glider has its 1 at dst."""
-
-    family: int
-    src: int
-    dst: int
-    alt: int | None = None
+def _run(m: int, n: int, r: int) -> int:
+    """Length of the run of set bits of the doubled mask m from position r."""
+    m >>= r % n
+    return (m ^ (m + 1)).bit_length() - 1
 
 
-def _run(w: str, i: int, chars: str) -> int:
-    """Length of the run of chars that starts at index i."""
-    rest = w[i:]
-    return len(rest) - len(rest.lstrip(chars))
+def _block(o: int, z: int, n: int, r: int, b: int) -> bool:
+    """1^b 0^b starts at r."""
+    return _run(o, n, r) >= b and _run(z, n, r + b) >= b
 
 
-def _glider_tail(w: str) -> tuple[int, int] | None:
+def _closes_circle(u: int, n: int, r: int) -> bool:
+    """Unmatched 0s run from r up to the last one before the anchor, a lap on."""
+    return r + _run(u, n, r) == (u & (1 << n) - 1).bit_length()
+
+
+def _glider_tail(o: int, z: int, n: int) -> tuple[int, int] | None:
     """For the anchor on a run of matched 0s: (q, a) when that run is the
     tail of a 1^a 0^a at q."""
-    n = len(w) // 3
-    start = len(w[:n].rstrip("0"))
-    a = n + _run(w, n, "0") - start
-    q = start - a
-    if not w.startswith("1" * a, q):
-        return None
-    return q, a
+    back = n - (~z & (1 << n) - 1).bit_length()
+    a = back + _run(z, n, 0)
+    return (-back - a, a) if _run(o, n, -back - a) >= a else None
 
 
-def _glider_head(w: str) -> tuple[int, int] | None:
+def _glider_head(o: int, z: int, n: int) -> tuple[int, int] | None:
     """For the anchor on a run of 1s: (q, a) when that run q..q+a-1 continues
     as a 1^a 0^a."""
-    n = len(w) // 3
-    q = len(w[:n].rstrip("1"))
-    a = n + _run(w, n, "1") - q
-    if not w.startswith("0" * a, q + a):
-        return None
-    return q, a
+    q = (~o & (1 << n) - 1).bit_length() - n
+    a = _run(o, n, q)
+    return (q, a) if _run(z, n, q + a) >= a else None
 
 
-def _closes_circle(w: str, i: int) -> bool:
-    """Unmatched 0s run from i up to the next copy of the anchor's block."""
-    n = len(w) // 3
-    return i + _run(w, i, "-") == w.rfind("-", 0, n) + 1 + n
-
-
-def _match_rule1(w: str, k: int, sp: tuple[int, ...]) -> _Hit | None:
-    n = len(w) // 3
+def _rule1(n, k, o, z, u, speeds):
     ell = n - 2 * k
-    if k < 2 or not w.startswith("-10" + "-" * (ell - 1), n):
+    if k < 2 or not (o >> 1 & z >> 2 & 1 and _run(u, n, 3) >= ell - 1):
         return None
-    return _Hit(1, n + 1, n + ell + 1)
+    return 1, 1, ell + 1, None
 
 
-def _match_rule2(w: str, k: int, sp: tuple[int, ...]) -> _Hit | None:
-    tail = _glider_tail(w)
-    if tail is None:
+def _rule2(n, k, o, z, u, speeds):
+    if (tail := _glider_tail(o, z, n)) is None:
         return None
     q, a = tail
-    if a % 2 or not w.startswith("---", q + 2 * a):
+    if a % 2 or _run(u, n, q + 2 * a) < 3 or len(sp := speeds()) < 2 or sp[0] != a:
         return None
-    if len(sp) < 2 or sp[0] != a:
-        return None
-    return _Hit(2, q, q + 2 * a, q + 2 * a + 1)
+    return 2, q, q + 2 * a, q + 2 * a + 1
 
 
-def _match_rule3(w: str, k: int, sp: tuple[int, ...]) -> _Hit | None:
-    tail = _glider_tail(w)
-    if tail is None:
+def _rule3(n, k, o, z, u, speeds):
+    if (tail := _glider_tail(o, z, n)) is None:
         return None
     q, a = tail
-    gap = _run(w, q + 2 * a, "-")
-    if a % 2 or not 1 <= gap <= 2 or sp[0] != a:
+    gap = _run(u, n, q + 2 * a)
+    if a % 2 or not 1 <= gap <= 2 or speeds()[0] != a:
         return None
-    return _Hit(3, q, q + 2 * a + gap - 1)
+    return 3, q, q + 2 * a + gap - 1, None
 
 
-def _match_rule4(w: str, k: int, sp: tuple[int, ...]) -> _Hit | None:
-    head = _glider_head(w)
-    if head is None:
+def _rule4(n, k, o, z, u, speeds):
+    if (head := _glider_head(o, z, n)) is None:
         return None
     q, a = head
-    ell = len(w) // 3 - 2 * k
-    if a % 2 == 0 or not w.startswith("-" * (ell if a == 1 else 3), q + 2 * a):
+    if a % 2 == 0 or _run(u, n, q + 2 * a) < (n - 2 * k if a == 1 else 3):
         return None
-    if len(sp) < 2 or sp[0] != a:
+    if len(sp := speeds()) < 2 or sp[0] != a:
         return None
-    return _Hit(4, q, q + 2 * a, q + 2 * a + 1)
+    return 4, q, q + 2 * a, q + 2 * a + 1
 
 
-def _match_rule5(w: str, k: int, sp: tuple[int, ...]) -> _Hit | None:
-    head = _glider_head(w)
-    if head is None:
+def _rule5(n, k, o, z, u, speeds):
+    if (head := _glider_head(o, z, n)) is None:
         return None
     q, a = head
-    gap = _run(w, q + 2 * a, "-")
+    gap = _run(u, n, q + 2 * a)
     if a % 2 == 0 or gap == 0 or (a != 1 and gap > 2):
         return None
     ws = q + 2 * a + gap
-    if ws + _run(w, ws, "10") > q + len(w) // 3:
+    if ws + _run(o | z, n, ws) > q + n:
         return None  # the next block wraps around into the glider's own
-    if sp[0] != a:
+    if (sp := speeds())[0] != a:
         return None
     if a == 1 and len(sp) >= 3 and sp[1] < sp[2]:
         b = sp[1]
-        block = "1" * b + "0" * b
-        if gap == 1 and w.startswith("-" + block, q - 2 * b - 1):
+        if gap == 1 and u >> (q - 2 * b - 1) % n & 1 and _block(o, z, n, q - 2 * b, b):
             return None  # another rule covers the vertex from the left
-        if w.startswith(block + "-", ws) and not (gap == 1 and b == 1):
+        if _block(o, z, n, ws, b) and u >> (ws + 2 * b) % n & 1 and not (gap == 1 and b == 1):
             return None
-    return _Hit(5, q, ws - 1)
+    return 5, q, ws - 1, None
 
 
-def _match_rule6(w: str, k: int, sp: tuple[int, ...]) -> _Hit | None:
-    n = len(w) // 3
-    if not w.startswith("10-", n) or w[n + 3] == "-":
-        return None
-    if len(sp) < 3 or sp[1] >= sp[2]:
+def _rule6(n, k, o, z, u, speeds):
+    if not z >> 1 & u >> 2 & 1 or u >> 3 & 1 or len(sp := speeds()) < 3 or sp[1] >= sp[2]:
         return None
     b = sp[1]
-    if not w.startswith("-" + "1" * b + "0" * b, n - 2 * b - 1):
+    if not (u >> (-2 * b - 1) % n & 1 and _block(o, z, n, -2 * b, b)):
         return None
-    return _Hit(6, n - 2 * b, n + 2)
+    return 6, -2 * b, 2, None
 
 
-def _match_rule7(w: str, k: int, sp: tuple[int, ...]) -> _Hit | None:
-    n = len(w) // 3
-    if not w.startswith("10-", n):
-        return None
-    if len(sp) < 3 or sp[1] >= sp[2] or sp[1] < 2:
+def _rule7(n, k, o, z, u, speeds):
+    if not z >> 1 & u >> 2 & 1 or len(sp := speeds()) < 3 or not 2 <= sp[1] < sp[2]:
         return None
     b = sp[1]
-    i = n + 2 + _run(w, n + 2, "-")
-    if not w.startswith("1" * b + "0" * b + "-", i):
+    i = 2 + _run(u, n, 2)
+    if not (_block(o, z, n, i, b) and u >> (i + 2 * b) % n & 1):
         return None
-    j = i + 2 * b + _run(w, i + 2 * b, "-")
-    if j + _run(w, j, "10") > 2 * n:
+    j = i + 2 * b + _run(u, n, i + 2 * b)
+    if j + _run(o | z, n, j) > n:
         return None  # that run is the anchor's own block coming back around
-    return _Hit(7, n, j - 1)
+    return 7, 0, j - 1, None
 
 
-def _match_rule8(w: str, k: int, sp: tuple[int, ...]) -> _Hit | None:
-    n = len(w) // 3
-    if not w.startswith("10-", n) or w[n - 1] == "-":
+def _rule8(n, k, o, z, u, speeds):
+    if not z >> 1 & u >> 2 & 1 or u >> (n - 1) & 1:
         return None
-    gap = _run(w, n + 2, "-")
-    if len(sp) < 3 or sp[1] >= sp[2]:
+    gap = _run(u, n, 2)
+    if len(sp := speeds()) < 3 or sp[1] >= sp[2] or (sp[1] < 2 and gap != 2):
         return None
-    b = sp[1]
-    if b < 2 and gap != 2:
+    b, i = sp[1], 2 + gap
+    if not (_block(o, z, n, i, b) and _closes_circle(u, n, i + 2 * b)):
         return None
-    i = n + 2 + gap
-    if not w.startswith("1" * b + "0" * b, i) or not _closes_circle(w, i + 2 * b):
-        return None
-    return _Hit(8, i, w.rfind("-", 0, n))
+    return 8, i, (u & (1 << n) - 1).bit_length() - 1 - n, None
 
 
-def _match_rule9(w: str, k: int, sp: tuple[int, ...]) -> _Hit | None:
-    n = len(w) // 3
-    if not w.startswith("10-", n) or w[n - 1] == "-":
+def _rule9(n, k, o, z, u, speeds):
+    if not z >> 1 & u >> 2 & 1 or u >> (n - 1) & 1:
         return None
-    gap = _run(w, n + 2, "-")
-    i = n + 2 + gap
-    if gap < 3 or not w.startswith("10", i) or not _closes_circle(w, i + 2):
+    gap = _run(u, n, 2)
+    i = 2 + gap
+    if gap < 3 or not (o >> i % n & z >> (i + 1) % n & 1) or not _closes_circle(u, n, i + 2):
         return None
-    if len(sp) < 3 or sp[2] <= 1:
+    if len(sp := speeds()) < 3 or sp[2] <= 1:
         return None
-    return _Hit(9, n, n + gap - 1)
+    return 9, 0, gap - 1, None
 
 
-# the rules that can match, by the anchor's glyph
-_RULES = {
-    "-": (_match_rule1,),
-    "0": (_match_rule2, _match_rule3),
-    "1": (_match_rule4, _match_rule5, _match_rule6, _match_rule7, _match_rule8, _match_rule9),
-}
+# by the anchor's glyph: an unmatched 0, a 1 or a matched 0
+_RULES = ((_rule1,), (_rule4, _rule5, _rule6, _rule7, _rule8, _rule9), (_rule2, _rule3))
+
+
+def _masks(bits: int, fx: int, n: int, p: int) -> tuple[int, int, int]:
+    """The rules' doubled masks o, z, u of x = bits at anchor p, fx = f(x)."""
+    o, z = rotate_bits(bits, n, -p), rotate_bits(fx, n, -p)
+    u = (1 << n) - 1 & ~(o | z)
+    return o | o << n, z | z << n, u | u << n
 
 
 @dataclass(frozen=True)
@@ -315,19 +285,55 @@ class RewriteMatch:
     branched: bool = False  # a two-way rule took its second landing slot
 
 
-def _move_one(x: CyclicBitstring, src: int, dst: int) -> CyclicBitstring:
-    src %= x.n
-    dst %= x.n
-    if not (x.bits >> src) & 1 or (x.bits >> dst) & 1:
+def _move_one(bits: int, src: int, dst: int) -> int:
+    if not bits >> src & 1 or bits >> dst & 1:
         raise InternalConsistencyError("rewrite must move a 1 onto a 0")
-    return CyclicBitstring(x.n, x.k, x.bits ^ (1 << src) | (1 << dst))
+    return bits ^ (1 << src) | (1 << dst)
 
 
-def _window(x: CyclicBitstring, p: int, fx: int | None = None) -> str:
-    """The rules' window of x at anchor p.  f(x) is x's matched-zero mask,
-    so fx = f(x), when the caller has it, spares the matching scan."""
-    s = _annotate(x.bits, _f_bits(x.bits, x.n) if fx is None else fx, x.n)
-    return (s[p:] + s[:p]) * 3
+def _match_bits(bits: int, n: int, k: int, p: int, fx: int, vx: tuple[int, ...] | None = None,
+                factor: CycleFactor | None = None) -> tuple[int, int, int, bool] | None:
+    """The rewrite of x = bits at anchor p, 0 <= p < n, as (family, src,
+    dst, branched): the position of the 1 the rule moves, the slot it lands
+    on, and whether a two-way rule took its second slot.  fx is f(x), vx,
+    if given, is V(x), and factor, if given, holds the orbits that a two-way
+    rule's probe steps along."""
+
+    def speeds() -> tuple[int, ...]:
+        nonlocal vx
+        if vx is None:
+            vx = speed_multiset_direct(CyclicBitstring(n, k, bits))
+        return vx
+
+    o, z, u = _masks(bits, fx, n, p)
+    hits = []
+    for rule in _RULES[o & 1 | (z & 1) << 1]:
+        if hit := rule(n, k, o, z, u, speeds):
+            hits.append(hit)
+    if not hits:
+        return None
+    if len(hits) > 1:
+        raise InternalConsistencyError(
+            f"rules {[h[0] for h in hits]} all claim {to_string(bits, n)} at anchor {p}"
+        )
+    family, src, dst, alt = hits[0]
+    src, dst = (p + src) % n, (p + dst) % n
+    if alt is None:
+        return family, src, dst, False
+    image = CyclicBitstring(n, k, bits ^ (1 << src) | (1 << dst))
+    part = glider_partition(image)
+    g = part.glider_at(dst)
+    if g is None or g.speed != 1:
+        raise InternalConsistencyError("two-way rule expects a fresh speed-1 glider")
+    try:
+        zb = tau(image, g, 1, p, partition=part, factor=factor).z.bits
+    except ParameterError as exc:
+        raise InternalConsistencyError("two-way rule probe is not trackable") from exc
+    # z lies on the image's orbit, and V is constant along an orbit
+    oz, zz, uz = _masks(zb, _f_bits(zb, n), n, p)
+    if oz & 1 and _rule4(n, k, oz, zz, uz, part.speeds):
+        return family, src, (p + alt) % n, True
+    return family, src, dst, False
 
 
 def match_rewrite(
@@ -338,33 +344,11 @@ def match_rewrite(
     if x.n - 2 * x.k < 3:
         raise ParameterError("the rewrite rules need n >= 2k+3")
     p %= x.n
-    w = _window(x, p, fx)
-    sp = speed_multiset_direct(x) if vx is None else vx
-    hits = [h for rule in _RULES[w[x.n]] if (h := rule(w, x.k, sp)) is not None]
-    if not hits:
+    hit = _match_bits(x.bits, x.n, x.k, p, _f_bits(x.bits, x.n) if fx is None else fx, vx)
+    if hit is None:
         return None
-    if len(hits) > 1:
-        raise InternalConsistencyError(
-            f"rules {[h.family for h in hits]} all claim {x} at anchor {p}"
-        )
-    hit = hits[0]
-    image = _move_one(x, p + hit.src, p + hit.dst)
-    branched = False
-    if hit.alt is not None:
-        part = glider_partition(image)
-        g = part.glider_at(p + hit.dst)
-        if g is None or g.speed != 1:
-            raise InternalConsistencyError("two-way rule expects a fresh speed-1 glider")
-        try:
-            z = tau(image, g, 1, p, partition=part).z
-        except ParameterError as exc:
-            raise InternalConsistencyError("two-way rule probe is not trackable") from exc
-        wz = _window(z, p)
-        # z lies on the image's orbit, and V is constant along an orbit
-        if wz[x.n] == "1" and _match_rule4(wz, z.k, part.speeds()):
-            image = _move_one(x, p + hit.src, p + hit.alt)
-            branched = True
-    return RewriteMatch(hit.family, x, image, branched)
+    family, src, dst, branched = hit
+    return RewriteMatch(family, x, CyclicBitstring(x.n, x.k, _move_one(x.bits, src, dst)), branched)
 
 
 # -- plan and assembly -----------------------------------------------------
@@ -376,7 +360,8 @@ class GluingPlan:
 
     rewrites holds the rewrites the plan's scans found, every rewrite at the
     anchor only when the plan was built with full=True; exceptions holds the
-    keys of the cycles that have no rewrite leading downhill."""
+    keys of the cycles that have no rewrite leading downhill.  at maps each
+    end of a tree edge to its (cycle, position) in the factor."""
 
     n: int
     k: int
@@ -387,6 +372,7 @@ class GluingPlan:
     rotation_pairs: tuple[tuple[CyclicBitstring, CyclicBitstring], ...]
     tree: tuple[RewriteMatch, ...] = field(repr=False)
     exceptions: tuple[int, ...]
+    at: dict[int, tuple[int, int]] = field(repr=False)
 
     def family_counts(self) -> dict[int, int]:
         return dict(sorted(Counter(r.family for r in self.rewrites).items()))
@@ -426,9 +412,9 @@ def build_gluing_plan(n: int, k: int, anchor: int = 0, full: bool = False) -> Gl
         """Cycle cj is a root or has a smaller potential than cycle ci."""
         return cj in roots or potential(cj) < potential(ci)
 
-    # the rewrites found on each cycle, each with its image's cycle; x's
-    # cycle is the one scanned
-    found: list[list[tuple[RewriteMatch, int]]] = [[] for _ in cycles]
+    # the rewrites found on each cycle, each with x's position on it and the
+    # image's cycle and position
+    found: list[list[tuple[RewriteMatch, int, int, int]]] = [[] for _ in cycles]
     scanned = [0] * len(cycles)  # vertices of each cycle scanned so far
 
     def scan(ci: int, to_parent: bool) -> bool:
@@ -437,10 +423,13 @@ def build_gluing_plan(n: int, k: int, anchor: int = 0, full: bool = False) -> Gl
         makes the result True."""
         vs = cycles[ci].vertices  # in f-order, so f(x) is the next vertex
         for i in range(scanned[ci], len(vs)):
-            rm = match_rewrite(CyclicBitstring(n, k, vs[i]), p, vs[(i + 1) % len(vs)], speeds[ci])
-            if rm is not None:
-                cj = locate(rm.image.bits)[0]
-                found[ci].append((rm, cj))
+            hit = _match_bits(vs[i], n, k, p, vs[(i + 1) % len(vs)], speeds[ci], factor)
+            if hit is not None:
+                family, src, dst, branched = hit
+                x, image = CyclicBitstring(n, k, vs[i]), _move_one(vs[i], src, dst)
+                cj, j = locate(image)
+                rm = RewriteMatch(family, x, CyclicBitstring(n, k, image), branched)
+                found[ci].append((rm, i, cj, j))
                 if to_parent and downhill(ci, cj):
                     scanned[ci] = i + 1
                     return True
@@ -452,6 +441,7 @@ def build_gluing_plan(n: int, k: int, anchor: int = 0, full: bool = False) -> Gl
     for r in roots:
         comp[r] = min(roots)
     tree: list[RewriteMatch] = []
+    at: dict[int, tuple[int, int]] = {}
     spanning = len(cycles) - len(roots)  # tree edges that join every node
 
     def find(a: int) -> int:
@@ -460,11 +450,12 @@ def build_gluing_plan(n: int, k: int, anchor: int = 0, full: bool = False) -> Gl
             a = comp[a]
         return a
 
-    def join(ci: int, rm: RewriteMatch, cj: int) -> None:
+    def join(ci: int, rm: RewriteMatch, i: int, cj: int, j: int) -> None:
         a, b = find(ci), find(cj)
         if a != b:
             comp[a] = b
             tree.append(rm)
+            at[rm.x.bits], at[rm.image.bits] = (ci, i), (cj, j)
 
     exceptions = []
     for ci in range(len(cycles)):
@@ -474,30 +465,26 @@ def build_gluing_plan(n: int, k: int, anchor: int = 0, full: bool = False) -> Gl
             else:
                 exceptions.append(ci)
     for ci in exceptions:
-        for rm, cj in found[ci]:
-            join(ci, rm, cj)
+        for hit in found[ci]:
+            join(ci, *hit)
     for ci in range(len(cycles)):
         if len(tree) == spanning:
             break
         scan(ci, to_parent=False)
-        for rm, cj in found[ci]:
-            join(ci, rm, cj)
+        for hit in found[ci]:
+            join(ci, *hit)
     if len(tree) != spanning:
         raise InternalConsistencyError("the auxiliary cycle graph is disconnected")
     if full and k >= 2:  # with k = 1 the factor is one cycle, and the rules need k >= 2
         for ci in range(len(cycles)):
             scan(ci, to_parent=False)
-    rewrites = [rm for lst in found for rm, _ in lst]
+    rewrites = [hit[0] for lst in found for hit in lst]
 
-    touched: set[int] = set()
-    for rm in rewrites:
-        for b in (rm.x.bits, rm.image.bits):
-            if b in touched:
-                raise InternalConsistencyError("rewrite endpoints collide")
-            touched.add(b)
-    for rm in rewrites:
-        if not is_connector(rm.x, rm.image):
-            raise InternalConsistencyError("a rewrite pair fails the connector test")
+    touched = {b for rm in rewrites for b in (rm.x.bits, rm.image.bits)}
+    if len(touched) != 2 * len(rewrites):
+        raise InternalConsistencyError("rewrite endpoints collide")
+    if not all(is_connector(rm.x, rm.image) for rm in rewrites):
+        raise InternalConsistencyError("a rewrite pair fails the connector test")
 
     base = None
     pairs: list[tuple[CyclicBitstring, CyclicBitstring]] = []
@@ -522,6 +509,7 @@ def build_gluing_plan(n: int, k: int, anchor: int = 0, full: bool = False) -> Gl
         rotation_pairs=tuple(pairs),
         tree=tuple(tree),
         exceptions=tuple(cycles[ci].key for ci in exceptions),
+        at=at,
     )
 
 
@@ -542,8 +530,9 @@ def assemble_hamilton(plan: GluingPlan) -> tuple[int, ...]:
     slots: dict[int, list] = {}
 
     def successor(u: int) -> int:
-        """f(u), read off u's cycle; u and f(u) get their slots."""
-        ci, i = plan.factor.locate(u)
+        """f(u), read off u's cycle; u and f(u) get their slots.  Only the
+        rotation pairs' ends are looked up: the plan holds the tree's."""
+        ci, i = plan.at.get(u) or plan.factor.locate(u)
         vs = cycles[ci].vertices
         for j in (i, (i + 1) % len(vs)):
             if vs[j] not in slots:

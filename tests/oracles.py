@@ -20,9 +20,10 @@ sub-words (`_w`) where the package makes one stack pass, the factor
 scans every vertex where the package scans one glider period per rotation
 class, the train composition walks each gap mod n per speed and cuts
 the circle at its breaks where the package makes one pass in window order,
-and the tour check makes three passes over a list (count and repeats,
+the tour check makes three passes over a list (count and repeats,
 vertices, edges) where the package reads any iterable once, a chunk at a
-time.
+time, and the rewrite rules compare literal patterns on a three-copy
+annotated string where the package reads runs off rotated int masks.
 The connector 4-cycle, the clean-glider test and the glider key are read by
 tests alone.
 """
@@ -32,11 +33,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from math import comb
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from kneser.bitstrings import (
     Cycle,
     CyclicBitstring,
+    _annotate,
     _f_bits,
     apply_f,
     descent_count,
@@ -680,3 +682,230 @@ def tour_fault_passes(spec, vertices, closed: bool = True) -> str | None:
             return (f"positions {i} and {i + 1}: "
                     f"{to_string(u, spec.n)} and {to_string(v, spec.n)} are not adjacent")
     return None
+
+
+# -- the nine rewrite rules on the annotated string ------------------------
+#
+# A rule reads one window w: x's annotated string ('1', '0' for a matched 0,
+# '-' for an unmatched 0) rotated so that index n is the anchor, three copies
+# long, so index i is position (i + p) mod n.  Patterns are literal strings
+# compared at an index.  Three copies suffice: the leftmost read is the start
+# of a block before the anchor, which lies after index 0, and every run that
+# can complete a match starts at or before index 2n and is shorter than n.
+# A rule also gets k and V(x), the speeds of x's gliders in non-decreasing
+# order.
+
+
+def _window(x: CyclicBitstring, p: int, fx: int | None = None) -> str:
+    """The rules' window of x at anchor p.  f(x) is x's matched-zero mask,
+    so fx = f(x), when the caller has it, spares the matching scan."""
+    s = _annotate(x.bits, _f_bits(x.bits, x.n) if fx is None else fx, x.n)
+    return (s[p:] + s[:p]) * 3
+
+
+class _Hit(NamedTuple):
+    """Window indices of the 1 a rule moves and of its landing slot; a two-way
+    rule has a second slot alt, and its fresh speed-1 glider has its 1 at dst."""
+
+    family: int
+    src: int
+    dst: int
+    alt: int | None = None
+
+
+def _run(w: str, i: int, chars: str) -> int:
+    """Length of the run of chars that starts at index i."""
+    rest = w[i:]
+    return len(rest) - len(rest.lstrip(chars))
+
+
+def _glider_tail(w: str) -> tuple[int, int] | None:
+    """For the anchor on a run of matched 0s: (q, a) when that run is the
+    tail of a 1^a 0^a at q."""
+    n = len(w) // 3
+    start = len(w[:n].rstrip("0"))
+    a = n + _run(w, n, "0") - start
+    q = start - a
+    if not w.startswith("1" * a, q):
+        return None
+    return q, a
+
+
+def _glider_head(w: str) -> tuple[int, int] | None:
+    """For the anchor on a run of 1s: (q, a) when that run q..q+a-1 continues
+    as a 1^a 0^a."""
+    n = len(w) // 3
+    q = len(w[:n].rstrip("1"))
+    a = n + _run(w, n, "1") - q
+    if not w.startswith("0" * a, q + a):
+        return None
+    return q, a
+
+
+def _closes_circle(w: str, i: int) -> bool:
+    """Unmatched 0s run from i up to the next copy of the anchor's block."""
+    n = len(w) // 3
+    return i + _run(w, i, "-") == w.rfind("-", 0, n) + 1 + n
+
+
+def _match_rule1(w: str, k: int, sp: tuple[int, ...]) -> _Hit | None:
+    n = len(w) // 3
+    ell = n - 2 * k
+    if k < 2 or not w.startswith("-10" + "-" * (ell - 1), n):
+        return None
+    return _Hit(1, n + 1, n + ell + 1)
+
+
+def _match_rule2(w: str, k: int, sp: tuple[int, ...]) -> _Hit | None:
+    tail = _glider_tail(w)
+    if tail is None:
+        return None
+    q, a = tail
+    if a % 2 or not w.startswith("---", q + 2 * a):
+        return None
+    if len(sp) < 2 or sp[0] != a:
+        return None
+    return _Hit(2, q, q + 2 * a, q + 2 * a + 1)
+
+
+def _match_rule3(w: str, k: int, sp: tuple[int, ...]) -> _Hit | None:
+    tail = _glider_tail(w)
+    if tail is None:
+        return None
+    q, a = tail
+    gap = _run(w, q + 2 * a, "-")
+    if a % 2 or not 1 <= gap <= 2 or sp[0] != a:
+        return None
+    return _Hit(3, q, q + 2 * a + gap - 1)
+
+
+def _match_rule4(w: str, k: int, sp: tuple[int, ...]) -> _Hit | None:
+    head = _glider_head(w)
+    if head is None:
+        return None
+    q, a = head
+    ell = len(w) // 3 - 2 * k
+    if a % 2 == 0 or not w.startswith("-" * (ell if a == 1 else 3), q + 2 * a):
+        return None
+    if len(sp) < 2 or sp[0] != a:
+        return None
+    return _Hit(4, q, q + 2 * a, q + 2 * a + 1)
+
+
+def _match_rule5(w: str, k: int, sp: tuple[int, ...]) -> _Hit | None:
+    head = _glider_head(w)
+    if head is None:
+        return None
+    q, a = head
+    gap = _run(w, q + 2 * a, "-")
+    if a % 2 == 0 or gap == 0 or (a != 1 and gap > 2):
+        return None
+    ws = q + 2 * a + gap
+    if ws + _run(w, ws, "10") > q + len(w) // 3:
+        return None  # the next block wraps around into the glider's own
+    if sp[0] != a:
+        return None
+    if a == 1 and len(sp) >= 3 and sp[1] < sp[2]:
+        b = sp[1]
+        block = "1" * b + "0" * b
+        if gap == 1 and w.startswith("-" + block, q - 2 * b - 1):
+            return None  # another rule covers the vertex from the left
+        if w.startswith(block + "-", ws) and not (gap == 1 and b == 1):
+            return None
+    return _Hit(5, q, ws - 1)
+
+
+def _match_rule6(w: str, k: int, sp: tuple[int, ...]) -> _Hit | None:
+    n = len(w) // 3
+    if not w.startswith("10-", n) or w[n + 3] == "-":
+        return None
+    if len(sp) < 3 or sp[1] >= sp[2]:
+        return None
+    b = sp[1]
+    if not w.startswith("-" + "1" * b + "0" * b, n - 2 * b - 1):
+        return None
+    return _Hit(6, n - 2 * b, n + 2)
+
+
+def _match_rule7(w: str, k: int, sp: tuple[int, ...]) -> _Hit | None:
+    n = len(w) // 3
+    if not w.startswith("10-", n):
+        return None
+    if len(sp) < 3 or sp[1] >= sp[2] or sp[1] < 2:
+        return None
+    b = sp[1]
+    i = n + 2 + _run(w, n + 2, "-")
+    if not w.startswith("1" * b + "0" * b + "-", i):
+        return None
+    j = i + 2 * b + _run(w, i + 2 * b, "-")
+    if j + _run(w, j, "10") > 2 * n:
+        return None  # that run is the anchor's own block coming back around
+    return _Hit(7, n, j - 1)
+
+
+def _match_rule8(w: str, k: int, sp: tuple[int, ...]) -> _Hit | None:
+    n = len(w) // 3
+    if not w.startswith("10-", n) or w[n - 1] == "-":
+        return None
+    gap = _run(w, n + 2, "-")
+    if len(sp) < 3 or sp[1] >= sp[2]:
+        return None
+    b = sp[1]
+    if b < 2 and gap != 2:
+        return None
+    i = n + 2 + gap
+    if not w.startswith("1" * b + "0" * b, i) or not _closes_circle(w, i + 2 * b):
+        return None
+    return _Hit(8, i, w.rfind("-", 0, n))
+
+
+def _match_rule9(w: str, k: int, sp: tuple[int, ...]) -> _Hit | None:
+    n = len(w) // 3
+    if not w.startswith("10-", n) or w[n - 1] == "-":
+        return None
+    gap = _run(w, n + 2, "-")
+    i = n + 2 + gap
+    if gap < 3 or not w.startswith("10", i) or not _closes_circle(w, i + 2):
+        return None
+    if len(sp) < 3 or sp[2] <= 1:
+        return None
+    return _Hit(9, n, n + gap - 1)
+
+
+# the rules that can match, by the anchor's glyph
+_RULES = {
+    "-": (_match_rule1,),
+    "0": (_match_rule2, _match_rule3),
+    "1": (_match_rule4, _match_rule5, _match_rule6, _match_rule7, _match_rule8, _match_rule9),
+}
+
+
+def rewrite_by_strings(
+    x: CyclicBitstring, p: int, sp: tuple[int, ...] | None = None
+) -> tuple[int, int, int, bool] | None:
+    """Reference rewrite at anchor p, 0 <= p < n, read off the annotated
+    string: (family, src, dst, branched) as the package's _match_bits gives
+    it.  sp is V(x), by default from the recursive reference, and the
+    two-way probe follows the fresh glider through advance."""
+    n = x.n
+    w = _window(x, p)
+    if sp is None:
+        sp = speed_multiset_recursive(x)
+    hits = [h for rule in _RULES[w[n]] if (h := rule(w, x.k, sp)) is not None]
+    if not hits:
+        return None
+    if len(hits) > 1:
+        raise InternalConsistencyError(
+            f"rules {[h.family for h in hits]} all claim {x} at anchor {p}"
+        )
+    family, src, dst, alt = hits[0]
+    src, dst = (p + src) % n, (p + dst) % n
+    if alt is None:
+        return family, src, dst, False
+    image = CyclicBitstring(n, x.k, x.bits ^ (1 << src) | (1 << dst))
+    part = glider_partition(image)
+    z = tau_slow(image, part.glider_at(dst), 1, p).z
+    wz = _window(z, p)
+    if wz[n] == "1" and _match_rule4(wz, z.k, part.speeds()):
+        return family, src, (p + alt) % n, True
+    return family, src, dst, False

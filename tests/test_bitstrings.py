@@ -340,19 +340,21 @@ def _same_locate(got, want, nk):
     assert [got.locate(x) for x in want.index] == [want.locate(x) for x in want.index], nk
 
 
-def _small_pairs():
-    for n in range(3, 19):
-        for k in range(1, (n - 1) // 2 + 1):
-            yield (n, k), cycle_factor(n, k), cycle_factor_per_vertex(n, k)
+@pytest.fixture(scope="module")
+def small_pairs():
+    """The factor and its per-vertex reference for every n < 19, built once
+    for the two tests that compare them (about 40 MB held)."""
+    return [((n, k), cycle_factor(n, k), cycle_factor_per_vertex(n, k))
+            for n in range(3, 19) for k in range(1, (n - 1) // 2 + 1)]
 
 
-def test_factor_matches_per_vertex_reference():
-    for nk, got, want in _small_pairs():
+def test_factor_matches_per_vertex_reference(small_pairs):
+    for nk, got, want in small_pairs:
         _same_cycles(got, want, nk)
 
 
-def test_locate_matches_per_vertex_reference():
-    for nk, got, want in _small_pairs():
+def test_locate_matches_per_vertex_reference(small_pairs):
+    for nk, got, want in small_pairs:
         _same_locate(got, want, nk)
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -12,10 +13,18 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import vertices
-from oracles import assemble_hamilton_table, box, connector_four_cycle, tau_slow
+from oracles import (
+    _window,
+    assemble_hamilton_table,
+    box,
+    connector_four_cycle,
+    rewrite_by_strings,
+    speed_multiset_recursive,
+    tau_slow,
+)
 
 import kneser
-from kneser import bitstrings, gluing
+from kneser import bitstrings, dynamics, gluing
 from kneser.bitstrings import (
     Cycle,
     CyclicBitstring,
@@ -30,7 +39,6 @@ from kneser.errors import InternalConsistencyError, ParameterError
 from kneser.families import GraphSpec, verify_tour
 from kneser.gliders import glider_partition, speed_partition
 from kneser.gluing import (
-    _window,
     assemble_hamilton,
     build_gluing_plan,
     connector_partners,
@@ -207,6 +215,30 @@ def test_rule_census_at_every_anchor():
     assert h.hexdigest() == "97080ee0722190faee092b8fa5b7d870741da829a88554a435469cf045a38444"
 
 
+def test_mask_rules_match_string_rules():
+    """The rules on masks give the family, the moved 1, its slot and the
+    two-way branch of the rules on the annotated string: every vertex at
+    every anchor up to n = 13, every vertex of K(15,6) at anchor 0, where
+    rule 7 first fires, and a seeded sample up to n = 28."""
+    rng = random.Random("mask rules")
+    jobs = [(n, k, bits, range(n)) for n in range(5, 14) for k in range(1, (n - 3) // 2 + 1)
+            for bits in iter_bits(n, k)]
+    jobs += [(n, k, sum(1 << i for i in rng.sample(range(n), k)), [rng.randrange(n)])
+             for n in range(14, 29) for k in range(1, (n - 3) // 2 + 1) for _ in range(60)]
+    jobs += [(15, 6, bits, [0]) for bits in iter_bits(15, 6)]
+    families: set[int] = set()
+    branched: set[bool] = set()
+    for n, k, bits, anchors in jobs:
+        x = CyclicBitstring(n, k, bits)
+        fx, sp = bitstrings._f_bits(bits, n), speed_multiset_recursive(x)
+        for p in anchors:
+            got = gluing._match_bits(bits, n, k, p, fx)
+            assert got == rewrite_by_strings(x, p, sp), (str(x), p)
+            families.add(got[0] if got else 0)
+            branched.add(bool(got and got[3]))
+    assert families == set(range(10)) and branched == {False, True}, families
+
+
 def test_visible_one_reads_the_matching():
     """The rules read a 1^a 0^a block only when an unmatched 0 follows it, and
     then take the pair of its first 1 as visible, because no pair encloses an
@@ -262,13 +294,13 @@ def test_plan_stops_each_scan_at_its_parent(monkeypatch):
     """Each cycle's scan stops at its first downhill rewrite: K(17,7) applies
     the rules to about 12% of its vertices, where a full scan takes all."""
     calls = [0]
-    rewrite = gluing.match_rewrite
+    rewrite = gluing._match_bits
 
     def counting(*args):
         calls[0] += 1
         return rewrite(*args)
 
-    monkeypatch.setattr(gluing, "match_rewrite", counting)
+    monkeypatch.setattr(gluing, "_match_bits", counting)
     build_gluing_plan(17, 7)
     assert calls[0] <= 0.2 * comb(17, 7), calls[0]
 
@@ -440,31 +472,28 @@ def _misfile_a_root_cycle(monkeypatch):
     monkeypatch.setattr(bitstrings.CycleFactor, "locate", misfiled)
 
 
-def _change_hits(monkeypatch, change):
-    """match_rewrite with change(hit, the hits before it) applied to each hit."""
-    rewrite, hits = gluing.match_rewrite, []
+def _change_images(monkeypatch, change):
+    """The rewrite's image with change(image, the images before it) applied."""
+    move, images = gluing._move_one, []
 
-    def changed(*args):
-        rm = rewrite(*args)
-        if rm is not None:
-            rm = change(rm, hits)
-            hits.append(rm)
-        return rm
+    def changed(bits, src, dst):
+        image = change(move(bits, src, dst), images)
+        images.append(image)
+        return image
 
-    monkeypatch.setattr(gluing, "match_rewrite", changed)
+    monkeypatch.setattr(gluing, "_move_one", changed)
 
 
 def _repeat_an_image(monkeypatch):
     """The second hit takes the first hit's image."""
-    _change_hits(monkeypatch, lambda rm, hits: (
-        dataclasses.replace(rm, image=hits[0].image) if len(hits) == 1 else rm))
+    _change_images(monkeypatch, lambda image, images: images[0] if len(images) == 1 else image)
 
 
 def _image_off_the_connectors(monkeypatch):
     """The first hit's image moves on to f(image): a vertex of the same
     cycle, but disjoint from the image, so no connector of x."""
-    _change_hits(monkeypatch, lambda rm, hits: (
-        rm if hits else dataclasses.replace(rm, image=apply_f(rm.image))))
+    _change_images(monkeypatch, lambda image, images: (
+        image if images else bitstrings._f_bits(image, 12)))
 
 
 def _fold_single_glider_vertices(monkeypatch):
@@ -479,9 +508,9 @@ def _rewrite_at_two_anchors(monkeypatch):
     """Vertices with position 1 set read the rules at anchor 8: the rewrites
     are still connectors and share no endpoint, but their images take the
     single-glider vertices of two windows, and every rotation trial meets one."""
-    rewrite = gluing.match_rewrite
-    monkeypatch.setattr(gluing, "match_rewrite", lambda x, p, fx, vx: (
-        rewrite(x, p + 8 if x.bits >> 1 & 1 else p, fx, vx)))
+    rewrite = gluing._match_bits
+    monkeypatch.setattr(gluing, "_match_bits", lambda bits, n, k, p, *rest: (
+        rewrite(bits, n, k, (p + 8) % n if bits >> 1 & 1 else p, *rest)))
 
 
 @pytest.mark.parametrize("fault,message", [
@@ -495,6 +524,67 @@ def test_plan_rejects_a_faulty_kernel(fault, message, monkeypatch):
     fault(monkeypatch)
     with pytest.raises(InternalConsistencyError, match=message):
         build_gluing_plan(12, 4)
+
+
+def _land_on_a_one(monkeypatch):
+    """Each rule lands the 1 it moves on that 1 itself."""
+    match = gluing._match_bits
+    monkeypatch.setattr(gluing, "_match_bits", lambda *args: (
+        (hit := match(*args)) and (hit[0], hit[1], hit[1], hit[3])))
+    return lambda: build_gluing_plan(12, 4)
+
+
+def _forge_the_speeds(monkeypatch):
+    """V reads two gliders of speed 2 where x = 1000010010 has three of
+    speed 1, and rules 5 and 9 both take x."""
+    monkeypatch.setattr(gluing, "speed_multiset_direct", lambda x: (1, 2, 2))
+    return lambda: match_rewrite(v("1000010010"), 0)
+
+
+def _probe_of_the_plan(monkeypatch):
+    """The first two-way probe of the plan of K(12,4), its arguments and
+    the factor it steps along."""
+    calls = []
+    real_tau = gluing.tau
+    monkeypatch.setattr(gluing, "tau", lambda *a, **kw: calls.append((a, kw)) or real_tau(*a, **kw))
+    build_gluing_plan(12, 4)
+    monkeypatch.undo()
+    return calls[0]
+
+
+def _forge_a_factor_cycle(monkeypatch):
+    """The stored cycle of the shifted orbit holds f(x) where the shifted
+    start belongs, so the two orbits agree at once."""
+    args, kw = _probe_of_the_plan(monkeypatch)
+    x, g = args[0], args[1]
+    factor = kw["factor"]
+    ci, i = factor.locate(x.bits)
+    fx = factor.cycles[ci].vertices[(i + 1) % len(factor.cycles[ci])]
+    cj, j = factor.locate(fx ^ (1 << (g.s1 + 1) % 12) ^ (1 << (g.s2 + 1) % 12))
+    ws = list(factor.cycles[cj].vertices)
+    ws[j] = fx
+    cycles = factor.cycles[:cj] + (Cycle(tuple(ws)),) + factor.cycles[cj + 1:]
+    return lambda: tau(*args, **{**kw, "factor": dataclasses.replace(factor, cycles=cycles)})
+
+
+def _never_carry(monkeypatch):
+    """The glider never carries the wanted bit, so tau steps through every
+    pair of its two stored cycles."""
+    args, kw = _probe_of_the_plan(monkeypatch)
+    monkeypatch.setattr(dynamics, "_carries", lambda *a: False)
+    return lambda: tau(*args, **kw)
+
+
+@pytest.mark.parametrize("fault,message", [
+    (_land_on_a_one, "rewrite must move a 1 onto a 0"),
+    (_forge_the_speeds, r"rules \[5, 9\] all claim 1000010010 at anchor 0"),
+    (_forge_a_factor_cycle, "parallel orbits drifted apart"),
+    (_never_carry, "first-visit search exceeded its cap"),
+], ids=["move", "conflict", "drift", "cap"])
+def test_rules_and_probe_reject_a_faulty_kernel(fault, message, monkeypatch):
+    run = fault(monkeypatch)
+    with pytest.raises(InternalConsistencyError, match=message):
+        run()
 
 
 def test_walk_rejects_a_factor_cycle_too_short_to_splice():
@@ -512,11 +602,12 @@ def test_plan_and_walk_faults_are_caught_in_optimized_mode():
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
          f"{here / 'test_gluing.py'}::test_plan_rejects_a_faulty_kernel",
+         f"{here / 'test_gluing.py'}::test_rules_and_probe_reject_a_faulty_kernel",
          f"{here / 'test_gluing.py'}::test_walk_rejects_a_factor_cycle_too_short_to_splice"],
         capture_output=True, text=True, cwd=here.parent,
         env={**os.environ, "PYTHONPATH": src},
     )
-    assert proc.returncode == 0 and "6 passed" in proc.stdout, proc.stdout + proc.stderr
+    assert proc.returncode == 0 and "10 passed" in proc.stdout, proc.stdout + proc.stderr
 
 
 def _traced_peak(fn, *args) -> int:
