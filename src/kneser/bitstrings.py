@@ -21,7 +21,6 @@ walk never dips below zero and ends at zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import comb, gcd
 from typing import Iterator, NamedTuple
 
@@ -82,23 +81,29 @@ def iter_bits(n: int, k: int) -> Iterator[int]:
         v = r | (((v ^ r) >> 2) // c)
 
 
-@dataclass(frozen=True)
-class CyclicBitstring:
+def _repr_without(*hidden: str):
+    """A named tuple's __repr__ that leaves out the hidden fields."""
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self) if f not in hidden)
+        return f"{type(self).__name__}({shown})"
+
+    return __repr__
+
+
+class CyclicBitstring(NamedTuple("CyclicBitstring", [("n", int), ("k", int), ("bits", int)])):
     """A vertex of X(n, k): k ones among n cyclic positions, n >= 2k + 1."""
 
-    n: int
-    k: int
-    bits: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.k < 1 or self.n < 2 * self.k + 1:
-            raise ParameterError(f"need k >= 1 and n >= 2k+1, got n={self.n} k={self.k}")
-        if not 0 <= self.bits < (1 << self.n):
-            raise ParameterError(f"bits out of range for n={self.n}")
-        if self.bits.bit_count() != self.k:
-            raise ParameterError(
-                f"popcount {self.bits.bit_count()} != k={self.k} for {to_string(self.bits, self.n)}"
-            )
+    def __new__(cls, n: int, k: int, bits: int) -> CyclicBitstring:
+        if k < 1 or n < 2 * k + 1:
+            raise ParameterError(f"need k >= 1 and n >= 2k+1, got n={n} k={k}")
+        if not 0 <= bits < (1 << n):
+            raise ParameterError(f"bits out of range for n={n}")
+        if bits.bit_count() != k:
+            raise ParameterError(f"popcount {bits.bit_count()} != k={k} for {to_string(bits, n)}")
+        return tuple.__new__(cls, (n, k, bits))
 
     @classmethod
     def from_string(cls, s: str) -> "CyclicBitstring":
@@ -202,8 +207,7 @@ def _f_bits(bits: int, n: int) -> int:
     return _scan_match(bits, n)[1]
 
 
-@dataclass(frozen=True)
-class Matching:
+class Matching(NamedTuple):
     """Cyclic parenthesis matching of one bitstring, as bit masks.
 
     Every 1 is matched.  A pair is visible when no other pair encloses it;
@@ -240,19 +244,22 @@ def apply_f(x: CyclicBitstring) -> CyclicBitstring:
     return CyclicBitstring(x.n, x.k, _f_bits(x.bits, x.n))
 
 
-@dataclass(frozen=True, slots=True)
-class Cycle:
-    """One orbit of f, listed in f-order starting from the canonical key
-    (the lexicographically least string form in the orbit)."""
+class Cycle(tuple):
+    """One orbit of f, the tuple of its vertices in f-order starting from the
+    canonical key (the lexicographically least string form in the orbit)."""
 
-    vertices: tuple[int, ...]
+    __slots__ = ()
+
+    @property
+    def vertices(self) -> tuple[int, ...]:
+        return self
 
     @property
     def key(self) -> int:
-        return self.vertices[0]
+        return self[0]
 
-    def __len__(self) -> int:
-        return len(self.vertices)
+    def _replace(self, *, vertices: tuple[int, ...]) -> Cycle:
+        return Cycle(vertices)
 
 
 class _Orbits(NamedTuple):
@@ -273,8 +280,7 @@ class _Orbits(NamedTuple):
     offsets: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class CycleFactor:
+class CycleFactor(NamedTuple):
     """All orbits of f on X(n, k), sorted by canonical key.
 
     The period vertices of all rotation classes are numbered in one
@@ -287,8 +293,10 @@ class CycleFactor:
     n: int
     k: int
     cycles: tuple[Cycle, ...]
-    necklaces: dict[int, int] = field(repr=False)
-    classes: tuple[_Orbits, ...] = field(repr=False)
+    necklaces: dict[int, int]
+    classes: tuple[_Orbits, ...]
+
+    __repr__ = _repr_without("necklaces", "classes")
 
     def locate(self, x: int) -> tuple[int, int]:
         """(position of x's cycle in cycles, position of x in that cycle).
@@ -465,9 +473,9 @@ def cycle_factor(n: int, k: int) -> CycleFactor:
         steps = [(j + (t0 + t) * s) % d for t in range(d // gcd(s, d))]
         placed[c][0][j], placed[c][1][j] = len(cycles), w
         # unrotated, the period vertices themselves go in, not copies
-        cycles.append(Cycle(tuple(
+        cycles.append(Cycle(
             [((b << i) | (b >> (n - i))) & mask if i else b for i in steps for b in head]
-        )))
+        ))
     classes = [
         _Orbits(starts[c], d, starts[c + 1] - starts[c], inv, tuple(cyc), tuple(off))
         for c, ((d, s), inv, (cyc, off)) in enumerate(zip(shifts, invs, placed))

@@ -19,11 +19,11 @@ trace is
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from itertools import accumulate, cycle, repeat
 from math import comb, lcm
+from typing import NamedTuple
 
-from .bitstrings import CycleFactor, CyclicBitstring, _annotate, _f_bits, rotate_bits
+from .bitstrings import CycleFactor, CyclicBitstring, _annotate, _f_bits, _repr_without, rotate_bits
 from .errors import InternalConsistencyError, ParameterError
 from .gliders import (
     Glider,
@@ -73,8 +73,7 @@ def _capture_walk(
     raise InternalConsistencyError("capture walk exceeded its cap")
 
 
-@dataclass(frozen=True)
-class CapturedCopy:
+class CapturedCopy(NamedTuple):
     """A free glider lying inside a faster glider's jump interval, possibly
     as a translate by a whole number of laps."""
 
@@ -83,13 +82,14 @@ class CapturedCopy:
     stratum: int  # landing steps strictly left of the copy
 
 
-@dataclass(frozen=True)
-class CaptureAnalysis:
-    partition: GliderPartition = field(repr=False)
+class CaptureAnalysis(NamedTuple):
+    partition: GliderPartition
     s_plus: dict[int, int]  # free gid -> end of its jump interval
     landing: dict[int, tuple[int, ...]]  # free gid -> new down-step staircase
     movers: frozenset[int]
     captured: dict[int, tuple[CapturedCopy, ...]]  # mover gid -> overrun copies
+
+    __repr__ = _repr_without("partition")
 
 
 def capture_analysis(p: GliderPartition) -> CaptureAnalysis:
@@ -152,17 +152,18 @@ def capture_analysis(p: GliderPartition) -> CaptureAnalysis:
     return CaptureAnalysis(p, s_plus, landing, frozenset(movers), captured)
 
 
-@dataclass(frozen=True)
-class AdvanceResult:
+class AdvanceResult(NamedTuple):
     x: CyclicBitstring
     fx: CyclicBitstring
-    partition: GliderPartition = field(repr=False)
-    next_partition: GliderPartition = field(repr=False)
-    analysis: CaptureAnalysis = field(repr=False)
+    partition: GliderPartition
+    next_partition: GliderPartition
+    analysis: CaptureAnalysis
     bijection: dict[int, int]  # glider id in x -> id in f(x)
     delta2s: dict[int, int]  # doubled position gain, per id in x
     trap_events: tuple[tuple[int, int], ...]  # (trapped, trapper), ids in x
     release_events: tuple[tuple[int, int], ...]
+
+    __repr__ = _repr_without("partition", "next_partition", "analysis")
 
 
 def advance(x: CyclicBitstring, partition: GliderPartition | None = None) -> AdvanceResult:
@@ -223,8 +224,7 @@ def advance(x: CyclicBitstring, partition: GliderPartition | None = None) -> Adv
     )
 
 
-@dataclass(frozen=True)
-class MotionStep:
+class MotionStep(NamedTuple):
     t: int
     bits: int
     class_at: tuple[int, ...]  # per position: class index, -1 unmatched
@@ -234,8 +234,7 @@ class MotionStep:
     releases: tuple[tuple[int, int], ...]
 
 
-@dataclass
-class MotionTrace:
+class MotionTrace(NamedTuple):
     """A run of the dynamics with per-class positions and trap counters.
 
     Classes are the gliders of the starting string, indexed in partition
@@ -337,8 +336,7 @@ def _check_motion_law(
             )
 
 
-@dataclass(frozen=True)
-class OrbitPeriod:
+class OrbitPeriod(NamedTuple):
     string_period: int  # length of the factor cycle through x
     glider_period: int  # steps until every class returns to its own steps
     class_cycles: tuple[tuple[int, ...], ...]  # permutation cycles on classes
@@ -453,8 +451,7 @@ def _require_shiftable(p: GliderPartition, g: Glider) -> None:
     raise InternalConsistencyError("glider missing from its train")
 
 
-@dataclass(frozen=True)
-class TauResult:
+class TauResult(NamedTuple):
     t: int
     z: CyclicBitstring  # f^t of the start
 
@@ -511,7 +508,7 @@ def tau(
             raise InternalConsistencyError("parallel orbits drifted apart")
         d1 = (diff & -diff).bit_length() - 1
         d2 = (diff & (diff - 1)).bit_length() - 1
-        hits = []
+        # at most one order can pass: both need d2 - d1 = a = n - a, and a <= k < n/2
         for u, w in ((d1, d2), (d2, d1)):
             if (u + a) % n != w:
                 continue
@@ -526,11 +523,7 @@ def tau(
                 and not (prev | cur) >> w & 1
                 and _carries(n, a, q, bit, pos)
             ):
-                hits.append(q)
-        if len(hits) > 1:
-            raise InternalConsistencyError("ambiguous glider reading")
-        if hits:
-            return TauResult(t - 1, CyclicBitstring(n, k, prev))
+                return TauResult(t - 1, CyclicBitstring(n, k, prev))
         prev = cur
     raise InternalConsistencyError("first-visit search exceeded its cap")
 

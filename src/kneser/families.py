@@ -13,10 +13,10 @@ H(n, k) interleave a Kneser cycle with elementwise complements.
 
 import random
 import time
-from dataclasses import dataclass
 from itertools import compress, filterfalse, islice
 from math import comb
 from operator import and_
+from typing import NamedTuple
 
 from .bitstrings import iter_bits, to_string
 from .errors import InternalConsistencyError, ParameterError
@@ -41,8 +41,7 @@ EXHAUSTIVE_LIMIT = 64  # largest vertex count worth proving infeasibility on
 _CHUNK = 2048  # masks per step of tour_fault
 
 
-@dataclass(frozen=True)
-class GraphSpec:
+class GraphSpec(NamedTuple("GraphSpec", [("family", str), ("n", int), ("k", int), ("s", int)])):
     """A vertex-as-bitmask graph from one of the four set families.
 
     kneser:     k-subsets of [n], edges between disjoint sets (s ignored)
@@ -51,22 +50,19 @@ class GraphSpec:
     bipartite:  k-subsets and (n-k)-subsets, edges given by containment
     """
 
-    family: str
-    n: int
-    k: int
-    s: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.family not in ("kneser", "johnson", "gen-kneser", "bipartite"):
-            raise ParameterError(f"unknown graph family {self.family!r}")
-        for name in ("n", "k", "s"):
-            value = getattr(self, name)
+    def __new__(cls, family: str, n: int, k: int, s: int = 0) -> "GraphSpec":
+        if family not in ("kneser", "johnson", "gen-kneser", "bipartite"):
+            raise ParameterError(f"unknown graph family {family!r}")
+        for name, value in (("n", n), ("k", k), ("s", s)):
             if type(value) is not int:  # a bool is an int subclass and is refused too
                 raise ParameterError(f"{name} must be an integer, got {value!r}")
-        if not 1 <= self.k <= self.n:
-            raise ParameterError(f"need 1 <= k <= n, got n={self.n} k={self.k}")
-        if self.s < 0:
+        if not 1 <= k <= n:
+            raise ParameterError(f"need 1 <= k <= n, got n={n} k={k}")
+        if s < 0:
             raise ParameterError("s must be nonnegative")
+        return tuple.__new__(cls, (family, n, k, s))
 
     def vertex_count(self) -> int:
         base = comb(self.n, self.k)
@@ -97,8 +93,7 @@ class GraphSpec:
         return a.bit_count() == self.k and a & b == a
 
 
-@dataclass(frozen=True)
-class HamiltonResult:
+class HamiltonResult(NamedTuple):
     """Outcome of a Hamilton tour search.
 
     status is one of cycle, path, none, timeout, unsupported.  cycle_exists
@@ -111,9 +106,6 @@ class HamiltonResult:
     vertices: tuple[int, ...] = ()
     cycle_exists: bool | None = None
     note: str = ""
-
-    def __len__(self) -> int:
-        return len(self.vertices)
 
 
 def tour_fault(spec: GraphSpec, vertices, closed: bool = True) -> str | None:

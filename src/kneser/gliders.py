@@ -21,10 +21,10 @@ so coordinates compare left to right within one matching window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import accumulate, pairwise
+from typing import NamedTuple
 
-from .bitstrings import CyclicBitstring, _annotate, descent_count, parenthesis_match
+from .bitstrings import CyclicBitstring, _annotate, _repr_without, descent_count, parenthesis_match
 from .errors import InternalConsistencyError
 
 __all__ = [
@@ -39,8 +39,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Glider:
+class Glider(NamedTuple):
     """One staircase of the partition.
 
     A holds the up-step coordinates and B the down-step coordinates, both
@@ -83,8 +82,7 @@ class Glider:
         return not self.trapped_by
 
 
-@dataclass(frozen=True)
-class GliderPartition:
+class GliderPartition(NamedTuple):
     """The gliders of x in window order, each before the ones it skips, so
     they ascend by s0 and their ids count in that order."""
 
@@ -92,7 +90,9 @@ class GliderPartition:
     anchor: int
     fx: int  # f(x), the matched-zero mask of the partition's own matching
     gliders: tuple[Glider, ...]
-    pos_class: tuple[int, ...] = field(repr=False)  # position mod n -> glider id, -1 unmatched
+    pos_class: tuple[int, ...]  # position mod n -> glider id, -1 unmatched
+
+    __repr__ = _repr_without("pos_class")
 
     def glider_at(self, pos: int) -> Glider | None:
         gid = self.pos_class[pos % self.x.n]
@@ -210,8 +210,7 @@ def speed_partition(p: GliderPartition) -> tuple[int, ...]:
     return tuple(sorted((g.speed for g in p.gliders), reverse=True))
 
 
-@dataclass(frozen=True)
-class TrainComposition:
+class TrainComposition(NamedTuple):
     """Coupled runs of same-speed gliders.
 
     Two cyclically consecutive gliders of one speed are coupled when every

@@ -25,14 +25,15 @@ disconnected.
 """
 
 from collections import Counter
-from dataclasses import dataclass, field
 from math import comb, gcd
+from typing import NamedTuple
 
 from .bitstrings import (
     CycleFactor,
     CyclicBitstring,
     Matching,
     _f_bits,
+    _repr_without,
     cycle_factor,
     parenthesis_match,
     rotate_bits,
@@ -275,8 +276,7 @@ def _masks(bits: int, fx: int, n: int, p: int) -> tuple[int, int, int]:
     return o | o << n, z | z << n, u | u << n
 
 
-@dataclass(frozen=True)
-class RewriteMatch:
+class RewriteMatch(NamedTuple):
     """One vertex matched by a rewrite rule together with its partner."""
 
     family: int
@@ -354,8 +354,7 @@ def match_rewrite(
 # -- plan and assembly -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GluingPlan:
+class GluingPlan(NamedTuple):
     """Everything needed to splice the factor into one Hamilton cycle.
 
     rewrites holds the rewrites the plan's scans found, every rewrite at the
@@ -366,13 +365,15 @@ class GluingPlan:
     n: int
     k: int
     anchor: int
-    factor: CycleFactor = field(repr=False)
-    rewrites: tuple[RewriteMatch, ...] = field(repr=False)
+    factor: CycleFactor
+    rewrites: tuple[RewriteMatch, ...]
     rotation_base: int
     rotation_pairs: tuple[tuple[CyclicBitstring, CyclicBitstring], ...]
-    tree: tuple[RewriteMatch, ...] = field(repr=False)
+    tree: tuple[RewriteMatch, ...]
     exceptions: tuple[int, ...]
-    at: dict[int, tuple[int, int]] = field(repr=False)
+    at: dict[int, tuple[int, int]]
+
+    __repr__ = _repr_without("factor", "rewrites", "tree", "at")
 
     def family_counts(self) -> dict[int, int]:
         return dict(sorted(Counter(r.family for r in self.rewrites).items()))

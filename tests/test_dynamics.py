@@ -1,4 +1,3 @@
-import dataclasses
 import os
 import random
 import subprocess
@@ -362,8 +361,7 @@ def test_advance_rejects_a_glider_with_no_continuation(monkeypatch):
     def landing_off_by_one(p):
         ana = analyse(p)
         m = min(ana.movers)
-        return dataclasses.replace(
-            ana, landing={**ana.landing, m: tuple(c + 1 for c in ana.landing[m])})
+        return ana._replace(landing={**ana.landing, m: tuple(c + 1 for c in ana.landing[m])})
 
     monkeypatch.setattr(dynamics, "capture_analysis", landing_off_by_one)
     with pytest.raises(InternalConsistencyError, match="has no continuation"):
@@ -381,14 +379,13 @@ def test_continuation_check_survives_optimized_mode():
 # whose fx claims f(y) = y, a wrong string of the same weight; the step's
 # checks must catch it with asserts stripped too
 _WRONG_FX = (
-    "from dataclasses import replace\n"
     "from kneser.bitstrings import CyclicBitstring, apply_f\n"
     "from kneser.dynamics import advance\n"
     "from kneser.errors import InternalConsistencyError\n"
     "from kneser.gliders import glider_partition\n"
     "y = apply_f(CyclicBitstring.from_string('1001010000'))\n"
     "p = glider_partition(y)\n"
-    "bad = replace(p, fx=y.bits)\n"
+    "bad = p._replace(fx=y.bits)\n"
     "try:\n"
     "    advance(y, partition=bad)\n"
     "except InternalConsistencyError:\n"
@@ -406,12 +403,11 @@ def test_advance_rejects_a_wrong_fx_of_its_partition(flags):
 # string as fx, so the partition of f(x) claims f(f(x)) = f(x); of advance's
 # checks only the step-type image reads that fx
 _WRONG_IMAGE = (
-    "from dataclasses import replace\n"
     "from kneser import dynamics\n"
     "from kneser.bitstrings import CyclicBitstring\n"
     "from kneser.errors import InternalConsistencyError\n"
     "build = dynamics.glider_partition\n"
-    "dynamics.glider_partition = lambda y: replace(build(y), fx=y.bits)\n"
+    "dynamics.glider_partition = lambda y: build(y)._replace(fx=y.bits)\n"
     "x = CyclicBitstring.from_string('1001010000')\n"
     "try:\n"
     "    dynamics.advance(x, partition=build(x))\n"
@@ -432,7 +428,6 @@ def test_advance_rejects_a_wrong_image_of_its_next_partition(flags):
 # on the first step, once for one that only the step replaying it a lap
 # later sees; `kind` names the fault
 _TRACE_FAULT = (
-    "from dataclasses import replace\n"
     "from kneser import dynamics\n"
     "from kneser.bitstrings import CyclicBitstring\n"
     "from kneser.errors import InternalConsistencyError\n"
@@ -447,10 +442,10 @@ _TRACE_FAULT = (
     "def motion_law(adv, clean):\n"
     "    m = min(adv.analysis.movers)\n"
     "    bad = {**adv.delta2s, m: adv.delta2s[m] + 2}\n"
-    "    return replace(adv, delta2s=Faulty(adv.delta2s, bad, clean))\n"
+    "    return adv._replace(delta2s=Faulty(adv.delta2s, bad, clean))\n"
     "def drift(adv, clean):\n"
     "    b = adv.bijection\n"
-    "    return replace(adv, bijection=Faulty(b, {**b, 0: b[1], 1: b[0]}, clean))\n"
+    "    return adv._replace(bijection=Faulty(b, {**b, 0: b[1], 1: b[0]}, clean))\n"
     "fault, message = {'motion law': (motion_law, 'motion law violated'),\n"
     "                  'drift': (drift, 'drifted')}[kind]\n"
     "step = dynamics.advance\n"
@@ -482,7 +477,6 @@ def test_motion_trace_rejects_a_faulty_step(fault, flags):
 # the partition of x built when the orbit of 1001010000 closes has its class
 # map rotated by one; advance never reads it, so only the lap's own check can
 _CLOSED_ELSEWHERE = (
-    "from dataclasses import replace\n"
     "from kneser import dynamics\n"
     "from kneser.bitstrings import CyclicBitstring\n"
     "from kneser.errors import InternalConsistencyError\n"
@@ -494,7 +488,7 @@ _CLOSED_ELSEWHERE = (
     "    if y.bits != x.bits:\n"
     "        return p\n"
     "    built.append(p)\n"
-    "    return p if len(built) == 1 else replace(p, pos_class=p.pos_class[1:] + p.pos_class[:1])\n"
+    "    return p if len(built) == 1 else p._replace(pos_class=p.pos_class[1:] + p.pos_class[:1])\n"
     "dynamics.glider_partition = closing_elsewhere\n"
     "try:\n"
     "    dynamics.motion_trace(x, 25)\n"

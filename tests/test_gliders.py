@@ -1,4 +1,3 @@
-import dataclasses
 import os
 import random
 import subprocess
@@ -237,7 +236,7 @@ def test_faulty_matched_zeros_raise(monkeypatch, zeros):
     leaves an unmatched zero inside the excursion, closing two zeros takes
     the walk below zero, and closing none leaves it open at the anchor."""
     def faulty(x):
-        return dataclasses.replace(parenthesis_match(x), matched_zeros=zeros)
+        return parenthesis_match(x)._replace(matched_zeros=zeros)
 
     monkeypatch.setattr(gliders, "parenthesis_match", faulty)
     with pytest.raises(InternalConsistencyError):
@@ -252,12 +251,11 @@ def test_glider_invariant_survives_optimized_mode():
     walk open at the end of the window; python -O, which strips asserts, must
     still raise instead of returning a speed multiset or a partition."""
     code = (
-        "import dataclasses\n"
         "from kneser import gliders\n"
         "from kneser.bitstrings import CyclicBitstring, parenthesis_match\n"
         "from kneser.errors import InternalConsistencyError\n"
         "def faulty(x):  # reports position 0, a 1, as the anchor\n"
-        "    return dataclasses.replace(parenthesis_match(x), anchor=0)\n"
+        "    return parenthesis_match(x)._replace(anchor=0)\n"
         "gliders.parenthesis_match = faulty\n"
         "x = CyclicBitstring.from_string('110100000')\n"
         "for fn in (gliders.speed_multiset_direct, gliders.glider_partition):\n"

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import os
 import random
@@ -447,13 +446,13 @@ def test_corrupted_plans_raise():
     plan = build_gluing_plan(11, 4)
     assert len(plan.tree) > 1
     with pytest.raises(InternalConsistencyError, match="closes before"):
-        assemble_hamilton(dataclasses.replace(plan, tree=plan.tree[1:]))
+        assemble_hamilton(plan._replace(tree=plan.tree[1:]))
     with pytest.raises(InternalConsistencyError, match="splice edge is not present"):
-        assemble_hamilton(dataclasses.replace(plan, tree=plan.tree + plan.tree[:1]))
+        assemble_hamilton(plan._replace(tree=plan.tree + plan.tree[:1]))
     rm = plan.tree[0]
-    bad = dataclasses.replace(rm, image=apply_f(rm.x))
+    bad = rm._replace(image=apply_f(rm.x))
     with pytest.raises(InternalConsistencyError, match="meeting sets"):
-        assemble_hamilton(dataclasses.replace(plan, tree=(bad,) + plan.tree[1:]))
+        assemble_hamilton(plan._replace(tree=(bad,) + plan.tree[1:]))
 
 
 # -- always-on checks of the plan and the walk, each reached by one fault -------
@@ -564,7 +563,7 @@ def _forge_a_factor_cycle(monkeypatch):
     ws = list(factor.cycles[cj].vertices)
     ws[j] = fx
     cycles = factor.cycles[:cj] + (Cycle(tuple(ws)),) + factor.cycles[cj + 1:]
-    return lambda: tau(*args, **{**kw, "factor": dataclasses.replace(factor, cycles=cycles)})
+    return lambda: tau(*args, **{**kw, "factor": factor._replace(cycles=cycles)})
 
 
 def _never_carry(monkeypatch):
@@ -590,9 +589,9 @@ def test_rules_and_probe_reject_a_faulty_kernel(fault, message, monkeypatch):
 def test_walk_rejects_a_factor_cycle_too_short_to_splice():
     plan = build_gluing_plan(12, 4)
     cycles = plan.factor.cycles
-    short = dataclasses.replace(plan.factor, cycles=(Cycle(cycles[0].vertices[:2]),) + cycles[1:])
+    short = plan.factor._replace(cycles=(Cycle(cycles[0].vertices[:2]),) + cycles[1:])
     with pytest.raises(InternalConsistencyError, match="too short to splice"):
-        assemble_hamilton(dataclasses.replace(plan, factor=short))
+        assemble_hamilton(plan._replace(factor=short))
 
 
 def test_plan_and_walk_faults_are_caught_in_optimized_mode():
