@@ -25,12 +25,7 @@ from typing import NamedTuple
 
 from .bitstrings import CycleFactor, CyclicBitstring, _annotate, _f_bits, _repr_without, rotate_bits
 from .errors import InternalConsistencyError, ParameterError
-from .gliders import (
-    Glider,
-    GliderPartition,
-    glider_partition,
-    train_composition,
-)
+from .gliders import Glider, GliderPartition, glider_partition
 
 __all__ = [
     "CapturedCopy",
@@ -442,13 +437,11 @@ def _require_shiftable(p: GliderPartition, g: Glider) -> None:
     vmin = min(h.speed for h in p.gliders)
     if g.speed != vmin:
         raise ParameterError("only a slowest glider can be shifted")
-    comp = train_composition(p)[vmin]
-    for train in comp.trains:
-        if g.id in train:
-            if train[-1] != g.id:
-                raise ParameterError("the shifted glider must close its train")
-            return
-    raise InternalConsistencyError("glider missing from its train")
+    # a train couples g to the next glider of its speed across slower steps
+    # only; none is slower, so that glider must start at s2 + 1
+    nxt = p.glider_at(g.s2 + 1)
+    if nxt is not None and nxt.speed == vmin:
+        raise ParameterError("the shifted glider must close its train")
 
 
 class TauResult(NamedTuple):

@@ -184,10 +184,11 @@ def fallback_backtracking(
     verts = list(vertices)
     if len(verts) < (3 if want_cycle else 2):
         return ("none", None)
-    adjset = {v: frozenset(adjacency[v]) for v in verts}
+    bit = {v: 1 << i for i, v in enumerate(verts)}
+    nbrs = {v: sum(map(bit.__getitem__, adjacency[v])) for v in verts}  # neighbour masks
     starts = verts[:1] if want_cycle else verts
     for start in starts:
-        seq = _hamilton_dfs(verts, adjacency, adjset, start, want_cycle, deadline)
+        seq = _hamilton_dfs(verts, adjacency, bit, nbrs, start, want_cycle, deadline)
         if seq == "timeout":
             return ("timeout", None)
         if seq is not None:
@@ -195,66 +196,55 @@ def fallback_backtracking(
     return ("none", None)
 
 
-def _hamilton_dfs(verts, adjacency, adjset, start, want_cycle, deadline):
+def _hamilton_dfs(verts, adjacency, bit, nbrs, start, want_cycle, deadline):
+    """left masks the vertices off the path, so v has (nbrs[v] & left).bit_count()
+    neighbours there; candidates with the fewest come first."""
     n = len(verts)
-    cnt = {v: len(adjacency[v]) for v in verts}
-    visited = {start}
-    for w in adjacency[start]:
-        cnt[w] -= 1
+    left = (1 << n) - 1 ^ bit[start]
+    home = bit[start] if want_cycle else 0  # a cycle's path must also reach back to start
+
+    def candidates(v):
+        return iter(sorted((w for w in adjacency[v] if bit[w] & left),
+                           key=lambda w: (nbrs[w] & left).bit_count()))
+
     path = [start]
-    # stack of candidate iterators, one per path position
-    stack = [iter(sorted((v for v in adjacency[start]), key=lambda v: cnt[v]))]
+    stack = [candidates(start)]  # one candidate iterator per path position
     expansions = 0
     while stack:
         expansions += 1
         if deadline is not None and expansions % 1024 == 0:
             if time.monotonic() > deadline:
                 return "timeout"
-        tip = path[-1]
         nxt = next(stack[-1], None)
         if nxt is None:
             stack.pop()
-            path.pop()
-            visited.discard(tip)
-            for w in adjacency[tip]:
-                cnt[w] += 1
+            left |= bit[path.pop()]
             continue
-        if nxt in visited:
+        if not bit[nxt] & left:
             continue
         if len(path) == n - 1:
-            if want_cycle:
-                if start in adjset[nxt]:
-                    return path + [nxt]
-                continue
-            return path + [nxt]
-        visited.add(nxt)
-        for w in adjacency[nxt]:
-            cnt[w] -= 1
-        if _prune(verts, visited, cnt, adjset, nxt, start, want_cycle):
-            visited.discard(nxt)
-            for w in adjacency[nxt]:
-                cnt[w] += 1
+            if not want_cycle or nbrs[nxt] & bit[start]:
+                return path + [nxt]
+            continue
+        left ^= bit[nxt]
+        if _prune(verts, bit, nbrs, left, bit[nxt] | home, want_cycle):
+            left |= bit[nxt]
             continue
         path.append(nxt)
-        stack.append(iter(sorted((v for v in adjacency[nxt] if v not in visited),
-                                 key=lambda v: cnt[v])))
+        stack.append(candidates(nxt))
     return None
 
 
-def _prune(verts, visited, cnt, adjset, tip, start, want_cycle) -> bool:
+def _prune(verts, bit, nbrs, left, ends, want_cycle) -> bool:
+    """A vertex off the path can reach the path's ends and the vertices off it."""
     slack = 0  # path search may leave one vertex with a single connection
     for v in verts:
-        if v in visited:
+        if not bit[v] & left:
             continue
-        avail = cnt[v] + (v in adjset[tip])
-        if want_cycle:
-            if avail + (v in adjset[start]) < 2:
-                return True
-        elif avail == 0:
-            return True
-        elif avail == 1:
+        avail = (nbrs[v] & (left | ends)).bit_count()
+        if avail < 2:
             slack += 1
-            if slack > 1:
+            if want_cycle or avail == 0 or slack > 1:
                 return True
     return False
 

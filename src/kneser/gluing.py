@@ -336,15 +336,12 @@ def _match_bits(bits: int, n: int, k: int, p: int, fx: int, vx: tuple[int, ...] 
     return family, src, dst, False
 
 
-def match_rewrite(
-    x: CyclicBitstring, p: int = 0, fx: int | None = None, vx: tuple[int, ...] | None = None
-) -> RewriteMatch | None:
-    """Apply the one rewrite rule matching x at anchor p, if any; fx, if
-    given, is f(x), and vx, if given, is V(x)."""
+def match_rewrite(x: CyclicBitstring, p: int = 0) -> RewriteMatch | None:
+    """Apply the one rewrite rule matching x at anchor p, if any."""
     if x.n - 2 * x.k < 3:
         raise ParameterError("the rewrite rules need n >= 2k+3")
     p %= x.n
-    hit = _match_bits(x.bits, x.n, x.k, p, _f_bits(x.bits, x.n) if fx is None else fx, vx)
+    hit = _match_bits(x.bits, x.n, x.k, p, _f_bits(x.bits, x.n))
     if hit is None:
         return None
     family, src, dst, branched = hit
@@ -402,16 +399,9 @@ def build_gluing_plan(n: int, k: int, anchor: int = 0, full: bool = False) -> Gl
     if len(roots) != g:
         raise InternalConsistencyError("single-glider cycle count differs from gcd(n, k)")
 
-    # V of each cycle, constant along it
+    # V of each cycle, constant along it, and the cycle's potential P
     speeds = [speed_multiset_direct(CyclicBitstring(n, k, c.key)) for c in cycles]
-
-    def potential(ci: int) -> tuple:
-        v = speeds[ci]
-        return len(v), v[::-1], cycles[ci].key
-
-    def downhill(ci: int, cj: int) -> bool:
-        """Cycle cj is a root or has a smaller potential than cycle ci."""
-        return cj in roots or potential(cj) < potential(ci)
+    potential = [(len(v), v[::-1], c.key) for v, c in zip(speeds, cycles)]
 
     # the rewrites found on each cycle, each with x's position on it and the
     # image's cycle and position
@@ -420,8 +410,8 @@ def build_gluing_plan(n: int, k: int, anchor: int = 0, full: bool = False) -> Gl
 
     def scan(ci: int, to_parent: bool) -> bool:
         """Go on with cycle ci's scan, to the end or, with to_parent, up to
-        the first rewrite that leads downhill, which ends found[ci] and
-        makes the result True."""
+        the first rewrite that leads downhill, to a root or a smaller
+        potential, which ends found[ci] and makes the result True."""
         vs = cycles[ci].vertices  # in f-order, so f(x) is the next vertex
         for i in range(scanned[ci], len(vs)):
             hit = _match_bits(vs[i], n, k, p, vs[(i + 1) % len(vs)], speeds[ci], factor)
@@ -431,7 +421,7 @@ def build_gluing_plan(n: int, k: int, anchor: int = 0, full: bool = False) -> Gl
                 cj, j = locate(image)
                 rm = RewriteMatch(family, x, CyclicBitstring(n, k, image), branched)
                 found[ci].append((rm, i, cj, j))
-                if to_parent and downhill(ci, cj):
+                if to_parent and (cj in roots or potential[cj] < potential[ci]):
                     scanned[ci] = i + 1
                     return True
         scanned[ci] = len(vs)

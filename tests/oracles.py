@@ -6,7 +6,9 @@ the bit scan reads one position at a time where the package reads a byte,
 the determinant does rational Gaussian elimination instead of fraction-free
 elimination, the partition order is built by explicit enumeration, the
 first-visit search follows a glider class through `advance` step by step
-instead of reading two parallel orbits, the dynamics trace runs `advance`
+instead of reading two parallel orbits, the exhaustive search counts each
+vertex's neighbours off the path in a dict where the package reads them
+off one mask of the vertices off it, the dynamics trace runs `advance`
 on every step where the package steps each string of the orbit once, the
 glider shift finds its two bit
 positions on the preimage f⁻¹(x) through `advance` where `tau` reads them
@@ -663,6 +665,94 @@ def posa_tour_positions(verts, adjacency, deadline: float, rng) -> tuple[str | N
                     reverse_suffix(path, pos, i + 1)
             best = tuple(path)
     return ("path", best) if best is not None else (None, None)
+
+
+def fallback_backtracking_counts(
+    vertices,
+    adjacency,
+    want_cycle: bool = True,
+    deadline: float | None = None,
+) -> tuple[str, tuple | None]:
+    """Reference exhaustive search: the package's candidate order and
+    expansion count, with a dict of each vertex's neighbours off the path
+    that every step and every backtrack updates, and a neighbour set per
+    vertex for the prune."""
+    verts = list(vertices)
+    if len(verts) < (3 if want_cycle else 2):
+        return ("none", None)
+    adjset = {v: frozenset(adjacency[v]) for v in verts}
+    starts = verts[:1] if want_cycle else verts
+    for start in starts:
+        seq = _hamilton_dfs_counts(verts, adjacency, adjset, start, want_cycle, deadline)
+        if seq == "timeout":
+            return ("timeout", None)
+        if seq is not None:
+            return ("cycle" if want_cycle else "path", tuple(seq))
+    return ("none", None)
+
+
+def _hamilton_dfs_counts(verts, adjacency, adjset, start, want_cycle, deadline):
+    n = len(verts)
+    cnt = {v: len(adjacency[v]) for v in verts}
+    visited = {start}
+    for w in adjacency[start]:
+        cnt[w] -= 1
+    path = [start]
+    # stack of candidate iterators, one per path position
+    stack = [iter(sorted((v for v in adjacency[start]), key=lambda v: cnt[v]))]
+    expansions = 0
+    while stack:
+        expansions += 1
+        if deadline is not None and expansions % 1024 == 0:
+            if time.monotonic() > deadline:
+                return "timeout"
+        tip = path[-1]
+        nxt = next(stack[-1], None)
+        if nxt is None:
+            stack.pop()
+            path.pop()
+            visited.discard(tip)
+            for w in adjacency[tip]:
+                cnt[w] += 1
+            continue
+        if nxt in visited:
+            continue
+        if len(path) == n - 1:
+            if want_cycle:
+                if start in adjset[nxt]:
+                    return path + [nxt]
+                continue
+            return path + [nxt]
+        visited.add(nxt)
+        for w in adjacency[nxt]:
+            cnt[w] -= 1
+        if _prune_counts(verts, visited, cnt, adjset, nxt, start, want_cycle):
+            visited.discard(nxt)
+            for w in adjacency[nxt]:
+                cnt[w] += 1
+            continue
+        path.append(nxt)
+        stack.append(iter(sorted((v for v in adjacency[nxt] if v not in visited),
+                                 key=lambda v: cnt[v])))
+    return None
+
+
+def _prune_counts(verts, visited, cnt, adjset, tip, start, want_cycle) -> bool:
+    slack = 0  # path search may leave one vertex with a single connection
+    for v in verts:
+        if v in visited:
+            continue
+        avail = cnt[v] + (v in adjset[tip])
+        if want_cycle:
+            if avail + (v in adjset[start]) < 2:
+                return True
+        elif avail == 0:
+            return True
+        elif avail == 1:
+            slack += 1
+            if slack > 1:
+                return True
+    return False
 
 
 def tour_fault_passes(spec, vertices, closed: bool = True) -> str | None:

@@ -280,6 +280,43 @@ def test_tau_matches_reference(x, bit, pos):
     assert (fast.t, fast.z) == (slow.t, slow.z)
 
 
+@pytest.mark.parametrize("s,gid,message", [
+    ("1101000", 1, "only a free glider can be shifted"),
+    ("1101000", 0, "only a slowest glider can be shifted"),
+    ("10100", 0, "the shifted glider must close its train"),
+], ids=["trapped", "fast", "inside-train"])
+def test_tau_refuses_an_untrackable_glider(s, gid, message):
+    x = v(s)
+    p = glider_partition(x)
+    with pytest.raises(ParameterError, match=message):
+        tau(x, p.gliders[gid], 1, 0, partition=p)
+
+
+def test_train_check_matches_train_composition_exhaustive():
+    """tau refuses a free slowest glider exactly when train_composition does
+    not list it last in its train."""
+    checked = refused = 0
+    for n in range(3, 14):
+        for k in range(1, (n - 1) // 2 + 1):
+            for bits in iter_bits(n, k):
+                p = glider_partition(CyclicBitstring(n, k, bits))
+                vmin = min(g.speed for g in p.gliders)
+                last = {t[-1] for t in train_composition(p)[vmin].trains}
+                for g in p.gliders:
+                    if not g.free or g.speed != vmin:
+                        continue
+                    checked += 1
+                    try:
+                        dynamics._require_shiftable(p, g)
+                    except ParameterError as exc:
+                        assert str(exc) == "the shifted glider must close its train"
+                        assert g.id not in last, (bits, n, g.id)
+                        refused += 1
+                    else:
+                        assert g.id in last, (bits, n, g.id)
+    assert (checked, refused) == (12662, 3233)
+
+
 # -- the average-motion matrix ---------------------------------------------------
 
 
@@ -447,7 +484,7 @@ _TRACE_FAULT = (
     "    b = adv.bijection\n"
     "    return adv._replace(bijection=Faulty(b, {**b, 0: b[1], 1: b[0]}, clean))\n"
     "fault, message = {'motion law': (motion_law, 'motion law violated'),\n"
-    "                  'drift': (drift, 'drifted')}[kind]\n"
+    "                  'drift': (drift, 'drifted at step')}[kind]\n"
     "step = dynamics.advance\n"
     "for clean, at in ((0, 1), (1, 11)):\n"
     "    def faulty(y, partition=None):\n"

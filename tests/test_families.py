@@ -27,7 +27,7 @@ from kneser.families import (
     verify_tour,
 )
 from kneser.gluing import assemble_hamilton, build_gluing_plan
-from oracles import posa_tour_positions, tour_fault_passes
+from oracles import fallback_backtracking_counts, posa_tour_positions, tour_fault_passes
 
 
 def johnson_expectation(n: int, k: int, s: int) -> str:
@@ -339,6 +339,39 @@ def test_backtracking_finds_small_cycle():
     status, seq = fallback_backtracking(verts, ring, want_cycle=True)
     assert status == "cycle"
     assert sorted(seq) == verts
+
+
+def _small_graphs():
+    """Every graph of the four families with at most EXHAUSTIVE_LIMIT
+    vertices and n <= 12: Kneser with n > 2k, Johnson and generalized Kneser
+    with s < k, and every bipartite H(n, k)."""
+    for n in range(1, 13):
+        for k in range(1, n + 1):
+            for family in ("kneser", "johnson", "gen-kneser", "bipartite"):
+                for s in range(k) if family in ("johnson", "gen-kneser") else (0,):
+                    spec = GraphSpec(family, n, k, s)
+                    if spec.vertex_count() <= families.EXHAUSTIVE_LIMIT and (
+                            family != "kneser" or n > 2 * k):
+                        yield spec
+
+
+def test_backtracking_matches_counting_reference():
+    """The mask search returns the reference's result, cycle and path alike.
+    The cycle searches of J(n, n-2, n-3) and J(8,5,4) take seconds and are
+    left out."""
+    slow = {GraphSpec("johnson", n, n - 2, n - 3) for n in range(3, 13)} | {
+        GraphSpec("johnson", 8, 5, 4)}
+    searches = 0
+    for spec in _small_graphs():
+        verts = spec.vertices()
+        adjacency = families._adjacency(spec, verts, float("inf"))
+        for want_cycle in (True, False):
+            if want_cycle and spec in slow:
+                continue
+            got = fallback_backtracking(verts, adjacency, want_cycle)
+            assert got == fallback_backtracking_counts(verts, adjacency, want_cycle), spec
+            searches += 1
+    assert searches == 1034
 
 
 # -- Johnson graphs ------------------------------------------------------------------

@@ -574,12 +574,31 @@ def _never_carry(monkeypatch):
     return lambda: tau(*args, **kw)
 
 
+def _lose_the_fresh_glider(monkeypatch):
+    """The probe's partition of the image has no glider at any position."""
+    partition = gluing.glider_partition
+    monkeypatch.setattr(gluing, "glider_partition", lambda x: (
+        partition(x)._replace(pos_class=(-1,) * x.n)))
+    return lambda: build_gluing_plan(12, 4)
+
+
+def _refuse_every_shift(monkeypatch):
+    """tau refuses to track any glider."""
+    def refuse(p, g):
+        raise ParameterError("refused")
+
+    monkeypatch.setattr(dynamics, "_require_shiftable", refuse)
+    return lambda: build_gluing_plan(12, 4)
+
+
 @pytest.mark.parametrize("fault,message", [
     (_land_on_a_one, "rewrite must move a 1 onto a 0"),
     (_forge_the_speeds, r"rules \[5, 9\] all claim 1000010010 at anchor 0"),
     (_forge_a_factor_cycle, "parallel orbits drifted apart"),
     (_never_carry, "first-visit search exceeded its cap"),
-], ids=["move", "conflict", "drift", "cap"])
+    (_lose_the_fresh_glider, "two-way rule expects a fresh speed-1 glider"),
+    (_refuse_every_shift, "two-way rule probe is not trackable"),
+], ids=["move", "conflict", "drift", "cap", "fresh", "untrackable"])
 def test_rules_and_probe_reject_a_faulty_kernel(fault, message, monkeypatch):
     run = fault(monkeypatch)
     with pytest.raises(InternalConsistencyError, match=message):
@@ -606,7 +625,7 @@ def test_plan_and_walk_faults_are_caught_in_optimized_mode():
         capture_output=True, text=True, cwd=here.parent,
         env={**os.environ, "PYTHONPATH": src},
     )
-    assert proc.returncode == 0 and "10 passed" in proc.stdout, proc.stdout + proc.stderr
+    assert proc.returncode == 0 and "12 passed" in proc.stdout, proc.stdout + proc.stderr
 
 
 def _traced_peak(fn, *args) -> int:
