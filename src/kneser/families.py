@@ -347,46 +347,66 @@ def _adjacency(spec: GraphSpec, verts: list[int],
     return adjacency
 
 
+def _id_codes(count: int) -> tuple[int, list[bytes]]:
+    """The width w of ids below count and each id's code, its w little-endian bytes
+    then the first w - 1 reversed: a byte palindrome, so a run of codes reversed
+    byte by byte is its ids reversed, and its last w bytes big-endian its last id."""
+    w = max(1, ((count - 1).bit_length() + 7) // 8)
+    return w, [b + b[-2::-1] for b in (i.to_bytes(w, "little") for i in range(count))]
+
+
+def _rotate(path: bytearray, code: bytes) -> None:
+    """Reverse the codes in path after code's own, skipping hits that straddle two."""
+    at = path.index(code)
+    while at % len(code):
+        at = path.index(code, at + 1)
+    at += len(code)
+    path[at:] = path[:at - 1:-1]
+
+
+def _tip(path: bytearray, w: int) -> int:
+    """The last id of path, a run of codes of ids w bytes wide."""
+    return int.from_bytes(path[-w:], "big")
+
+
 def _posa_tour(verts, adjacency, deadline: float, rng) -> tuple[str | None, tuple | None]:
     """Rotation-extension search: grow a path greedily, rotate when stuck.
 
     Returns ("cycle", seq), ("path", seq) for a spanning path that would
     not close, or (None, None).  Finds Hamilton cycles in sparse graphs far
-    beyond exhaustive reach, but an empty answer proves nothing."""
-    n = len(verts)
-    adjset = {v: frozenset(adjacency[v]) for v in verts}
-    best = None
+    beyond exhaustive reach, but an empty answer proves nothing.  The path is
+    a bytearray of _id_codes and a rotation one reversed slice (_rotate)."""
+    n, best = len(verts), None
+    w, codes = _id_codes(n)
+    code = dict(zip(verts, codes))
     while time.monotonic() < deadline:
-        path = [rng.choice(verts)]
-        seen = {path[0]}
-        stalls = 0
-        while len(path) < n and stalls < 64 * n:
-            tip = path[-1]
-            fresh = [w for w in adjacency[tip] if w not in seen]
+        start = rng.choice(verts)
+        path, seen, stalls = bytearray(code[start]), {start}, 0
+        while len(seen) < n and stalls < 64 * n:
+            tip = verts[_tip(path, w)]
+            fresh = [v for v in adjacency[tip] if v not in seen]
             if fresh:
-                w = rng.choice(fresh)
-                seen.add(w)
-                path.append(w)
+                v = rng.choice(fresh)
+                seen.add(v)
+                path += code[v]
                 stalls = 0
                 continue
-            # every neighbour of a stuck tip is on the path, so index finds it
-            i = path.index(rng.choice(adjacency[tip]))
-            if i != len(path) - 2:  # rotating at the predecessor is a no-op
-                path[i + 1:] = path[:i:-1]
+            # every neighbour of a stuck tip is on the path, so _rotate finds it
+            _rotate(path, code[rng.choice(adjacency[tip])])
             stalls += 1
             if time.monotonic() > deadline:
                 break
-        if len(path) == n:
+        if len(seen) == n:
+            home = set(adjacency[start])  # adjacency is symmetric: a tip in home closes
             for _ in range(64 * n):
-                tip = path[-1]
-                if path[0] in adjset[tip]:
-                    return "cycle", tuple(path)
-                if time.monotonic() > deadline:
+                tip = verts[_tip(path, w)]
+                if tip in home or time.monotonic() > deadline:
                     break
-                i = path.index(rng.choice(adjacency[tip]))
-                if i != len(path) - 2:
-                    path[i + 1:] = path[:i:-1]
-            best = tuple(path)
+                _rotate(path, code[rng.choice(adjacency[tip])])
+            best = tuple(verts[int.from_bytes(path[j:j + w], "little")]
+                         for j in range(0, len(path), 2 * w - 1))
+            if tip in home:
+                return "cycle", best
     return ("path", best) if best is not None else (None, None)
 
 

@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import itertools
 import os
 import random
 import re
@@ -276,19 +277,47 @@ def test_posa_matches_position_map_reference(spec):
     assert got[0] == "cycle" and got == want
 
 
+@pytest.mark.parametrize("count,w", [(256, 1), (257, 2), (65536, 2), (65537, 3), (3 << 16, 3)])
+def test_posa_path_codes(count, w):
+    """The search's path encoding at ids 1, 2 and 3 bytes wide: _rotate finds
+    each id's place, past hits that straddle two codes, and reverses the run
+    after it, and _tip reads the last id of the run."""
+    width, codes = families._id_codes(count)
+    assert width == w and len(codes) == count and len(set(codes)) == count
+    assert {len(code) for code in codes} == {2 * w - 1}
+    rng = random.Random(count)
+    # a run of ids made of the bytes 0, 1 and 2 alone holds codes straddling two
+    small = [i for i in map(functools.partial(int.from_bytes, byteorder="little"),
+                            itertools.product(range(3), repeat=w)) if i < count]
+    run = list(dict.fromkeys(rng.sample(small, len(small)) + rng.sample(range(count), 20)))
+    straddles = 0
+    for i, v in enumerate(run):
+        path = bytearray(b"".join(map(codes.__getitem__, run)))
+        assert families._tip(path, w) == run[-1]
+        straddles += path.find(codes[v]) != i * (2 * w - 1)  # a hit before v's own
+        families._rotate(path, codes[v])
+        want = run[:i + 1] + run[:i:-1]
+        assert path == b"".join(map(codes.__getitem__, want))
+        assert families._tip(path, w) == want[-1]
+    assert (straddles > 0) == (w > 1)
+
+
 def test_posa_budget_holds():
-    # K(16,7) is past the exhaustive limit: the rotation-extension loops read the clock
+    # K(17,8) is past the exhaustive limit, its neighbour table takes about a
+    # quarter of the budget and its search several budgets: the rotation loops
+    # read the clock and stop
     t0 = time.monotonic()
-    r = hamilton_kneser(16, 7, fallback_cap=20000, fallback_secs=1.0)
+    r = hamilton_kneser(17, 8, fallback_cap=30000, fallback_secs=0.8)
     elapsed = time.monotonic() - t0
-    assert r.status in ("cycle", "path", "timeout")
-    assert elapsed < 1.5, elapsed
+    assert r.status == "path" or r.note == "heuristic search hit the time budget", r.note
+    assert elapsed < 1.3, elapsed
 
 
 def test_johnson_passes_its_remaining_budget():
-    # J(15,7,0) is K(15,7); its piece gets what is left of 0.2 s, not a 1 s floor
+    # J(15,7,0) is K(15,7); its piece gets what is left of 0.03 s, less than its
+    # neighbour table takes, not a 1 s floor in which the search finds a cycle
     t0 = time.monotonic()
-    r = hamilton_johnson(15, 7, 0, fallback_cap=20000, fallback_secs=0.2)
+    r = hamilton_johnson(15, 7, 0, fallback_cap=20000, fallback_secs=0.03)
     elapsed = time.monotonic() - t0
     assert r.status == "timeout" and r.cycle_exists is None
     assert "1s" not in r.note
@@ -459,6 +488,49 @@ def test_bipartite_even_count_gives_path():
 def test_bipartite_needs_a_base_cycle():
     assert hamilton_bipartite(5, 2).status == "unsupported"
     assert hamilton_bipartite(4, 2).status == "none"
+
+
+# -- always-on checks ----------------------------------------------------------------------
+
+
+def _colex_kneser_piece(spec, cap, deadline):
+    """A Kneser "cycle" in colex order, whose first two sets meet."""
+    return HamiltonResult(spec, "cycle", tuple(spec.vertices()), True, "colex order")
+
+
+def _even_cycle_of_meeting_sets(n, k, *budget):
+    """An even Kneser "cycle" of two k-sets that both hold element 0."""
+    first = (1 << k) - 1
+    return HamiltonResult(GraphSpec("kneser", n, k), "cycle",
+                          (first, first ^ 1 << k - 1 ^ 1 << k), True, "two meeting sets")
+
+
+@pytest.mark.parametrize("kernel,fake,build,message", [
+    ("_hamilton_kneser", _colex_kneser_piece, lambda: hamilton_johnson(7, 3, 1),
+     "relabel blocks differ in size"),
+    ("hamilton_kneser", _even_cycle_of_meeting_sets, lambda: hamilton_bipartite(7, 3),
+     "even Kneser cycle without a same-parity chord"),
+], ids=["relabel", "chord"])
+def test_families_reject_a_faulty_kernel(kernel, fake, build, message, monkeypatch):
+    """J(7,3,1) relabels its J(6,2,0) piece, a K(6,2) cycle, onto an edge of
+    disjoint sets; H(7,3) joins the two interleavings of an even K(7,3)
+    cycle at a chord between its sets at even places."""
+    monkeypatch.setattr(families, kernel, fake)
+    with pytest.raises(InternalConsistencyError, match=message):
+        build()
+
+
+def test_families_faults_are_caught_in_optimized_mode():
+    """The families' checks are no asserts: python -O still runs them."""
+    here = Path(__file__).resolve().parent
+    src = str(Path(kneser.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{here / 'test_families.py'}::test_families_reject_a_faulty_kernel"],
+        capture_output=True, text=True, cwd=here.parent,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0 and "2 passed" in proc.stdout, proc.stdout + proc.stderr
 
 
 # -- golden tours ----------------------------------------------------------------------------

@@ -33,8 +33,6 @@ UNREACHED = {
     ("dynamics", "more than one translate of a class fits"): "no fault test yet",
     ("dynamics", "motion matrix determinant mismatch"): "no fault test yet",
     ("dynamics", "shift positions carry equal bits"): "no fault test yet",
-    ("families", "even Kneser cycle without a same-parity chord"): "no fault test yet",
-    ("families", "relabel blocks differ in size"): "no fault test yet",
     ("gliders", "glider count "): "no fault test yet",
     ("gliders", "glider speeds do not sum to k for "): "no fault test yet",
     ("gliders", "two gliders claim one position"): "no fault test yet",
