@@ -15,10 +15,10 @@ import argparse
 import io
 import json
 import sys
-from collections import Counter
+from collections import Counter, deque
 from collections.abc import Iterable
 from contextlib import nullcontext
-from itertools import repeat
+from itertools import chain, islice, repeat
 from math import comb, gcd
 
 from .bitstrings import CyclicBitstring, cycle_factor, from_string, to_string
@@ -30,7 +30,8 @@ from .families import (
     DEFAULT_FALLBACK_SECS,
     GraphSpec,
     HamiltonResult,
-    hamilton_tour,
+    _checked,
+    _walked_tour,
     tour_fault,
 )
 from .gluing import build_gluing_plan
@@ -82,7 +83,7 @@ def _exit_code(spec: GraphSpec, r: HamiltonResult) -> int:
 
 def _cmd_gen(args) -> int:
     spec = _spec_from_args(args)
-    r = hamilton_tour(spec, args.fallback_cap, args.fallback_secs)
+    r = _walked_tour(spec, args.fallback_cap, args.fallback_secs)  # a glued cycle as its walk
     out = open(args.output, "w") if args.output else sys.stdout
     try:
         if r.vertices:
@@ -91,14 +92,18 @@ def _cmd_gen(args) -> int:
                     "n": spec.n, "k": spec.k, "family": spec.family,
                     "s": spec.s if spec.family in ("johnson", "gen-kneser") else None,
                     "status": r.status, "closed": r.status == "cycle",
-                    "count": len(r.vertices), "note": r.note,
+                    "count": spec.vertex_count(), "note": r.note,  # a checked tour's length
                 }
-                _write_json(out, head, "vertices", (
-                    "[" + ", ".join(str(i + 1) for i in range(spec.n) if v >> i & 1) + "]"
-                    for v in r.vertices))
+                out.write(json.dumps(head)[:-1] + ', "vertices": [')
             else:
                 print(_tour_header(spec, r.status), file=out)
-                _write_tour(out, r.vertices, spec.n, args.format)
+            written = _written(out, r.vertices, spec.n, args.format)
+            if type(r.vertices) is tuple:
+                deque(written, 0)
+            else:  # the walk, checked a chunk at a time as it is written
+                _checked(r._replace(vertices=written))
+            if args.format == "json":
+                out.write("]}\n")
         if r.status not in ("cycle",):
             print(f"{r.status}: {r.note}", file=sys.stderr)
     finally:
@@ -110,17 +115,29 @@ def _cmd_gen(args) -> int:
 _CHUNK = 512  # tour lines per write; chunks of 4096 raised gen's peak RSS
 
 
-def _write_tour(out, verts, n: int, fmt: str) -> None:
-    """One line per vertex in the bits or sets format, a chunk of lines per
-    write; the whole tour is never held as one string."""
+def _written(out, verts, n: int, fmt: str) -> Iterable[int]:
+    """verts, any iterable, read once and passed on as each chunk of _CHUNK is
+    written: one line per vertex in the bits or sets format, or the JSON
+    lists of their elements after the ones before.  The chunks pass through
+    C-level maps, so the reader gets no Python frame per vertex, and the tour
+    is never held."""
     width = f"0{n}b"
-    for i in range(0, len(verts), _CHUNK):
-        chunk = verts[i:i + _CHUNK]
-        if fmt == "bits":  # to_string, inlined
-            lines = [s[::-1] for s in map(format, chunk, repeat(width))]
+    sep = ""  # what goes before the next JSON chunk
+
+    def write(chunk: list[int]) -> list[int]:
+        nonlocal sep
+        if fmt == "bits":  # to_string, inlined: the chunk reversed, each line reversed back
+            out.write("\n".join(map(format, reversed(chunk), repeat(width)))[::-1] + "\n")
+        elif fmt == "sets":
+            out.write("\n".join([_fmt_vertex(v, n, fmt) for v in chunk]) + "\n")
         else:
-            lines = [_fmt_vertex(v, n, fmt) for v in chunk]
-        out.write("\n".join(lines) + "\n")
+            out.write(sep + ", ".join([
+                "[" + ", ".join(str(i + 1) for i in range(n) if v >> i & 1) + "]" for v in chunk]))
+            sep = ", "
+        return chunk
+
+    it = iter(verts)
+    return chain.from_iterable(map(write, iter(lambda: list(islice(it, _CHUNK)), [])))
 
 
 def _write_json(out, head: dict, key: str, items) -> None:

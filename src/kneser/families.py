@@ -13,14 +13,15 @@ H(n, k) interleave a Kneser cycle with elementwise complements.
 
 import random
 import time
-from itertools import compress, filterfalse, islice
+from functools import partial
+from itertools import compress, filterfalse, islice, repeat
 from math import comb
-from operator import and_
+from operator import and_, getitem, or_, setitem
 from typing import NamedTuple
 
 from .bitstrings import iter_bits, to_string
 from .errors import InternalConsistencyError, ParameterError
-from .gluing import assemble_hamilton, build_gluing_plan
+from .gluing import assemble_hamilton, build_gluing_plan, iter_tour
 
 __all__ = [
     "GraphSpec",
@@ -114,31 +115,46 @@ def tour_fault(spec: GraphSpec, vertices, closed: bool = True) -> str | None:
     C-level maps over _CHUNK masks at a time keeps the first fault of each
     kind, a position found only in a chunk that fails, and reports them in
     this order: the count, a repeat, a non-vertex, then the first pair that
-    is not an edge, the closing pair of a cycle last."""
+    is not an edge, the closing pair of a cycle last.
+
+    A repeat is fewer distinct masks than listed ones.  When 2^n is at most
+    16 times the vertex count, the masks in 0..2^n - 1 are marked in a byte
+    map of them, made once a chunk would take the listing to 2^n / 1024
+    masks, so a short listing never pays for it; the masks before, the masks
+    out of its range and every mask of a sparser graph go in a set."""
     n, k = spec.n, spec.k
     weights = {k, n - k} if spec.family == "bipartite" else {k}
-    # u & v marks every Kneser non-edge but u == v == 0, a non-vertex that outranks it
-    cut = and_ if spec.family == "kneser" else lambda u, v: not spec.adjacent(u, v)
-    seen, listed, first, prev, odd, gap = set(), 0, None, None, None, None
+    cut = _non_edges(spec)
+    dense = 1 << n <= 16 * spec.vertex_count()
+    seen, marks, listed, first, prev, odd, gap = set(), None, 0, None, None, None, None
     it = iter(vertices)
     while chunk := list(islice(it, _CHUNK)):
-        seen.update(chunk)
-        if odd is None and not (min(chunk) >= 0 and max(chunk) >> n == 0 and sum(
+        inside = min(chunk) >= 0 and not max(chunk) >> n
+        if marks is None and dense and listed + len(chunk) >= 1 << n >> 10:
+            marks = bytearray(1 << n)
+            seen = _mark(marks, seen, n)
+        if marks is None:
+            seen.update(chunk)
+        elif inside:
+            any(map(setitem, repeat(marks), chunk, repeat(1)))
+        else:
+            seen |= _mark(marks, chunk, n)
+        if odd is None and not (inside and sum(
                 map(list(map(int.bit_count, chunk)).count, weights)) == len(chunk)):
             odd = next(filterfalse(spec.valid_vertex, chunk))
         pairs = chunk if prev is None else [prev, *chunk]  # pairs[0] at listed - 1
-        if gap is None and any(map(cut, pairs, pairs[1:])):
-            i = next(compress(range(len(pairs)), map(cut, pairs, pairs[1:])))
+        if gap is None and any(cut(pairs, pairs[1:])):
+            i = next(compress(range(len(pairs)), cut(pairs, pairs[1:])))
             gap = (listed - (prev is not None) + i, pairs[i], pairs[i + 1])
         first = chunk[0] if prev is None else first
         listed += len(chunk)
         prev = chunk[-1]
-    if closed and listed and gap is None and cut(prev, first):
+    if closed and listed and gap is None and not spec.adjacent(prev, first):
         gap = (listed - 1, prev, first)
     want = spec.vertex_count()
     if listed != want:
         return f"{listed} vertices listed, the graph has {want}"
-    if len(seen) != listed:
+    if len(seen) + (marks.count(1) if marks is not None else 0) != listed:
         return "repeated vertex"
     if odd is not None:
         return f"{to_string(odd, n)} is not a vertex of this graph"
@@ -147,6 +163,31 @@ def tour_fault(spec: GraphSpec, vertices, closed: bool = True) -> str | None:
         return (f"positions {i} and {i + 1}: "
                 f"{to_string(u, n)} and {to_string(v, n)} are not adjacent")
     return None
+
+
+def _mark(marks: bytearray, masks, n: int) -> set[int]:
+    """Mark the masks in 0..2^n - 1 in marks, and return the set of the others,
+    which must not index it: a negative index reads from its end."""
+    outside = {v for v in masks if v >> n}  # v >> n is -1 for a negative v
+    any(map(setitem, repeat(marks), filterfalse(outside.__contains__, masks), repeat(1)))
+    return outside
+
+
+def _non_edges(spec: GraphSpec):
+    """The function of two lists of masks a and b that maps each pair
+    (a[i], b[i]) to a true value when it is no edge of spec's graph, in C
+    from the popcounts of u & v (and of u | v for H(n, k)).  It is exact on
+    pairs of distinct vertices, the only pairs a reported non-edge can hold,
+    since a repeat or a non-vertex outranks it."""
+    n, k, s = spec.n, spec.k, spec.s
+    if spec.family == "kneser":
+        return partial(map, and_)
+    if spec.family == "johnson":
+        return lambda a, b: map(s.__ne__, map(int.bit_count, map(and_, a, b)))
+    if spec.family == "gen-kneser":
+        return lambda a, b: map(s.__lt__, map(int.bit_count, map(and_, a, b)))
+    return lambda a, b: map(or_, map(k.__ne__, map(int.bit_count, map(and_, a, b))),
+                            map((n - k).__ne__, map(int.bit_count, map(or_, a, b))))
 
 
 def verify_tour(spec: GraphSpec, vertices, closed: bool = True) -> bool:
@@ -263,7 +304,9 @@ def hamilton_kneser(
                             time.monotonic() + fallback_secs)
 
 
-def _hamilton_kneser(spec: GraphSpec, cap: int, deadline: float) -> HamiltonResult:
+def _hamilton_kneser(spec: GraphSpec, cap: int, deadline: float,
+                     walk: bool = False) -> HamiltonResult:
+    """With walk, a cycle the gluing builds comes unchecked, as iter_tour's walk."""
     n, k = spec.n, spec.k
     count = comb(n, k)
     if count == 1:
@@ -279,9 +322,20 @@ def _hamilton_kneser(spec: GraphSpec, cap: int, deadline: float) -> HamiltonResu
         return HamiltonResult(spec, "none", (), False,
                               "complementation splits the graph into disjoint edges")
     if k == 1 or n >= 2 * k + 3:
-        tour = assemble_hamilton(build_gluing_plan(n, k))
-        return _checked(HamiltonResult(spec, "cycle", tour, True, "cycle factor gluing"))
+        plan = build_gluing_plan(n, k)
+        result = HamiltonResult(spec, "cycle", iter_tour(plan) if walk else assemble_hamilton(plan),
+                                True, "cycle factor gluing")
+        return result if walk else _checked(result)
     return _search_result(spec, cap, deadline, "sparse case below the gluing threshold")
+
+
+def _walked_tour(spec: GraphSpec, cap: int, secs: float) -> HamiltonResult:
+    """hamilton_tour(spec, cap, secs), except that a cycle the gluing builds
+    comes unchecked, its vertices the walk's iterator, for a caller that
+    writes it as it checks it with _checked and so never holds the tour."""
+    if spec.family == "kneser":
+        return _hamilton_kneser(spec, cap, time.monotonic() + secs, walk=True)
+    return hamilton_tour(spec, cap, secs)
 
 
 def _search_result(spec: GraphSpec, cap: int, deadline: float, note: str) -> HamiltonResult:
@@ -456,7 +510,13 @@ def _relabel_cycle(seq, n: int, edge: tuple[int, int]) -> list[int]:
         for i, j in zip(ss, ds):
             perm[i] = j
     bit = [1 << j for j in perm]  # the mask of each position's image
-    return [sum(map(bit.__getitem__, _positions(x))) for x in seq]
+    tables = []  # per byte of a mask, the image of each of its values
+    for j in range(0, n, 8):
+        table = [0]
+        for b in bit[j:j + 8]:
+            table += [v | b for v in table]
+        tables.append(table)
+    return [sum(map(getitem, tables, x.to_bytes(len(tables), "little"))) for x in seq]
 
 
 def _positions(mask: int) -> list[int]:

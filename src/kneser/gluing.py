@@ -25,6 +25,7 @@ disconnected.
 """
 
 from collections import Counter
+from collections.abc import Iterator
 from math import comb, gcd
 from typing import NamedTuple
 
@@ -52,6 +53,7 @@ __all__ = [
     "GluingPlan",
     "build_gluing_plan",
     "assemble_hamilton",
+    "iter_tour",
 ]
 
 
@@ -505,15 +507,22 @@ def build_gluing_plan(n: int, k: int, anchor: int = 0, full: bool = False) -> Gl
 
 
 def assemble_hamilton(plan: GluingPlan) -> tuple[int, ...]:
-    """Splice the selected 4-cycles into the factor and walk the result.
+    """The Hamilton cycle of iter_tour(plan) as the tuple of its vertex
+    bitmasks in cycle order."""
+    return tuple(iter_tour(plan))
+
+
+def iter_tour(plan: GluingPlan) -> Iterator[int]:
+    """Splice the selected 4-cycles into the factor and walk the result,
+    yielding each vertex bitmask as it is reached.
 
     Only splice endpoints change neighbours, so only they get two neighbour
     slots, filled from their factor cycle; each splice swaps two edges in
     O(1).  Between endpoints the walk steps along the factor cycles' own
     vertex tuples.  Each splice must find its edges and join only disjoint
     sets, and the walk must first return to its start after C(n, k) steps:
-    the spliced graph is 2-regular, so it is then one Hamilton cycle.  The
-    tour is returned as the tuple of vertex bitmasks in cycle order."""
+    the spliced graph is 2-regular, so it is then one Hamilton cycle.  These
+    checks raise as the walk reaches them, after the vertices before."""
     cycles = plan.factor.cycles
     if any(len(c) < 3 for c in cycles):
         raise InternalConsistencyError("factor cycle too short to splice")
@@ -562,10 +571,10 @@ def assemble_hamilton(plan: GluingPlan) -> tuple[int, ...]:
 
     vs, i, step = cycles[0].vertices, 0, -1  # slot 0 of a factor vertex is its predecessor
     start, size = vs[0], len(vs)
-    out = [start]
+    yield start
     prev, cur = -1, start
     total = comb(plan.n, plan.k)
-    for _ in range(total):
+    for listed in range(1, total + 1):  # listed vertices have been yielded
         if cur not in slots:
             i = (i + step) % size
             nxt = vs[i]
@@ -581,10 +590,9 @@ def assemble_hamilton(plan: GluingPlan) -> tuple[int, ...]:
                     raise InternalConsistencyError("spliced neighbour has no slots")
         if nxt == start:
             break
-        out.append(nxt)
+        yield nxt
         prev, cur = cur, nxt
     else:
         raise InternalConsistencyError("splice walk does not close into one cycle")
-    if len(out) != total:
+    if listed != total:
         raise InternalConsistencyError("splice walk closes before visiting every vertex")
-    return tuple(out)

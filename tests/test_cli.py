@@ -1,15 +1,23 @@
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from math import comb
+from pathlib import Path
 
 import pytest
 
-from kneser import bitstrings
+import kneser
+from kneser import bitstrings, families
 from kneser.bitstrings import CyclicBitstring, cycle_factor, to_string
 from kneser.cli import main
+from kneser.errors import InternalConsistencyError
 from kneser.families import GraphSpec, hamilton_tour
 from kneser.gliders import glider_partition, speed_partition, train_composition
+from kneser.gluing import build_gluing_plan
+from oracles import tour_fault_passes
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -55,6 +63,7 @@ def test_gen_json(capsys):
     (GraphSpec("kneser", 9, 3), ["--kneser", "9", "3"], 0),
     (GraphSpec("kneser", 5, 2), ["--kneser", "5", "2"], 3),
     (GraphSpec("johnson", 9, 3, 1), ["--johnson", "9", "3", "1"], 0),
+    (GraphSpec("kneser", 17, 7), ["--kneser", "17", "7"], 0),  # a walk of many chunks
 ])
 def test_gen_json_streams_the_dumped_payload(capsys, spec, flags, exit_code):
     """The streamed JSON is byte for byte json.dumps of the whole payload."""
@@ -130,6 +139,69 @@ def test_gen_writes_one_line_per_vertex(tmp_path, capsys, n, k, fmt, to_file):
     text = path.read_text() if to_file else out
     assert text == "\n".join(want) + "\n"
     assert out == ("" if to_file else text)
+
+
+def test_gen_checks_the_streamed_walk_under_python_O(tmp_path):
+    """gen writes a glued tour as it walks it and checks it as it writes it:
+    a walk with two vertices swapped just past a check chunk's seam exits
+    nonzero with the library check's message, under python -O too."""
+    n, k, at = 15, 6, families._CHUNK
+    spec = GraphSpec("kneser", n, k)
+    tour = list(hamilton_tour(spec).vertices)
+    tour[at], tour[at + 1] = tour[at + 1], tour[at]
+    want = f"constructed cycle fails verification: {spec}: {tour_fault_passes(spec, tour)}"
+    code = (
+        "import sys\n"
+        "from kneser import cli, families\n"
+        "walk = families.iter_tour\n"
+        "def swapped(plan):\n"
+        "    tour = list(walk(plan))\n"
+        f"    tour[{at}], tour[{at + 1}] = tour[{at + 1}], tour[{at}]\n"
+        "    return iter(tour)\n"
+        "families.iter_tour = swapped\n"
+        "assert False, 'asserts run'\n"
+        f"sys.exit(cli.main(['gen', '--kneser', '{n}', '{k}', '-o', sys.argv[1]]))\n"
+    )
+    src = str(Path(kneser.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", code, str(tmp_path / "tour.txt")],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode != 0
+    assert proc.stderr.endswith(f"InternalConsistencyError: {want}\n"), proc.stderr
+
+
+def test_gen_stops_at_an_always_on_error_in_the_walk(monkeypatch, capsys):
+    """A plan with a tree edge left out closes the streamed walk early: gen
+    raises the walk's own check after writing the vertices before it."""
+    plan = build_gluing_plan(11, 4)
+    monkeypatch.setattr(families, "build_gluing_plan",
+                        lambda n, k: plan._replace(tree=plan.tree[1:]))
+    with pytest.raises(InternalConsistencyError, match="closes before visiting every vertex"):
+        main(["gen", "--kneser", "11", "4"])
+
+
+def _traced_peak(argv) -> int:
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_gen_peak_memory_per_vertex(tmp_path):
+    """gen never holds a glued tour: it walks it into the writer and the check
+    a chunk at a time, and keeps one byte per mask for repeats.  On K(17,7)
+    its peak is the plan's and about 15 B per vertex more, against about 22
+    for a tour tuple and a set of its masks."""
+    argv = ["gen", "--kneser", "17", "7", "-o", str(tmp_path / "tour.txt")]
+    main(argv)  # module-level caches are then filled on both sides
+    tracemalloc.start()
+    try:
+        build_gluing_plan(17, 7)
+        plan = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _traced_peak(argv) <= plan + 18 * comb(17, 7), plan
 
 
 # -- verify -------------------------------------------------------------------
@@ -382,9 +454,10 @@ def test_verify_reads_lines_across_chunk_ends(tmp_path, capsys):
 
 
 def test_verify_peak_memory_per_vertex(tmp_path, capsys):
-    """verify holds a chunk of lines and one set of masks, not the tour as a
-    string, a list of lines and a list of ints: under 100 B per vertex at the
-    Python level on K(17,7)."""
+    """verify holds a chunk of lines and one byte per mask, not the tour as a
+    string, a list of lines and a list of ints: about 27 B per vertex at the
+    Python level on K(17,7), 11 of them the reader's chunk of text and 7 the
+    byte map, against 67 with a set of the masks."""
     tour = tmp_path / "tour.txt"
     run(capsys, "gen", "--kneser", "17", "7", "-o", str(tour))
     tracemalloc.start()
@@ -394,7 +467,7 @@ def test_verify_peak_memory_per_vertex(tmp_path, capsys):
     finally:
         tracemalloc.stop()
     assert code == 0
-    assert peak < 100 * comb(17, 7), peak
+    assert peak < 32 * comb(17, 7), peak
 
 
 # -- factor ---------------------------------------------------------------------

@@ -111,6 +111,7 @@ _FAULT_TOURS = {
     "H(7,2)": lambda: hamilton_bipartite(7, 2),
     "K(5,2) path": lambda: hamilton_kneser(5, 2),  # read closed, only its closing pair fails
     "K(17,7)": lambda: hamilton_kneser(17, 7),  # several chunks at the default size
+    "K(12,2)": lambda: hamilton_kneser(12, 2),  # 4,096 masks for 66 vertices: a set, no byte map
 }
 
 
@@ -201,6 +202,40 @@ def test_a_non_edge_across_a_chunk_seam_raises_under_python_O():
                           text=True, env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == f"constructed cycle fails verification: {spec}: {want}\n"
+
+
+def test_a_byte_map_only_for_a_dense_graph_and_a_long_listing(monkeypatch):
+    """tour_fault makes its byte map of the 2^n masks only when 2^n is at most
+    16 times the graph's vertex count, and only once the listing reaches
+    2^n / 1024 masks: a short listing, or any listing of a sparse graph,
+    allocates no map of 2^n bytes.  A negative mask is kept off the map,
+    where it would mark the mask 2^n below it."""
+    sizes = []
+
+    def spy(size):
+        sizes.append(size)
+        assert size <= 1 << 17, size  # never try the 2^40-byte ones
+        return bytearray(size)
+
+    monkeypatch.setattr(families, "bytearray", spy, raising=False)
+    sparse = GraphSpec("kneser", 40, 2)  # 780 vertices
+    assert families.tour_fault(sparse, [3, 5, 6]) == "3 vertices listed, the graph has 780"
+    dense = GraphSpec("kneser", 40, 20)  # C(40, 20) is over 2^40 / 16
+    short = [(1 << 20) - 1 << i for i in range(3000)]
+    assert families.tour_fault(dense, short).startswith("3000 vertices listed, the graph has ")
+    r = _fault_tour("K(12,2)")
+    assert families.tour_fault(r.spec, r.vertices) is None
+    assert sizes == []
+    r = _fault_tour("K(17,7)")
+    assert families.tour_fault(r.spec, r.vertices) is None
+    assert families.tour_fault(r.spec, r.vertices[:-1] + r.vertices[:1]) == "repeated vertex"
+    tour, top = list(r.vertices), 1 << r.spec.n
+    i = next(i for i, v in enumerate(tour) if r.spec.valid_vertex(top - v))
+    tour[i] = -tour[i]
+    want = tour_fault_passes(r.spec, tour)
+    assert want.endswith(" is not a vertex of this graph")
+    assert families.tour_fault(r.spec, tour) == want
+    assert sizes == [1 << 17] * 3
 
 
 # -- Kneser dispatch ----------------------------------------------------------------
