@@ -15,7 +15,8 @@ import argparse
 import io
 import json
 import sys
-from collections import Counter, deque
+import time
+from collections import Counter
 from collections.abc import Iterable
 from contextlib import nullcontext
 from itertools import chain, islice, repeat
@@ -31,7 +32,7 @@ from .families import (
     GraphSpec,
     HamiltonResult,
     _checked,
-    _walked_tour,
+    _tour,
     tour_fault,
 )
 from .gluing import build_gluing_plan
@@ -83,9 +84,8 @@ def _exit_code(spec: GraphSpec, r: HamiltonResult) -> int:
 
 def _cmd_gen(args) -> int:
     spec = _spec_from_args(args)
-    r = _walked_tour(spec, args.fallback_cap, args.fallback_secs)  # a glued cycle as its walk
-    out = open(args.output, "w") if args.output else sys.stdout
-    try:
+    r = _tour(spec, args.fallback_cap, time.monotonic() + args.fallback_secs, {})
+    with open(args.output, "w") if args.output else nullcontext(sys.stdout) as out:
         if r.vertices:
             if args.format == "json":
                 head = {
@@ -97,18 +97,11 @@ def _cmd_gen(args) -> int:
                 out.write(json.dumps(head)[:-1] + ', "vertices": [')
             else:
                 print(_tour_header(spec, r.status), file=out)
-            written = _written(out, r.vertices, spec.n, args.format)
-            if type(r.vertices) is tuple:
-                deque(written, 0)
-            else:  # the walk, checked a chunk at a time as it is written
-                _checked(r._replace(vertices=written))
+            _checked(r._replace(vertices=_written(out, r.vertices, spec.n, args.format)))
             if args.format == "json":
                 out.write("]}\n")
-        if r.status not in ("cycle",):
+        if r.status != "cycle":
             print(f"{r.status}: {r.note}", file=sys.stderr)
-    finally:
-        if args.output:
-            out.close()
     return _exit_code(spec, r)
 
 

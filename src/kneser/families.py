@@ -15,13 +15,13 @@ import random
 import time
 from functools import partial
 from itertools import compress, filterfalse, islice, repeat
-from math import comb
+from math import comb, isnan
 from operator import and_, getitem, or_, setitem
 from typing import NamedTuple
 
 from .bitstrings import iter_bits, to_string
 from .errors import InternalConsistencyError, ParameterError
-from .gluing import assemble_hamilton, build_gluing_plan, iter_tour
+from .gluing import build_gluing_plan, iter_tour
 
 __all__ = [
     "GraphSpec",
@@ -125,7 +125,7 @@ def tour_fault(spec: GraphSpec, vertices, closed: bool = True) -> str | None:
     n, k = spec.n, spec.k
     weights = {k, n - k} if spec.family == "bipartite" else {k}
     cut = _non_edges(spec)
-    dense = 1 << n <= 16 * spec.vertex_count()
+    dense = n < (16 * spec.vertex_count()).bit_length()  # 2^n <= 16 * count, 2^n never made
     seen, marks, listed, first, prev, odd, gap = set(), None, 0, None, None, None, None
     it = iter(vertices)
     while chunk := list(islice(it, _CHUNK)):
@@ -203,6 +203,39 @@ def _checked(result: HamiltonResult) -> HamiltonResult:
         raise InternalConsistencyError(
             f"constructed {result.status} fails verification: {result.spec}: {fault}")
     return result
+
+
+def hamilton_tour(spec: GraphSpec,
+                  fallback_cap: int = DEFAULT_FALLBACK_CAP,
+                  fallback_secs: float = DEFAULT_FALLBACK_SECS) -> HamiltonResult:
+    """Hamilton tour of spec's graph, or the strongest substitute available,
+    found under a search cap and a time budget in seconds, and checked."""
+    result = _tour(spec, fallback_cap, time.monotonic() + fallback_secs, {})
+    return _checked(result._replace(vertices=tuple(result.vertices)))
+
+
+def _tour(spec: GraphSpec, cap: int, deadline: float, memo: dict) -> HamiltonResult:
+    """The tour of spec's graph, unchecked, for its consumer to check once: a
+    glued Kneser cycle comes as iter_tour's walk, any other tour as a tuple.
+    memo holds the pieces that a composite family has built in this call."""
+    if isnan(deadline):
+        raise ParameterError("the time budget is not a number")
+    if spec.vertex_count() == 1:
+        return HamiltonResult(spec, "path", ((1 << spec.k) - 1,), False,
+                              "single vertex, nothing to tour")
+    build = {"kneser": _kneser, "johnson": _johnson, "gen-kneser": _generalized_kneser,
+             "bipartite": _bipartite}[spec.family]
+    return build(spec, cap, deadline, memo)
+
+
+def _piece(spec: GraphSpec, cap: int, deadline: float, memo: dict) -> HamiltonResult:
+    """The checked tour of a piece that a composite family builds on, as a
+    tuple, built once per call in memo: a timeout or an unsupported piece
+    built again under what is left of the same budget and cap fares no better."""
+    if spec not in memo:
+        result = _tour(spec, cap, deadline, memo)
+        memo[spec] = _checked(result._replace(vertices=tuple(result.vertices)))
+    return memo[spec]
 
 
 # -- exhaustive fallback -----------------------------------------------------
@@ -300,42 +333,23 @@ def hamilton_kneser(
     fallback_secs: float = DEFAULT_FALLBACK_SECS,
 ) -> HamiltonResult:
     """Hamilton cycle of K(n, k), or the strongest substitute available."""
-    return _hamilton_kneser(GraphSpec("kneser", n, k), fallback_cap,
-                            time.monotonic() + fallback_secs)
+    return hamilton_tour(GraphSpec("kneser", n, k), fallback_cap, fallback_secs)
 
 
-def _hamilton_kneser(spec: GraphSpec, cap: int, deadline: float,
-                     walk: bool = False) -> HamiltonResult:
-    """With walk, a cycle the gluing builds comes unchecked, as iter_tour's walk."""
+def _kneser(spec: GraphSpec, cap: int, deadline: float, memo: dict) -> HamiltonResult:
     n, k = spec.n, spec.k
-    count = comb(n, k)
-    if count == 1:
-        return HamiltonResult(spec, "path", ((1 << k) - 1,), False,
-                              "single vertex, nothing to tour")
     if n < 2 * k:
         return HamiltonResult(spec, "none", (), False,
                               "any two k-sets meet, the graph has no edges")
+    if n == 2 * k == 2:
+        return HamiltonResult(spec, "path", (1, 2), False, "a single edge has no cycle")
     if n == 2 * k:
-        if k == 1:
-            return _checked(HamiltonResult(spec, "path", (1, 2), False,
-                                           "a single edge has no cycle"))
         return HamiltonResult(spec, "none", (), False,
                               "complementation splits the graph into disjoint edges")
     if k == 1 or n >= 2 * k + 3:
-        plan = build_gluing_plan(n, k)
-        result = HamiltonResult(spec, "cycle", iter_tour(plan) if walk else assemble_hamilton(plan),
-                                True, "cycle factor gluing")
-        return result if walk else _checked(result)
+        return HamiltonResult(spec, "cycle", iter_tour(build_gluing_plan(n, k)), True,
+                              "cycle factor gluing")
     return _search_result(spec, cap, deadline, "sparse case below the gluing threshold")
-
-
-def _walked_tour(spec: GraphSpec, cap: int, secs: float) -> HamiltonResult:
-    """hamilton_tour(spec, cap, secs), except that a cycle the gluing builds
-    comes unchecked, its vertices the walk's iterator, for a caller that
-    writes it as it checks it with _checked and so never holds the tour."""
-    if spec.family == "kneser":
-        return _hamilton_kneser(spec, cap, time.monotonic() + secs, walk=True)
-    return hamilton_tour(spec, cap, secs)
 
 
 def _search_result(spec: GraphSpec, cap: int, deadline: float, note: str) -> HamiltonResult:
@@ -356,23 +370,22 @@ def _search_result(spec: GraphSpec, cap: int, deadline: float, note: str) -> Ham
         rng = random.Random(f"{spec.family}:{spec.n}:{spec.k}:{spec.s}")
         status, seq = _posa_tour(verts, adjacency, deadline, rng)
         if status == "cycle":
-            return _checked(HamiltonResult(spec, "cycle", seq, True,
-                                           note + " (rotation-extension)"))
+            return HamiltonResult(spec, "cycle", seq, True, note + " (rotation-extension)")
         if status == "path":
-            return _checked(HamiltonResult(spec, "path", seq, None,
-                                           "spanning path found, cycle not closed in time"))
+            return HamiltonResult(spec, "path", seq, None,
+                                  "spanning path found, cycle not closed in time")
         return HamiltonResult(spec, "timeout", (), None,
                               "heuristic search hit the time budget")
     status, seq = fallback_backtracking(verts, adjacency, True, deadline)
     if status == "cycle":
-        return _checked(HamiltonResult(spec, "cycle", seq, True, note))
+        return HamiltonResult(spec, "cycle", seq, True, note)
     if status == "timeout":
         return HamiltonResult(spec, "timeout", (), None,
                               "search hit the time budget")
     status, seq = fallback_backtracking(verts, adjacency, False, deadline)
     if status == "path":
-        return _checked(HamiltonResult(spec, "path", seq, False,
-                                       "no Hamilton cycle: exhaustive search ran dry"))
+        return HamiltonResult(spec, "path", seq, False,
+                              "no Hamilton cycle: exhaustive search ran dry")
     if status == "timeout":
         return HamiltonResult(spec, "timeout", (), False,
                               "no cycle exists; path search hit the time budget")
@@ -475,20 +488,7 @@ def hamilton_johnson(
     fallback_secs: float = DEFAULT_FALLBACK_SECS,
 ) -> HamiltonResult:
     """Hamilton cycle of J(n, k, s), built recursively on the last element."""
-    spec = GraphSpec("johnson", n, k, s)
-    deadline = time.monotonic() + fallback_secs
-    return _johnson(spec, fallback_cap, deadline, {})
-
-
-def _johnson(spec: GraphSpec, cap: int, deadline: float,
-             memo: dict[GraphSpec, HamiltonResult]) -> HamiltonResult:
-    """One piece of the recursion; memo shares pieces within one call."""
-    if spec in memo:
-        return memo[spec]
-    result = _johnson_build(spec, cap, deadline, memo)
-    if result.status in ("cycle", "path", "none"):
-        memo[spec] = result  # budget-dependent outcomes are not reused
-    return result
+    return hamilton_tour(GraphSpec("johnson", n, k, s), fallback_cap, fallback_secs)
 
 
 def _relabel_cycle(seq, n: int, edge: tuple[int, int]) -> list[int]:
@@ -528,13 +528,8 @@ def _positions(mask: int) -> list[int]:
     return out
 
 
-def _johnson_build(spec: GraphSpec, cap: int, deadline: float,
-                   memo: dict[GraphSpec, HamiltonResult]) -> HamiltonResult:
+def _johnson(spec: GraphSpec, cap: int, deadline: float, memo: dict) -> HamiltonResult:
     n, k, s = spec.n, spec.k, spec.s
-    count = comb(n, k)
-    if count == 1:
-        return HamiltonResult(spec, "path", ((1 << k) - 1,), False,
-                              "single vertex, nothing to tour")
     if s >= k:
         return HamiltonResult(spec, "none", (), False,
                               "distinct k-sets cannot meet in k elements")
@@ -542,20 +537,16 @@ def _johnson_build(spec: GraphSpec, cap: int, deadline: float,
         if n - 2 * k + s < 0:
             return HamiltonResult(spec, "none", (), False,
                                   "k-sets in a small ground set always meet in over s elements")
-        inner = _johnson(GraphSpec("johnson", n, n - k, n - 2 * k + s), cap, deadline, memo)
-        full = (1 << n) - 1
-        flipped = tuple(full ^ v for v in inner.vertices)
-        return HamiltonResult(spec, inner.status, flipped, inner.cycle_exists,
-                              "complemented: " + inner.note)
+        inner = _piece(GraphSpec("johnson", n, n - k, n - 2 * k + s), cap, deadline, memo)
+        flipped = tuple(map(((1 << n) - 1).__xor__, inner.vertices))
+        return inner._replace(spec=spec, vertices=flipped, note="complemented: " + inner.note)
     if s == 0:
-        inner = _hamilton_kneser(GraphSpec("kneser", n, k), cap, deadline)
-        return HamiltonResult(spec, inner.status, inner.vertices,
-                              inner.cycle_exists, inner.note)
+        return _tour(GraphSpec("kneser", n, k), cap, deadline, memo)._replace(spec=spec)
     if n <= 6:
         return _search_result(spec, cap, deadline, "small ground set, exhaustive search")
 
-    half1 = _johnson(GraphSpec("johnson", n - 1, k - 1, s - 1), cap, deadline, memo)
-    half0 = _johnson(GraphSpec("johnson", n - 1, k, s), cap, deadline, memo)
+    half1 = _piece(GraphSpec("johnson", n - 1, k - 1, s - 1), cap, deadline, memo)
+    half0 = _piece(GraphSpec("johnson", n - 1, k, s), cap, deadline, memo)
     for half in (half1, half0):
         if half.status != "cycle":
             return HamiltonResult(spec, half.status, (), half.cycle_exists,
@@ -570,8 +561,8 @@ def _johnson_build(spec: GraphSpec, cap: int, deadline: float,
     cyc1 = [x | top for x in _relabel_cycle(half1.vertices, n - 1, (a ^ top, b ^ top))]
     cyc0 = _relabel_cycle(half0.vertices, n - 1, (c, d))
     merged = cyc1[1:] + [cyc1[0]] + cyc0[1:] + [cyc0[0]]
-    return _checked(HamiltonResult(spec, "cycle", tuple(merged), True,
-                                   "recursive split on the last element"))
+    return HamiltonResult(spec, "cycle", tuple(merged), True,
+                          "recursive split on the last element")
 
 
 # -- generalized Kneser ------------------------------------------------------
@@ -586,28 +577,26 @@ def hamilton_generalized_kneser(
 ) -> HamiltonResult:
     """Hamilton cycle of K(n, k, s), reusing a fixed-overlap cycle when one
     exists: every J(n, k, t) edge with t <= s is a K(n, k, s) edge."""
-    spec = GraphSpec("gen-kneser", n, k, s)
-    count = comb(n, k)
-    if count == 1:
-        return HamiltonResult(spec, "path", ((1 << k) - 1,), False,
-                              "single vertex, nothing to tour")
+    return hamilton_tour(GraphSpec("gen-kneser", n, k, s), fallback_cap, fallback_secs)
+
+
+def _generalized_kneser(spec: GraphSpec, cap: int, deadline: float, memo: dict) -> HamiltonResult:
+    n, k, s = spec.n, spec.k, spec.s
     if s >= k:
-        if count == 2:
-            return _checked(HamiltonResult(spec, "path", tuple(iter_bits(n, k)),
-                                           False, "two vertices, one edge"))
-        return _checked(HamiltonResult(spec, "cycle", tuple(iter_bits(n, k)), True,
-                                       "all pairs adjacent, any order works"))
-    deadline = time.monotonic() + fallback_secs  # one budget for every piece
-    for t in range(s, -1, -1):
-        inner = hamilton_johnson(n, k, t, fallback_cap, deadline - time.monotonic())
+        if spec.vertex_count() == 2:
+            return HamiltonResult(spec, "path", tuple(iter_bits(n, k)), False,
+                                  "two vertices, one edge")
+        return HamiltonResult(spec, "cycle", tuple(iter_bits(n, k)), True,
+                              "all pairs adjacent, any order works")
+    for t in range(s, -1, -1):  # every piece shares the one budget and memo
+        inner = _piece(GraphSpec("johnson", n, k, t), cap, deadline, memo)
         if inner.status == "cycle":
-            return _checked(HamiltonResult(spec, "cycle", inner.vertices, True,
-                                           f"fixed-overlap cycle with t={t}"))
-        if t == s:
-            best = inner
+            return HamiltonResult(spec, "cycle", inner.vertices, True,
+                                  f"fixed-overlap cycle with t={t}")
+    best = _piece(GraphSpec("johnson", n, k, s), cap, deadline, memo)  # from memo
     if s == 0:  # K(n, k, 0) is K(n, k), which the t = 0 piece already searched
-        return HamiltonResult(spec, best.status, best.vertices, best.cycle_exists, best.note)
-    result = _search_result(spec, fallback_cap, deadline, "union graph search")
+        return best._replace(spec=spec)
+    result = _search_result(spec, cap, deadline, "union graph search")
     if result.status in ("cycle", "path", "none"):
         return result
     return HamiltonResult(spec, result.status, (), None,
@@ -628,46 +617,34 @@ def hamilton_bipartite(
     complement of y.  An odd Kneser cycle closes into one Hamilton cycle;
     an even one gives two interleavings joined into a Hamilton path at a
     same-parity chord."""
-    spec = GraphSpec("bipartite", n, k)
+    return hamilton_tour(GraphSpec("bipartite", n, k), fallback_cap, fallback_secs)
+
+
+def _bipartite(spec: GraphSpec, cap: int, deadline: float, memo: dict) -> HamiltonResult:
+    n, k = spec.n, spec.k
     if n == 2 * k:
         return HamiltonResult(spec, "none", (), False,
                               "both sides are k-sets, containment gives no edges")
     if n < 2 * k:
         raise ParameterError("need n >= 2k for a bipartite containment graph")
-    base = hamilton_kneser(n, k, fallback_cap, fallback_secs)
+    base = _piece(GraphSpec("kneser", n, k), cap, deadline, memo)
     if base.status != "cycle":
         return HamiltonResult(spec, "unsupported", (), None,
                               f"no Kneser cycle to lift: {base.note}")
-    x = list(base.vertices)
+    x = base.vertices
     big = len(x)
     full = (1 << n) - 1
+    woven = [v if i % 2 == 0 else full ^ v for i, v in enumerate(x + x if big % 2 else x)]
     if big % 2 == 1:
-        woven = [v if i % 2 == 0 else full ^ v for i, v in enumerate(x + x)]
-        return _checked(HamiltonResult(spec, "cycle", tuple(woven), True,
-                                       "odd Kneser cycle interleaved with complements"))
-    cycle_a = [x[i] if i % 2 == 0 else full ^ x[i] for i in range(big)]
-    cycle_b = [x[i] if i % 2 == 1 else full ^ x[i] for i in range(big)]
+        return HamiltonResult(spec, "cycle", tuple(woven), True,
+                              "odd Kneser cycle interleaved with complements")
     chord = next(((i, j) for i in range(0, big, 2) for j in range(i + 2, big, 2)
                   if x[i] & x[j] == 0), None)
     if chord is None:
         raise InternalConsistencyError("even Kneser cycle without a same-parity chord")
     i, j = chord
-    path_a = cycle_a[i:] + cycle_a[:i]  # starts at x[i]
-    path_b = cycle_b[j:] + cycle_b[:j]  # starts at the complement of x[j]
+    path_a = woven[i:] + woven[:i]  # starts at x[i]
+    path_b = [full ^ v for v in woven[j:] + woven[:j]]  # the other interleaving, from comp(x[j])
     tour = path_a[::-1] + path_b  # joined across the edge x[i] -> comp(x[j])
-    return _checked(HamiltonResult(spec, "path", tuple(tour), None,
-                                   "even Kneser cycle, two interleavings joined at a chord"))
-
-
-def hamilton_tour(spec: GraphSpec,
-                  fallback_cap: int = DEFAULT_FALLBACK_CAP,
-                  fallback_secs: float = DEFAULT_FALLBACK_SECS) -> HamiltonResult:
-    """Dispatch on the graph family."""
-    if spec.family == "kneser":
-        return hamilton_kneser(spec.n, spec.k, fallback_cap, fallback_secs)
-    if spec.family == "johnson":
-        return hamilton_johnson(spec.n, spec.k, spec.s, fallback_cap, fallback_secs)
-    if spec.family == "gen-kneser":
-        return hamilton_generalized_kneser(spec.n, spec.k, spec.s,
-                                           fallback_cap, fallback_secs)
-    return hamilton_bipartite(spec.n, spec.k, fallback_cap, fallback_secs)
+    return HamiltonResult(spec, "path", tuple(tour), None,
+                          "even Kneser cycle, two interleavings joined at a chord")

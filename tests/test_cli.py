@@ -109,6 +109,46 @@ def test_gen_invalid_parameters_exit_2(capsys):
     assert err
 
 
+@pytest.mark.parametrize("secs, code, err", [
+    ("nan", 2, "parameter error: the time budget is not a number\n"),
+    ("-1", 4, "timeout: search hit the time budget\n"),
+    ("inf", 0, ""),
+], ids=["nan", "negative", "inf"])
+def test_gen_refuses_only_a_nan_budget(capsys, secs, code, err):
+    """A NaN budget is refused before any search; a negative one still times
+    the search out, and an infinite one lets it run to its cycle."""
+    got = run(capsys, "gen", "--kneser", "13", "6", "--fallback-secs", secs)
+    assert (got[0], got[2]) == (code, err)
+
+
+@pytest.mark.parametrize("spec, checks", [
+    (GraphSpec("kneser", 5, 2), 1), (GraphSpec("kneser", 7, 3), 1),
+    (GraphSpec("kneser", 13, 6), 1), (GraphSpec("kneser", 15, 7), 1),
+    (GraphSpec("kneser", 11, 4), 1),  # glued
+    (GraphSpec("johnson", 17, 7, 3), 24), (GraphSpec("gen-kneser", 15, 6, 1), 10),
+    (GraphSpec("bipartite", 15, 6), 2), (GraphSpec("bipartite", 16, 5), 2),
+], ids=["K(5,2)", "K(7,3)", "K(13,6)", "K(15,7)", "K(11,4)", "J(17,7,3)", "K(15,6,1)",
+        "H(15,6)", "H(16,5)"])
+def test_gen_checks_each_tour_as_often_as_the_library(tmp_path, monkeypatch, spec, checks):
+    """gen checks the tours that hamilton_tour checks, in the same order: each
+    piece of a composite family under its own spec, then the whole.  None is
+    checked twice and none is left out."""
+    checked = []
+    fault = families.tour_fault
+
+    def spy(graph, vertices, closed=True):
+        checked.append((graph, closed))
+        return fault(graph, vertices, closed)
+
+    monkeypatch.setattr(families, "tour_fault", spy)
+    hamilton_tour(spec)
+    library, checked[:] = checked[:], []
+    s = [str(spec.s)] if spec.family in ("johnson", "gen-kneser") else []
+    main(["gen", f"--{spec.family}", str(spec.n), str(spec.k), *s, "-o", str(tmp_path / "t")])
+    assert checked == library and library[-1][0] == spec
+    assert len(set(library)) == len(library) == checks, library
+
+
 def test_gen_bipartite_even_path_exits_0(capsys):
     code, out, _ = run(capsys, "gen", "--bipartite", "6", "1")
     assert code == 0

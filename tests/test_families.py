@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from math import comb
 from pathlib import Path
 
@@ -185,12 +186,12 @@ def test_a_non_edge_across_a_chunk_seam_raises_under_python_O():
     code = (
         "from kneser import families\n"
         "from kneser.errors import InternalConsistencyError\n"
-        "assemble = families.assemble_hamilton\n"
+        "walk = families.iter_tour\n"
         "def swapped(plan):\n"
-        "    tour = list(assemble(plan))\n"
+        "    tour = list(walk(plan))\n"
         f"    tour[{at}], tour[{at + 1}] = tour[{at + 1}], tour[{at}]\n"
-        "    return tuple(tour)\n"
-        "families.assemble_hamilton = swapped\n"
+        "    return iter(tour)\n"
+        "families.iter_tour = swapped\n"
         "assert False, 'asserts run'\n"
         "try:\n"
         f"    families.hamilton_tour(families.GraphSpec('kneser', {n}, {k}))\n"
@@ -202,6 +203,20 @@ def test_a_non_edge_across_a_chunk_seam_raises_under_python_O():
                           text=True, env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == f"constructed cycle fails verification: {spec}: {want}\n"
+
+
+def test_a_huge_ground_set_costs_no_2_to_the_n():
+    """Whether a byte map fits is read off bit lengths: a one-vertex listing
+    of K(10^9, 1) is refused by its count without 2^n ever being built, an
+    int of 125 MB."""
+    tracemalloc.start()
+    try:
+        fault = families.tour_fault(GraphSpec("kneser", 10**9, 1), [1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fault == "1 vertices listed, the graph has 1000000000"
+    assert peak < 2**20, peak
 
 
 def test_a_byte_map_only_for_a_dense_graph_and_a_long_listing(monkeypatch):
@@ -284,6 +299,16 @@ def test_kneser_cap_respected():
     assert r.cycle_exists is None
     assert "cap" in r.note
     assert hamilton_kneser(8, 3).status == "cycle"  # full budget still works
+
+
+@pytest.mark.parametrize("spec", [GraphSpec("kneser", 7, 3), GraphSpec("johnson", 9, 3, 1)],
+                         ids=["search", "reduction"])
+def test_a_nan_budget_is_a_parameter_error(spec):
+    """NaN compares false with every clock reading, so it would read as a
+    budget spent at once; it is refused before any build."""
+    with pytest.raises(ParameterError, match="the time budget is not a number"):
+        hamilton_tour(spec, fallback_secs=float("nan"))
+    assert hamilton_tour(spec, fallback_secs=float("inf")).status == "cycle"
 
 
 def test_kneser_fallback_budget_holds():
@@ -528,29 +553,29 @@ def test_bipartite_needs_a_base_cycle():
 # -- always-on checks ----------------------------------------------------------------------
 
 
-def _colex_kneser_piece(spec, cap, deadline):
-    """A Kneser "cycle" in colex order, whose first two sets meet."""
+def _colex_piece(spec, *budget):
+    """A "cycle" in colex order, whose first two sets meet."""
     return HamiltonResult(spec, "cycle", tuple(spec.vertices()), True, "colex order")
 
 
-def _even_cycle_of_meeting_sets(n, k, *budget):
+def _even_cycle_of_meeting_sets(spec, *budget):
     """An even Kneser "cycle" of two k-sets that both hold element 0."""
-    first = (1 << k) - 1
-    return HamiltonResult(GraphSpec("kneser", n, k), "cycle",
-                          (first, first ^ 1 << k - 1 ^ 1 << k), True, "two meeting sets")
+    first = (1 << spec.k) - 1
+    return HamiltonResult(spec, "cycle", (first, first ^ 1 << spec.k - 1 ^ 1 << spec.k), True,
+                          "two meeting sets")
 
 
-@pytest.mark.parametrize("kernel,fake,build,message", [
-    ("_hamilton_kneser", _colex_kneser_piece, lambda: hamilton_johnson(7, 3, 1),
-     "relabel blocks differ in size"),
-    ("hamilton_kneser", _even_cycle_of_meeting_sets, lambda: hamilton_bipartite(7, 3),
+@pytest.mark.parametrize("fake,build,message", [
+    (_colex_piece, lambda: hamilton_johnson(7, 3, 1), "relabel blocks differ in size"),
+    (_even_cycle_of_meeting_sets, lambda: hamilton_bipartite(7, 3),
      "even Kneser cycle without a same-parity chord"),
 ], ids=["relabel", "chord"])
-def test_families_reject_a_faulty_kernel(kernel, fake, build, message, monkeypatch):
-    """J(7,3,1) relabels its J(6,2,0) piece, a K(6,2) cycle, onto an edge of
-    disjoint sets; H(7,3) joins the two interleavings of an even K(7,3)
-    cycle at a chord between its sets at even places."""
-    monkeypatch.setattr(families, kernel, fake)
+def test_families_reject_a_faulty_kernel(fake, build, message, monkeypatch):
+    """J(7,3,1) relabels its J(6,2,0) piece onto an edge of disjoint sets;
+    H(7,3) joins the two interleavings of an even K(7,3) cycle at a chord
+    between its sets at even places.  The faulty piece comes unchecked, as
+    its check would otherwise name the fault first."""
+    monkeypatch.setattr(families, "_piece", fake)
     with pytest.raises(InternalConsistencyError, match=message):
         build()
 

@@ -1,5 +1,7 @@
 """The stage modules export only names that something outside the tests uses."""
 
+import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -32,7 +34,8 @@ def test_every_export_has_a_user_or_is_documented():
     README."""
     paths = [*PACKAGE.glob("*.py"), *(ROOT / "scripts").glob("*.py")]
     sources = {p: p.read_text().splitlines() for p in paths}
-    spans = re.findall(r"`([^`]+)`", (ROOT / "README.md").read_text())
+    prose = re.sub(r"^```.*?^```", "", (ROOT / "README.md").read_text(), flags=re.S | re.M)
+    spans = re.findall(r"`([^`]+)`", prose)  # a fence's backticks would shift the pairs
     unused = [
         f"{module}.{name}"
         for module in MODULES
@@ -41,3 +44,14 @@ def test_every_export_has_a_user_or_is_documented():
         and not any(re.search(rf"\b{name}\b", span) for span in spans)
     ]
     assert not unused, f"exported but unused and undocumented: {unused}"
+
+
+def test_the_benchmarks_traced_names_are_defined():
+    """perfbench/trace_child.py wraps each name in its TRACED table by getattr
+    on its kneser module, so a rename there would break a traced run."""
+    tree = ast.parse((ROOT / "perfbench" / "trace_child.py").read_text())
+    traced = next(ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
+                  and [getattr(t, "id", None) for t in node.targets] == ["TRACED"])
+    missing = [f"{module}.{name}" for module, names in traced.items() for name in names
+               if not hasattr(importlib.import_module(f"kneser.{module}"), name)]
+    assert traced and not missing, missing
