@@ -45,10 +45,10 @@ _CHUNK = 2048  # masks per step of tour_fault
 class GraphSpec(NamedTuple("GraphSpec", [("family", str), ("n", int), ("k", int), ("s", int)])):
     """A vertex-as-bitmask graph from one of the four set families.
 
-    kneser:     k-subsets of [n], edges between disjoint sets (s ignored)
+    kneser:     k-subsets of [n], edges between disjoint sets (s stored as 0)
     johnson:    k-subsets, edges between sets meeting in exactly s elements
     gen-kneser: k-subsets, edges between sets meeting in at most s elements
-    bipartite:  k-subsets and (n-k)-subsets, edges given by containment
+    bipartite:  k-subsets and (n-k)-subsets, edges given by containment (s stored as 0)
     """
 
     __slots__ = ()
@@ -63,6 +63,8 @@ class GraphSpec(NamedTuple("GraphSpec", [("family", str), ("n", int), ("k", int)
             raise ParameterError(f"need 1 <= k <= n, got n={n} k={k}")
         if s < 0:
             raise ParameterError("s must be nonnegative")
+        if family in ("kneser", "bipartite"):
+            s = 0  # their edges read no s, so one graph has one spec
         return tuple.__new__(cls, (family, n, k, s))
 
     def vertex_count(self) -> int:
@@ -545,12 +547,13 @@ def _johnson(spec: GraphSpec, cap: int, deadline: float, memo: dict) -> Hamilton
     if n <= 6:
         return _search_result(spec, cap, deadline, "small ground set, exhaustive search")
 
-    half1 = _piece(GraphSpec("johnson", n - 1, k - 1, s - 1), cap, deadline, memo)
-    half0 = _piece(GraphSpec("johnson", n - 1, k, s), cap, deadline, memo)
-    for half in (half1, half0):
+    halves = []  # a half that falls short ends the build before the next one
+    for piece in (GraphSpec("johnson", n - 1, k - 1, s - 1), GraphSpec("johnson", n - 1, k, s)):
+        halves.append(half := _piece(piece, cap, deadline, memo))
         if half.status != "cycle":
             return HamiltonResult(spec, half.status, (), half.cycle_exists,
                                   f"recursive piece {half.spec} fell short: {half.note}")
+    half1, half0 = halves
 
     # joining 4-cycle: a, b contain element n-1; c, d avoid it; (1 << j) - (1 << i) is i..j-1
     top = 1 << (n - 1)

@@ -457,20 +457,16 @@ def build_gluing_plan(n: int, k: int, anchor: int = 0, full: bool = False) -> Gl
                 join(ci, *found[ci][-1])
             else:
                 exceptions.append(ci)
-    for ci in exceptions:
-        for hit in found[ci]:
-            join(ci, *hit)
-    for ci in range(len(cycles)):
-        if len(tree) == spanning:
+    # join the exceptions' rewrites, then resume the scans, until the tree
+    # spans; full scans on to the end, but with k = 1 the factor is one cycle
+    for ci in [*exceptions, *range(len(cycles))]:
+        if len(tree) == spanning and not (full and k >= 2):
             break
         scan(ci, to_parent=False)
         for hit in found[ci]:
             join(ci, *hit)
     if len(tree) != spanning:
         raise InternalConsistencyError("the auxiliary cycle graph is disconnected")
-    if full and k >= 2:  # with k = 1 the factor is one cycle, and the rules need k >= 2
-        for ci in range(len(cycles)):
-            scan(ci, to_parent=False)
     rewrites = [hit[0] for lst in found for hit in lst]
 
     touched = {b for rm in rewrites for b in (rm.x.bits, rm.image.bits)}
@@ -479,17 +475,12 @@ def build_gluing_plan(n: int, k: int, anchor: int = 0, full: bool = False) -> Gl
     if not all(is_connector(rm.x, rm.image) for rm in rewrites):
         raise InternalConsistencyError("a rewrite pair fails the connector test")
 
-    base = None
-    pairs: list[tuple[CyclicBitstring, CyclicBitstring]] = []
     for off in range(n):
-        cand = (p + ell + 2 + off) % n
-        trial = [
-            (svert[(cand + j) % n], svert[(cand + j + k + 1) % n]) for j in range(g - 1)
-        ]
-        if not {s.bits for pair in trial for s in pair} & touched:
-            base, pairs = cand, trial
+        base = (p + ell + 2 + off) % n
+        pairs = [(svert[(base + j) % n], svert[(base + j + k + 1) % n]) for j in range(g - 1)]
+        if not {s.bits for pair in pairs for s in pair} & touched:
             break
-    if base is None:
+    else:
         raise InternalConsistencyError("no rotation offset avoids the rewrite endpoints")
 
     return GluingPlan(
@@ -540,7 +531,7 @@ def iter_tour(plan: GluingPlan) -> Iterator[int]:
         return vs[(i + 1) % len(vs)]
 
     def swap(u: int, old: int, new: int) -> None:
-        lst = slots[u]
+        lst = slots.get(u, (None, None))  # a splice end without slots has no edge here
         if lst[0] == old:
             lst[0] = new
         elif lst[1] == old:
@@ -548,26 +539,22 @@ def iter_tour(plan: GluingPlan) -> Iterator[int]:
         else:
             raise InternalConsistencyError("splice edge is not present")
 
-    def splice(xb: int, yb: int, cross: bool) -> None:
-        fx, fy = successor(xb), successor(yb)
-        ring = (xb, fx, yb, fy) if cross else (xb, fx, fy, yb)
+    def splice(a: int, b: int, c: int, d: int) -> None:
+        """Trade the ring a-b-c-d's factor edges a-b and c-d for its chords
+        b-c and d-a."""
+        ring = (a, b, c, d)
         if any(u & v for u, v in zip(ring, ring[1:] + ring[:1])):
             raise InternalConsistencyError("splice chord joins meeting sets")
-        if cross:  # connector chords x-f(y) and y-f(x)
-            swap(xb, fx, fy)
-            swap(fx, xb, yb)
-            swap(yb, fy, fx)
-            swap(fy, yb, xb)
-        else:  # rotation chords x-y and f(x)-f(y)
-            swap(xb, fx, yb)
-            swap(fx, xb, fy)
-            swap(yb, fy, xb)
-            swap(fy, yb, fx)
+        swap(a, b, d)
+        swap(b, a, c)
+        swap(c, d, b)
+        swap(d, c, a)
 
-    for rm in plan.tree:
-        splice(rm.x.bits, rm.image.bits, cross=True)
-    for a, b in plan.rotation_pairs:
-        splice(a.bits, b.bits, cross=False)
+    for rm in plan.tree:  # a connector's ring x, f(x), y, f(y)
+        x, y = rm.x.bits, rm.image.bits
+        splice(x, successor(x), y, successor(y))
+    for a, b in plan.rotation_pairs:  # a rotation pair's ring x, f(x), f(y), y
+        splice(a.bits, successor(a.bits), successor(b.bits), b.bits)
 
     vs, i, step = cycles[0].vertices, 0, -1  # slot 0 of a factor vertex is its predecessor
     start, size = vs[0], len(vs)

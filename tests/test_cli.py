@@ -318,6 +318,17 @@ def test_verify_family_mismatch(tmp_path, capsys):
     assert "declared" in err
 
 
+def test_verify_reads_a_kneser_s_as_no_part_of_the_graph(tmp_path, capsys):
+    """A Kneser header with an s names the same graph as --kneser n k."""
+    tour = tmp_path / "tour.txt"
+    run(capsys, "gen", "--kneser", "9", "3", "-o", str(tour))
+    head, rest = tour.read_text().split("\n", 1)
+    tour.write_text(f"{head} 2\n{rest}")
+    code, out, err = run(capsys, "verify", str(tour), "--kneser", "9", "3")
+    assert code == 0, err
+    assert out.startswith("ok: Hamilton cycle of kneser n=9 k=3,")
+
+
 def test_verify_petersen_path(tmp_path, capsys):
     tour = tmp_path / "tour.txt"
     run(capsys, "gen", "--kneser", "5", "2", "-o", str(tour))

@@ -65,6 +65,17 @@ def test_spec_validation():
             GraphSpec("johnson", n, k, s)
 
 
+def test_a_spec_keeps_s_only_where_its_family_reads_it():
+    """Kneser and bipartite edges read no s, so their specs store 0 and one
+    graph has one spec.  The rotation-extension search seeds its rng from
+    the spec, so a K(13,6) spec with s = 1 once got another cycle."""
+    assert GraphSpec("kneser", 13, 6, 1) == GraphSpec("kneser", 13, 6)
+    assert GraphSpec("bipartite", 7, 2, 3) == GraphSpec("bipartite", 7, 2)
+    assert GraphSpec("johnson", 9, 3, 1) != GraphSpec("johnson", 9, 3, 0)
+    assert GraphSpec("gen-kneser", 9, 3, 1) != GraphSpec("gen-kneser", 9, 3, 0)
+    assert hamilton_tour(GraphSpec("kneser", 13, 6, 1)) == hamilton_tour(GraphSpec("kneser", 13, 6))
+
+
 def test_adjacency_semantics():
     a, b = from_string("11000"), from_string("00110")
     assert GraphSpec("kneser", 5, 2).adjacent(a, b)
@@ -382,6 +393,26 @@ def test_johnson_passes_its_remaining_budget():
     assert r.status == "timeout" and r.cycle_exists is None
     assert "1s" not in r.note
     assert elapsed < 0.7, elapsed
+
+
+@pytest.mark.parametrize("n,k,s,cap,pieces,status", [
+    (20, 9, 2, 100, 6, "unsupported"),
+    (17, 7, 3, 1, 11, "unsupported"),
+    (17, 7, 3, 20000, 33, "cycle"),
+])
+def test_johnson_stops_at_its_first_short_half(n, k, s, cap, pieces, status, monkeypatch):
+    """A half that falls short ends the build before the other half is
+    built: J(20,9,2) under a cap of 100 built 16 pieces, and J(17,7,3) under
+    a cap of 1 built 33, while both halves were built first.  A build that
+    succeeds still takes every piece."""
+    built = []
+    piece = families._piece
+    monkeypatch.setattr(families, "_piece", lambda spec, *budget: (
+        built.append(spec) or piece(spec, *budget)))
+    r = hamilton_johnson(n, k, s, fallback_cap=cap)
+    assert (len(built), r.status) == (pieces, status)
+    if status != "cycle":
+        assert r.cycle_exists is None and "exceeds the search cap" in r.note
 
 
 def test_gen_kneser_pieces_share_one_budget():

@@ -512,17 +512,43 @@ def _rewrite_at_two_anchors(monkeypatch):
         rewrite(bits, n, k, (p + 8) % n if bits >> 1 & 1 else p, *rest)))
 
 
+def _isolate_a_cycle(monkeypatch):
+    """No rule matches on the last non-root cycle, nor lands there: that
+    cycle has no connector at all, so no scan can join it to the tree."""
+    factor = cycle_factor(12, 4)
+    roots = {factor.locate(single_glider_vertex(12, 4, i).bits)[0] for i in range(12)}
+    lonely = set(factor.cycles[max(set(range(len(factor.cycles))) - roots)])
+    rewrite = gluing._match_bits
+
+    def isolating(bits, *args):
+        hit = rewrite(bits, *args)
+        if bits in lonely or hit and bits ^ (1 << hit[1]) | (1 << hit[2]) in lonely:
+            return None
+        return hit
+
+    monkeypatch.setattr(gluing, "_match_bits", isolating)
+
+
 @pytest.mark.parametrize("fault,message", [
     (_misfile_a_root_cycle, "single-glider cycle count differs"),
     (_repeat_an_image, "rewrite endpoints collide"),
     (_image_off_the_connectors, "fails the connector test"),
     (_fold_single_glider_vertices, "single-glider vertices repeat"),
     (_rewrite_at_two_anchors, "no rotation offset avoids the rewrite endpoints"),
-], ids=["locate", "collide", "connector", "rotation", "endpoints"])
+    (_isolate_a_cycle, "the auxiliary cycle graph is disconnected"),
+], ids=["locate", "collide", "connector", "rotation", "endpoints", "disconnected"])
 def test_plan_rejects_a_faulty_kernel(fault, message, monkeypatch):
     fault(monkeypatch)
     with pytest.raises(InternalConsistencyError, match=message):
         build_gluing_plan(12, 4)
+
+
+def test_a_disconnected_full_plan_raises(monkeypatch):
+    """The full plan scans on past the tree, but it still refuses a cycle
+    that nothing joins."""
+    _isolate_a_cycle(monkeypatch)
+    with pytest.raises(InternalConsistencyError, match="auxiliary cycle graph is disconnected"):
+        build_gluing_plan(12, 4, full=True)
 
 
 def _land_on_a_one(monkeypatch):
@@ -613,6 +639,57 @@ def test_walk_rejects_a_factor_cycle_too_short_to_splice():
         assemble_hamilton(plan._replace(factor=short))
 
 
+class _Unwrapped(Cycle):
+    """A factor cycle whose index -1 reads its second-to-last vertex."""
+
+    __slots__ = ()
+
+    def __getitem__(self, i):
+        return Cycle.__getitem__(self, -2 if i == -1 else i)
+
+
+def _unwrap_a_spliced_cycle(plan):
+    """The cycle of a splice end at position 0 misreads index -1, so that
+    end's slot holds a predecessor that is no neighbour of it on the cycle."""
+    ci = min(ci for ci, i in plan.at.values() if i == 0)
+    return ci, _Unwrapped(plan.factor.cycles[ci])
+
+
+def _repeat_a_vertex(plan):
+    """The last cycle lists its second vertex again at its end: the cycles
+    hold C(n, k) + 1 vertices, so the walk is not back at its start after
+    C(n, k) steps."""
+    vs = plan.factor.cycles[-1]
+    return len(plan.factor.cycles) - 1, Cycle(vs + (vs[1],))
+
+
+@pytest.mark.parametrize("fault,message", [
+    (_unwrap_a_spliced_cycle, "spliced neighbour has no slots"),
+    (_repeat_a_vertex, "splice walk does not close into one cycle"),
+], ids=["unwrapped", "repeat"])
+def test_walk_rejects_a_faulty_factor_cycle(fault, message):
+    plan = build_gluing_plan(12, 4)
+    ci, cycle = fault(plan)
+    cycles = plan.factor.cycles[:ci] + (cycle,) + plan.factor.cycles[ci + 1:]
+    with pytest.raises(InternalConsistencyError, match=message):
+        assemble_hamilton(plan._replace(factor=plan.factor._replace(cycles=cycles)))
+
+
+def test_a_misplaced_splice_end_raises():
+    """plan.at moved to any other position of the end's cycle makes the
+    walk refuse the splice with its own error, never a KeyError: the ring
+    meets itself, or the end has no slots and so no edge to trade."""
+    plan = build_gluing_plan(12, 4)
+    for rm in plan.tree[:4]:
+        for u in (rm.x.bits, rm.image.bits):
+            ci, i = plan.at[u]
+            size = len(plan.factor.cycles[ci])
+            for j in range(1, size):
+                at = {**plan.at, u: (ci, (i + j) % size)}
+                with pytest.raises(InternalConsistencyError, match="meeting sets|not present"):
+                    assemble_hamilton(plan._replace(at=at))
+
+
 def test_plan_and_walk_faults_are_caught_in_optimized_mode():
     """The plan's and the walk's checks are no asserts: python -O still runs them."""
     here = Path(__file__).resolve().parent
@@ -621,11 +698,13 @@ def test_plan_and_walk_faults_are_caught_in_optimized_mode():
         [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
          f"{here / 'test_gluing.py'}::test_plan_rejects_a_faulty_kernel",
          f"{here / 'test_gluing.py'}::test_rules_and_probe_reject_a_faulty_kernel",
-         f"{here / 'test_gluing.py'}::test_walk_rejects_a_factor_cycle_too_short_to_splice"],
+         f"{here / 'test_gluing.py'}::test_walk_rejects_a_factor_cycle_too_short_to_splice",
+         f"{here / 'test_gluing.py'}::test_walk_rejects_a_faulty_factor_cycle",
+         f"{here / 'test_gluing.py'}::test_a_disconnected_full_plan_raises"],
         capture_output=True, text=True, cwd=here.parent,
         env={**os.environ, "PYTHONPATH": src},
     )
-    assert proc.returncode == 0 and "12 passed" in proc.stdout, proc.stdout + proc.stderr
+    assert proc.returncode == 0 and "16 passed" in proc.stdout, proc.stdout + proc.stderr
 
 
 def _traced_peak(fn, *args) -> int:

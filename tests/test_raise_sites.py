@@ -36,9 +36,6 @@ UNREACHED = {
     ("gliders", "glider count "): "no fault test yet",
     ("gliders", "glider speeds do not sum to k for "): "no fault test yet",
     ("gliders", "two gliders claim one position"): "no fault test yet",
-    ("gluing", "splice walk does not close into one cycle"): "no fault test yet",
-    ("gluing", "spliced neighbour has no slots"): "no fault test yet",
-    ("gluing", "the auxiliary cycle graph is disconnected"): "no fault test yet",
 }
 
 
