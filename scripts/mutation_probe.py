@@ -1,4 +1,4 @@
-"""Seed one-token mutants into named functions and count those a test file kills.
+r"""Seed one-token mutants into named functions and count those a test file kills.
 
 Every site in the named functions of one kneser module gives one mutant: a
 comparison operator becomes its neighbour (< and <=, > and >=, == and !=, is
@@ -9,14 +9,16 @@ constant grows by 1.  Functions nested in a named one are mutated with it.
 The probe copies the checkout's src/, tests/, scripts/, perfbench/,
 pyproject.toml and README.md into a temporary directory once, writes each
 mutant's module there, never into the checkout, and runs the test file on
-it with pytest -x.  The unmutated module, written the same way, must pass
-first.  A mutant is killed when the run fails, errs or outlives --timeout.
-The probe prints one line per survivor as it finds it, then the kill counts
-per function.
+it with pytest -x; --tests also takes a pytest node id, file::test.  The
+unmutated module, written the same way, must pass first.  A mutant is killed
+when the run fails, errs or outlives 5 times the unmutated run (at least
+30 s).  The probe prints one line per survivor as it finds it, then the kill
+counts per function.
 
 Usage:
   python3 scripts/mutation_probe.py gluing build_gluing_plan iter_tour --tests tests/test_gluing.py
-  python3 scripts/mutation_probe.py families vertex_count --tests tests/test_families.py -k spec
+  python3 scripts/mutation_probe.py families vertex_count \
+      --tests tests/test_families.py::test_verify_tour_rejections
 """
 
 import argparse
@@ -94,11 +96,11 @@ def _limit_memory() -> None:
     resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT))
 
 
-def run_tests(copy: Path, tests: str, keyword: str | None, timeout: float) -> bool:
+def run_tests(copy: Path, tests: str, timeout: float) -> bool:
     """True when the test file passes on the copy within the timeout."""
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", tests]
     env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-    proc = subprocess.Popen(cmd + (["-k", keyword] if keyword else []), cwd=copy, env=env,
+    proc = subprocess.Popen(cmd, cwd=copy, env=env,
                             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
                             start_new_session=True, preexec_fn=_limit_memory)
     try:
@@ -113,18 +115,14 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("module", help="a module of the kneser package, such as gluing")
     ap.add_argument("functions", nargs="+", help="names of the functions to mutate")
-    ap.add_argument("--tests", required=True, help="test file, relative to the checkout")
-    ap.add_argument("-k", dest="keyword", help="pytest -k expression to select tests")
-    ap.add_argument("--timeout", type=float,
-                    help="seconds per mutant run (default: 5 times the unmutated run, at least 30)")
+    ap.add_argument("--tests", required=True,
+                    help="test file relative to the checkout, or a node id file::test in it")
     args = ap.parse_args()
     module = ROOT / "src" / "kneser" / f"{args.module.removeprefix('kneser.')}.py"
     if not module.is_file():
         ap.error(f"no module {args.module} in src/kneser")
-    if not (ROOT / args.tests).is_file():
-        ap.error(f"no test file {args.tests}")
-    if args.timeout is not None and not args.timeout > 0:
-        ap.error(f"--timeout must be positive, got {args.timeout}")
+    if not (ROOT / args.tests.split("::")[0]).is_file():
+        ap.error(f"no test file {args.tests.split('::')[0]}")
     source = module.read_text()
     tree = ast.parse(source)
     defined = {node.name for node in ast.walk(tree)
@@ -145,11 +143,11 @@ def main() -> int:
         target = copy / module.relative_to(ROOT)
         target.write_text(ast.unparse(tree))
         t0 = time.monotonic()
-        if not run_tests(copy, args.tests, args.keyword, float("inf")):
+        if not run_tests(copy, args.tests, float("inf")):
             print(f"{args.tests} fails on the unmutated {module.name}; no mutant was run")
             return 1
         base = time.monotonic() - t0
-        timeout = args.timeout or max(30.0, 5 * base)
+        timeout = max(30.0, 5 * base)
         print(f"{module.name}: {len(where)} mutants in {', '.join(args.functions)}; "
               f"unmutated run {base:.1f} s", flush=True)
 
@@ -160,7 +158,7 @@ def main() -> int:
             change = mutate(site, j)
             target.write_text(ast.unparse(mutant))
             total[fn] += 1
-            if run_tests(copy, args.tests, args.keyword, timeout):
+            if run_tests(copy, args.tests, timeout):
                 code = lines[node.lineno - 1].strip()
                 print(f"survived {module.name}:{node.lineno}:{node.col_offset} {fn}: "
                       f"{change} in `{code}`", flush=True)

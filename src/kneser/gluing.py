@@ -26,6 +26,7 @@ disconnected.
 
 from collections import Counter
 from collections.abc import Iterator
+from itertools import chain
 from math import comb, gcd
 from typing import NamedTuple
 
@@ -405,30 +406,6 @@ def build_gluing_plan(n: int, k: int, anchor: int = 0, full: bool = False) -> Gl
     speeds = [speed_multiset_direct(CyclicBitstring(n, k, c.key)) for c in cycles]
     potential = [(len(v), v[::-1], c.key) for v, c in zip(speeds, cycles)]
 
-    # the rewrites found on each cycle, each with x's position on it and the
-    # image's cycle and position
-    found: list[list[tuple[RewriteMatch, int, int, int]]] = [[] for _ in cycles]
-    scanned = [0] * len(cycles)  # vertices of each cycle scanned so far
-
-    def scan(ci: int, to_parent: bool) -> bool:
-        """Go on with cycle ci's scan, to the end or, with to_parent, up to
-        the first rewrite that leads downhill, to a root or a smaller
-        potential, which ends found[ci] and makes the result True."""
-        vs = cycles[ci].vertices  # in f-order, so f(x) is the next vertex
-        for i in range(scanned[ci], len(vs)):
-            hit = _match_bits(vs[i], n, k, p, vs[(i + 1) % len(vs)], speeds[ci], factor)
-            if hit is not None:
-                family, src, dst, branched = hit
-                x, image = CyclicBitstring(n, k, vs[i]), _move_one(vs[i], src, dst)
-                cj, j = locate(image)
-                rm = RewriteMatch(family, x, CyclicBitstring(n, k, image), branched)
-                found[ci].append((rm, i, cj, j))
-                if to_parent and (cj in roots or potential[cj] < potential[ci]):
-                    scanned[ci] = i + 1
-                    return True
-        scanned[ci] = len(vs)
-        return False
-
     # union-find over cycles, with all roots as one node
     comp = list(range(len(cycles)))
     for r in roots:
@@ -450,16 +427,38 @@ def build_gluing_plan(n: int, k: int, anchor: int = 0, full: bool = False) -> Gl
             tree.append(rm)
             at[rm.x.bits], at[rm.image.bits] = (ci, i), (cj, j)
 
+    # the rewrites found on each cycle, each with x's position on it and the
+    # image's cycle and position
+    found: list[list[tuple[RewriteMatch, int, int, int]]] = [[] for _ in cycles]
+    scanned = [0] * len(cycles)  # vertices of each cycle scanned so far
+
+    def scan(ci: int, to_parent: bool) -> bool:
+        """Go on with cycle ci's scan, to the end or, with to_parent, up to
+        the first rewrite that leads downhill, to a root or a smaller
+        potential: that parent edge joins the tree and makes the result True."""
+        vs = cycles[ci].vertices  # in f-order, so f(x) is the next vertex
+        for i in range(scanned[ci], len(vs)):
+            hit = _match_bits(vs[i], n, k, p, vs[(i + 1) % len(vs)], speeds[ci], factor)
+            if hit is not None:
+                family, src, dst, branched = hit
+                x, image = CyclicBitstring(n, k, vs[i]), _move_one(vs[i], src, dst)
+                cj, j = locate(image)
+                rm = RewriteMatch(family, x, CyclicBitstring(n, k, image), branched)
+                found[ci].append((rm, i, cj, j))
+                if to_parent and (cj in roots or potential[cj] < potential[ci]):
+                    scanned[ci] = i + 1
+                    join(ci, rm, i, cj, j)
+                    return True
+        scanned[ci] = len(vs)
+        return False
+
     exceptions = []
     for ci in range(len(cycles)):
-        if ci not in roots:
-            if scan(ci, to_parent=True):
-                join(ci, *found[ci][-1])
-            else:
-                exceptions.append(ci)
+        if ci not in roots and not scan(ci, to_parent=True):
+            exceptions.append(ci)
     # join the exceptions' rewrites, then resume the scans, until the tree
     # spans; full scans on to the end, but with k = 1 the factor is one cycle
-    for ci in [*exceptions, *range(len(cycles))]:
+    for ci in chain(exceptions, range(len(cycles))):
         if len(tree) == spanning and not (full and k >= 2):
             break
         scan(ci, to_parent=False)
@@ -477,7 +476,9 @@ def build_gluing_plan(n: int, k: int, anchor: int = 0, full: bool = False) -> Gl
 
     for off in range(n):
         base = (p + ell + 2 + off) % n
-        pairs = [(svert[(base + j) % n], svert[(base + j + k + 1) % n]) for j in range(g - 1)]
+        pairs = [
+            (svert[(base + j) % n], svert[(base + j + k + 1) % n]) for j in range(g - 1)
+        ]
         if not {s.bits for pair in pairs for s in pair} & touched:
             break
     else:
@@ -531,13 +532,10 @@ def iter_tour(plan: GluingPlan) -> Iterator[int]:
         return vs[(i + 1) % len(vs)]
 
     def swap(u: int, old: int, new: int) -> None:
-        lst = slots.get(u, (None, None))  # a splice end without slots has no edge here
-        if lst[0] == old:
-            lst[0] = new
-        elif lst[1] == old:
-            lst[1] = new
-        else:
+        lst = slots.get(u, [])  # a splice end without slots has no edge here
+        if old not in lst[:2]:
             raise InternalConsistencyError("splice edge is not present")
+        lst[lst.index(old)] = new
 
     def splice(a: int, b: int, c: int, d: int) -> None:
         """Trade the ring a-b-c-d's factor edges a-b and c-d for its chords

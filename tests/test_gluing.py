@@ -529,26 +529,21 @@ def _isolate_a_cycle(monkeypatch):
     monkeypatch.setattr(gluing, "_match_bits", isolating)
 
 
-@pytest.mark.parametrize("fault,message", [
-    (_misfile_a_root_cycle, "single-glider cycle count differs"),
-    (_repeat_an_image, "rewrite endpoints collide"),
-    (_image_off_the_connectors, "fails the connector test"),
-    (_fold_single_glider_vertices, "single-glider vertices repeat"),
-    (_rewrite_at_two_anchors, "no rotation offset avoids the rewrite endpoints"),
-    (_isolate_a_cycle, "the auxiliary cycle graph is disconnected"),
-], ids=["locate", "collide", "connector", "rotation", "endpoints", "disconnected"])
-def test_plan_rejects_a_faulty_kernel(fault, message, monkeypatch):
+@pytest.mark.parametrize("fault,message,full", [
+    (_misfile_a_root_cycle, "single-glider cycle count differs", False),
+    (_repeat_an_image, "rewrite endpoints collide", False),
+    (_image_off_the_connectors, "fails the connector test", False),
+    (_fold_single_glider_vertices, "single-glider vertices repeat", False),
+    (_rewrite_at_two_anchors, "no rotation offset avoids the rewrite endpoints", False),
+    (_isolate_a_cycle, "the auxiliary cycle graph is disconnected", False),
+    # the full plan scans on past the tree, but still refuses a cycle nothing joins
+    (_isolate_a_cycle, "the auxiliary cycle graph is disconnected", True),
+], ids=["locate", "collide", "connector", "rotation", "endpoints", "disconnected",
+        "disconnected-full"])
+def test_plan_rejects_a_faulty_kernel(fault, message, full, monkeypatch):
     fault(monkeypatch)
     with pytest.raises(InternalConsistencyError, match=message):
-        build_gluing_plan(12, 4)
-
-
-def test_a_disconnected_full_plan_raises(monkeypatch):
-    """The full plan scans on past the tree, but it still refuses a cycle
-    that nothing joins."""
-    _isolate_a_cycle(monkeypatch)
-    with pytest.raises(InternalConsistencyError, match="auxiliary cycle graph is disconnected"):
-        build_gluing_plan(12, 4, full=True)
+        build_gluing_plan(12, 4, full=full)
 
 
 def _land_on_a_one(monkeypatch):
@@ -699,8 +694,7 @@ def test_plan_and_walk_faults_are_caught_in_optimized_mode():
          f"{here / 'test_gluing.py'}::test_plan_rejects_a_faulty_kernel",
          f"{here / 'test_gluing.py'}::test_rules_and_probe_reject_a_faulty_kernel",
          f"{here / 'test_gluing.py'}::test_walk_rejects_a_factor_cycle_too_short_to_splice",
-         f"{here / 'test_gluing.py'}::test_walk_rejects_a_faulty_factor_cycle",
-         f"{here / 'test_gluing.py'}::test_a_disconnected_full_plan_raises"],
+         f"{here / 'test_gluing.py'}::test_walk_rejects_a_faulty_factor_cycle"],
         capture_output=True, text=True, cwd=here.parent,
         env={**os.environ, "PYTHONPATH": src},
     )

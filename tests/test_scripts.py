@@ -61,11 +61,11 @@ def test_mutation_probe_counts_kills_and_names_survivors():
     """A test of Kneser specs alone kills the mutant that doubles their
     vertex count and misses the two that change only the bipartite count."""
     out = _run("mutation_probe.py", "families", "vertex_count",
-               "--tests", "tests/test_families.py", "-k", "test_verify_tour_rejections")
+               "--tests", "tests/test_families.py::test_verify_tour_rejections")
     lines = out.splitlines()
     assert lines[-1] == "total: killed 1 of 3", out
-    survivors = [line.split(": ", 1)[1].split(" in `")[0]
-                 for line in lines if line.startswith("survived families.py:72:")]
+    survivors = [line.split(" vertex_count: ")[1].split(" in `")[0]
+                 for line in lines if line.startswith("survived ")]
     assert survivors == ["* -> //", "2 -> 3"], out
 
 
@@ -73,9 +73,8 @@ def test_mutation_probe_counts_kills_and_names_survivors():
     (["families", "nope", "--tests", "tests/test_families.py"], "no function nope in families.py"),
     (["nomodule", "f", "--tests", "tests/test_families.py"], "no module nomodule in src/kneser"),
     (["families", "vertex_count", "--tests", "tests/nope.py"], "no test file tests/nope.py"),
-    (["families", "vertex_count", "--tests", "tests/test_families.py", "--timeout", "0"],
-     "--timeout must be positive, got 0.0"),
-], ids=["function", "module", "tests", "timeout"])
+    (["families", "vertex_count", "--tests", "tests/nope.py::test_x"], "no test file tests/nope.py"),
+], ids=["function", "module", "tests", "node"])
 def test_mutation_probe_rejects_bad_options(args, err):
     proc = _call("mutation_probe.py", *args)
     assert proc.returncode == 2
