@@ -206,9 +206,8 @@ def advance(x: CyclicBitstring, partition: GliderPartition | None = None) -> Adv
     # intervals are exactly f(x) | f(f(x))
     jumped = 0
     for gid in ana.movers:
-        g = p.gliders[gid]
-        span = ana.s_plus[gid] - g.s1  # the interval s1 + 1 .. s_plus
-        interval = rotate_bits((1 << min(span, n)) - 1, n, g.s1 + 1)
+        span, s1 = delta2s[gid], p.gliders[gid].s1  # the interval s1 + 1 .. s_plus
+        interval = rotate_bits((1 << min(span, n)) - 1, n, s1 + 1)
         if span > n or jumped & interval:
             raise InternalConsistencyError("jump intervals overlap mod n")
         jumped |= interval
@@ -293,42 +292,24 @@ def motion_trace(x: CyclicBitstring, steps: int) -> MotionTrace:
         lut = cls_of + [-1]  # an unmatched position, id -1, reads the last entry
         out.append(MotionStep(t, bits, tuple(map(lut.__getitem__, pos_class)),
                               tuple(sorted(cls_of[g] for g in movers)), tuple(d2), traps, rels))
-        for c, d in enumerate(d2):
-            pos2[c] += d
         for a, b in traps + rels:
             counters2[a, b] = counters2.get((a, b), 0) + 1
             law2[b] += 2 * speeds[a]
             law2[a] -= 2 * speeds[a]
+        # pos2 against the law's trap terms, then mod n against the string's gliders
+        for c, d in enumerate(d2):
+            pos2[c] += d
+            if pos2[c] != start2s[c] + 2 * speeds[c] * (t + 1) + law2[c]:
+                raise InternalConsistencyError(f"motion law violated for class {c} at step {t + 1}")
         relabel = [0] * nu
         for gid, nid in bij.items():
             relabel[nid] = cls_of[gid]
         cls_of = relabel
-        _check_motion_law(t + 1, speeds, start2s, pos2, law2, next2s, cls_of, x.n)
+        for gid, c in enumerate(cls_of):
+            if (pos2[c] - next2s[gid]) % x.n:
+                raise InternalConsistencyError(
+                    f"tracked position of class {c} drifted at step {t + 1}")
     return MotionTrace(x, speeds, start2s, out, pos2, counters2, cur)
-
-
-def _check_motion_law(
-    t: int,
-    speeds: tuple[int, ...],
-    start2s: tuple[int, ...],
-    pos2: list[int],
-    law2: list[int],
-    now2s: tuple[int, ...],
-    cls_of: list[int],
-    n: int,
-) -> None:
-    """pos2 against the law's running trap terms, and against the doubled
-    positions now2s of the string's gliders modulo a lap."""
-    for c, v in enumerate(speeds):
-        if pos2[c] != start2s[c] + 2 * v * t + law2[c]:
-            raise InternalConsistencyError(
-                f"motion law violated for class {c} at step {t}"
-            )
-    for gid, c in enumerate(cls_of):
-        if (pos2[c] - now2s[gid]) % n:
-            raise InternalConsistencyError(
-                f"tracked position of class {c} drifted at step {t}"
-            )
 
 
 class OrbitPeriod(NamedTuple):

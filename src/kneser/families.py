@@ -258,57 +258,42 @@ def fallback_backtracking(
     vertex left with under two usable connections can never lie on the
     remaining cycle segment).  Path search re-anchors at every start."""
     verts = list(vertices)
-    if len(verts) < (3 if want_cycle else 2):
+    n = len(verts)
+    if n < (3 if want_cycle else 2):
         return ("none", None)
     bit = {v: 1 << i for i, v in enumerate(verts)}
     nbrs = {v: sum(map(bit.__getitem__, adjacency[v])) for v in verts}  # neighbour masks
-    starts = verts[:1] if want_cycle else verts
-    for start in starts:
-        seq = _hamilton_dfs(verts, adjacency, bit, nbrs, start, want_cycle, deadline)
-        if seq == "timeout":
-            return ("timeout", None)
-        if seq is not None:
-            return ("cycle" if want_cycle else "path", tuple(seq))
-    return ("none", None)
 
-
-def _hamilton_dfs(verts, adjacency, bit, nbrs, start, want_cycle, deadline):
-    """left masks the vertices off the path, so v has (nbrs[v] & left).bit_count()
-    neighbours there; candidates with the fewest come first."""
-    n = len(verts)
-    left = (1 << n) - 1 ^ bit[start]
-    home = bit[start] if want_cycle else 0  # a cycle's path must also reach back to start
-
+    # v's neighbours off the path, the mask left, the fewest neighbours there first; the
+    # walk draws them only when back at v, so each is still off the path then
     def candidates(v):
         return iter(sorted((w for w in adjacency[v] if bit[w] & left),
                            key=lambda w: (nbrs[w] & left).bit_count()))
 
-    path = [start]
-    stack = [candidates(start)]  # one candidate iterator per path position
-    expansions = 0
-    while stack:
-        expansions += 1
-        if deadline is not None and expansions % 1024 == 0:
-            if time.monotonic() > deadline:
-                return "timeout"
-        nxt = next(stack[-1], None)
-        if nxt is None:
-            stack.pop()
-            left |= bit[path.pop()]
-            continue
-        if not bit[nxt] & left:
-            continue
-        if len(path) == n - 1:
-            if not want_cycle or nbrs[nxt] & bit[start]:
-                return path + [nxt]
-            continue
-        left ^= bit[nxt]
-        if _prune(verts, bit, nbrs, left, bit[nxt] | home, want_cycle):
-            left |= bit[nxt]
-            continue
-        path.append(nxt)
-        stack.append(candidates(nxt))
-    return None
+    for start in verts[:1] if want_cycle else verts:
+        left = (1 << n) - 1 ^ bit[start]
+        home = bit[start] if want_cycle else 0  # a cycle's path must also reach back to start
+        path, stack, expansions = [start], [candidates(start)], 0  # a candidate iterator a step
+        while stack:
+            expansions += 1
+            if deadline is not None and expansions % 1024 == 0 and time.monotonic() > deadline:
+                return ("timeout", None)
+            nxt = next(stack[-1], None)
+            if nxt is None:
+                stack.pop()
+                left |= bit[path.pop()]
+                continue
+            if len(path) == n - 1:
+                if not want_cycle or nbrs[nxt] & home:
+                    return ("cycle" if want_cycle else "path", (*path, nxt))
+                continue
+            left ^= bit[nxt]
+            if _prune(verts, bit, nbrs, left, bit[nxt] | home, want_cycle):
+                left |= bit[nxt]
+                continue
+            path.append(nxt)
+            stack.append(candidates(nxt))
+    return ("none", None)
 
 
 def _prune(verts, bit, nbrs, left, ends, want_cycle) -> bool:

@@ -538,3 +538,143 @@ _CLOSED_ELSEWHERE = (
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
 def test_motion_trace_rejects_an_orbit_closing_on_another_partition(flags):
     _exits_cleanly(_CLOSED_ELSEWHERE, *flags)
+
+
+# 1100100: glider 0, of speed 2, moves and overruns glider 1, of speed 1, at
+# shift 0; its capture walk lands on 13 and 14, glider 1's on 13
+_CAPTURE = "1100100"
+
+
+def _patch_walk(monkeypatch, change):
+    """_capture_walk with change(s2, s_plus, staircase) applied to its answer."""
+    walk = dynamics._capture_walk
+    monkeypatch.setattr(dynamics, "_capture_walk",
+                        lambda m0, n, s2, v, cap: change(s2, *walk(m0, n, s2, v, cap)))
+
+
+def _matches_every_zero(monkeypatch):
+    """A partition whose f(x) marks every 0 as matched: the capture walk
+    falls by n - 2k a lap and never climbs to the glider's speed."""
+    x = v(_CAPTURE)
+    capture_analysis(glider_partition(x)._replace(fx=~x.bits & (1 << x.n) - 1))
+
+
+def _drops_a_landing_step(monkeypatch):
+    _patch_walk(monkeypatch, lambda s2, sp, stair: (sp, stair[:-1]))
+    advance(v(_CAPTURE))
+
+
+def _lands_two_laps_on(monkeypatch):
+    """Glider 0's last landing step two laps further on passes the staircase
+    checks, bits and all, but glider 1 then fits its jump twice."""
+    s2 = glider_partition(v(_CAPTURE)).gliders[0].s2
+    _patch_walk(monkeypatch, lambda at, sp, stair: (
+        (sp + 14, [*stair[:-1], sp + 14]) if at == s2 else (sp, stair)))
+    advance(v(_CAPTURE))
+
+
+def _lands_on_the_movers_end(monkeypatch):
+    """Glider 1 lands on glider 0's last landing step, 14."""
+    s2 = glider_partition(v(_CAPTURE)).gliders[1].s2
+    _patch_walk(monkeypatch, lambda at, sp, stair: (14, [14]) if at == s2 else (sp, stair))
+    advance(v(_CAPTURE))
+
+
+def _counts_a_stratum_too_many(monkeypatch):
+    bisect = dynamics.bisect_left
+    monkeypatch.setattr(dynamics, "bisect_left", lambda a, x: bisect(a, x) + 1)
+    advance(v(_CAPTURE))
+
+
+def _patch_analysis(monkeypatch, change):
+    """capture_analysis with its s_plus mapped through change(partition, analysis)."""
+    analyse = dynamics.capture_analysis
+    monkeypatch.setattr(dynamics, "capture_analysis", lambda p: (
+        lambda ana: ana._replace(s_plus={**ana.s_plus, **change(p, ana)}))(analyse(p)))
+
+
+def _moves_an_end_a_lap(monkeypatch):
+    _patch_analysis(monkeypatch, lambda p, ana: {0: ana.s_plus[0] + p.x.n})
+    advance(v(_CAPTURE))
+
+
+def _moves_a_shared_end(monkeypatch):
+    """1011000 has two movers, glider 0's jump interval starting where glider
+    1's ends: glider 1's end one step on and glider 0's one step back keep
+    the gains' sum, and the intervals meet at glider 0's first position."""
+    _patch_analysis(monkeypatch, lambda p, ana: {0: ana.s_plus[0] - 1, 1: ana.s_plus[1] + 1})
+    advance(v("1011000"))
+
+
+def _patch_partition(monkeypatch, change):
+    """glider_partition with change(partition) applied to its answer."""
+    build = dynamics.glider_partition
+    monkeypatch.setattr(dynamics, "glider_partition", lambda y: change(build(y)))
+
+
+def _drops_a_glider_of_fx(monkeypatch):
+    x = v("1001010000")
+    p = glider_partition(x)
+    _patch_partition(monkeypatch, lambda q: q._replace(gliders=q.gliders[:-1]))
+    advance(x, partition=p)
+
+
+def _copies_glider_0(monkeypatch):
+    """Glider 1 of 1001010000 read as a second glider 0: both continue as one."""
+    x = v("1001010000")
+    _patch_partition(monkeypatch, lambda p: p if p.x != x else p._replace(
+        gliders=(p.gliders[0], p.gliders[0]._replace(id=1), *p.gliders[2:])))
+    advance(x)
+
+
+def _reads_no_fx(monkeypatch):
+    """A partition whose f(x) is empty has no 1 at either shift position."""
+    x = v("1001010000")
+    g = glider_partition(x).gliders[-1]
+    _patch_partition(monkeypatch, lambda p: p._replace(fx=0))
+    tau(x, g, 1, 0)
+
+
+def _speeds_up_class_0(monkeypatch):
+    """100100's two classes swap places every lap."""
+    trace = dynamics.motion_trace
+    monkeypatch.setattr(dynamics, "motion_trace", lambda y, steps: (
+        lambda tr: tr._replace(speeds=(tr.speeds[0] + 1, *tr.speeds[1:])))(trace(y, steps)))
+    find_period(v("100100"))
+
+
+def _misses_the_determinant(monkeypatch):
+    det = dynamics._bareiss_det
+    monkeypatch.setattr(dynamics, "_bareiss_det", lambda m: det(m) + 1)
+    motion_matrix(9, (1, 2))
+
+
+@pytest.mark.parametrize("fault,message", [
+    (_matches_every_zero, "capture walk exceeded its cap"),
+    (_drops_a_landing_step, "landing staircase is not one step per level"),
+    (_lands_two_laps_on, "more than one translate of a class fits"),
+    (_lands_on_the_movers_end, "captured copy reaches its mover's end"),
+    (_counts_a_stratum_too_many, "captured copy is not slower than its stratum"),
+    (_moves_an_end_a_lap, "doubled position gains do not sum to 2k"),
+    (_moves_a_shared_end, "jump intervals overlap mod n"),
+    (_drops_a_glider_of_fx, "glider count changed across f"),
+    (_copies_glider_0, "glider continuation is not a bijection"),
+    (_reads_no_fx, "shift positions carry equal bits"),
+    (_speeds_up_class_0, "a class moved onto a glider of another speed"),
+    (_misses_the_determinant, "motion matrix determinant mismatch"),
+], ids=["cap", "staircase", "translates", "end", "stratum", "gains", "intervals", "count",
+        "bijection", "shift", "speed", "determinant"])
+def test_dynamics_rejects_a_faulty_kernel(fault, message, monkeypatch):
+    """Each fault breaks one kernel that dynamics reads and reaches one check."""
+    with pytest.raises(InternalConsistencyError, match=message):
+        fault(monkeypatch)
+
+
+def test_dynamics_faults_are_caught_in_optimized_mode():
+    """The dynamics' checks are no asserts: python -O still runs them."""
+    test = f"{Path(__file__).resolve()}::test_dynamics_rejects_a_faulty_kernel"
+    src = str(Path(kneser.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider", test],
+                          capture_output=True, text=True, cwd=Path(__file__).resolve().parents[1],
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0 and "12 passed" in proc.stdout, proc.stdout + proc.stderr

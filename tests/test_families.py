@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import types
 from math import comb
 from pathlib import Path
 
@@ -461,6 +462,13 @@ def test_backtracking_finds_small_cycle():
     assert sorted(seq) == verts
 
 
+def test_backtracking_closes_a_cycle_only_on_an_edge_home():
+    """A loop at c counts as one of its two connections for the prune, so
+    only the closing check refuses the path a, b, c as a cycle."""
+    adjacency = {"a": ("b",), "b": ("a", "c"), "c": ("b", "c")}
+    assert fallback_backtracking("abc", adjacency, want_cycle=True) == ("none", None)
+
+
 def _small_graphs():
     """Every graph of the four families with at most EXHAUSTIVE_LIMIT
     vertices and n <= 12: Kneser with n > 2k, Johnson and generalized Kneser
@@ -492,6 +500,54 @@ def test_backtracking_matches_counting_reference():
             assert got == fallback_backtracking_counts(verts, adjacency, want_cycle), spec
             searches += 1
     assert searches == 1034
+
+
+def _two_cliques(verts):
+    """Adjacency of two disjoint 7-cliques on 14 vertices: no Hamilton cycle
+    or path, and each start's walk runs through the 6! orders of its clique,
+    so every search reads the clock."""
+    return {v: tuple(w for w in half if w != v) for half in (verts[:7], verts[7:]) for v in half}
+
+
+def test_backtracking_times_out_on_its_own_clock():
+    """A deadline already past ends the search at the 1024th expansion of a
+    start's walk: the cycle search of J(8,5,4) and the path search of two
+    disjoint cliques get that far, and with no deadline both run dry."""
+    spec = GraphSpec("johnson", 8, 5, 4)
+    verts = spec.vertices()
+    adjacency = families._adjacency(spec, verts, float("inf"))
+    assert fallback_backtracking(verts, adjacency, True, time.monotonic() - 1) == ("timeout", None)
+    cliques = _two_cliques(list(range(14)))
+    for want_cycle in (True, False):
+        assert fallback_backtracking(range(14), cliques, want_cycle, 0.0) == ("timeout", None)
+        assert fallback_backtracking(range(14), cliques, want_cycle) == ("none", None)
+
+
+@pytest.mark.parametrize("want_cycle,reads", [(True, 3), (False, 14 * 3)])
+def test_backtracking_reads_the_clock_every_1024_expansions(want_cycle, reads, monkeypatch):
+    """Each start's walk in a 7-clique meets 1957 paths from its start and so
+    runs 2 * 1957 - 1 = 3913 expansions, reading the clock 3 times: once for
+    the one start of a cycle search, once per start of a path search.  A
+    clock that reads the deadline itself is not past it."""
+    clock = []
+    monkeypatch.setattr(families, "time", types.SimpleNamespace(
+        monotonic=lambda: clock.append(5.0) or 5.0))
+    assert fallback_backtracking(range(14), _two_cliques(list(range(14))), want_cycle,
+                                 5.0) == ("none", None)
+    assert len(clock) == reads
+
+
+def test_search_reports_a_path_search_out_of_time(monkeypatch):
+    """The clock passes the deadline between the two searches: the cycle
+    search of two disjoint cliques runs dry, then the path search times out."""
+    search = families.fallback_backtracking
+    monkeypatch.setattr(families, "_adjacency", lambda spec, verts, deadline: _two_cliques(verts))
+    monkeypatch.setattr(families, "fallback_backtracking",
+                        lambda verts, adjacency, want_cycle, deadline:
+                        search(verts, adjacency, want_cycle, deadline if want_cycle else 0.0))
+    spec = GraphSpec("gen-kneser", 14, 1, 0)
+    assert families._search_result(spec, 100, time.monotonic() + 60, "") == HamiltonResult(
+        spec, "timeout", (), False, "no cycle exists; path search hit the time budget")
 
 
 # -- Johnson graphs ------------------------------------------------------------------

@@ -277,3 +277,45 @@ def test_glider_invariant_survives_optimized_mode():
     proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def _counts_a_descent_too_many(monkeypatch):
+    monkeypatch.setattr(gliders, "descent_count", lambda bits, n: descent_count(bits, n) + 1)
+    glider_partition(v("1001010000"))
+
+
+def _pairs_two_unmatched_zeros(monkeypatch):
+    """A window reading the first two adjacent unmatched zeros as a matched
+    10 pair: the walk still returns to zero, one extra 1 up."""
+    window = gliders._window
+    monkeypatch.setattr(gliders, "_window", lambda x: (
+        lambda a, fx, w: (a, fx, w.replace("--", "10", 1)))(*window(x)))
+    glider_partition(v("1000000"))
+
+
+def _starts_each_slot_a_step_early(monkeypatch):
+    """A child region of 1101000 then starts on its parent's step, which the
+    child's glider claims again."""
+    pairs = gliders.pairwise
+    monkeypatch.setattr(gliders, "pairwise", lambda steps: ((u - 1, w) for u, w in pairs(steps)))
+    glider_partition(v("1101000"))
+
+
+@pytest.mark.parametrize("fault,message", [
+    (_counts_a_descent_too_many, "!= descent count"),
+    (_pairs_two_unmatched_zeros, "glider speeds do not sum to k"),
+    (_starts_each_slot_a_step_early, "two gliders claim one position"),
+], ids=["count", "speeds", "claim"])
+def test_partition_rejects_a_faulty_kernel(fault, message, monkeypatch):
+    with pytest.raises(InternalConsistencyError, match=message):
+        fault(monkeypatch)
+
+
+def test_partition_faults_are_caught_in_optimized_mode():
+    """The partition's checks are no asserts: python -O still runs them."""
+    test = f"{Path(__file__).resolve()}::test_partition_rejects_a_faulty_kernel"
+    src = str(Path(kneser.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider", test],
+                          capture_output=True, text=True, cwd=Path(__file__).resolve().parents[1],
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0 and "3 passed" in proc.stdout, proc.stdout + proc.stderr

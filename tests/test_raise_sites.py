@@ -20,23 +20,7 @@ import kneser
 
 TESTS = Path(__file__).resolve().parent
 
-UNREACHED = {
-    ("dynamics", "a class moved onto a glider of another speed"): "no fault test yet",
-    ("dynamics", "capture walk exceeded its cap"): "no fault test yet",
-    ("dynamics", "captured copy is not slower than its stratum"): "no fault test yet",
-    ("dynamics", "captured copy reaches its mover's end"): "no fault test yet",
-    ("dynamics", "doubled position gains do not sum to 2k"): "no fault test yet",
-    ("dynamics", "glider continuation is not a bijection"): "no fault test yet",
-    ("dynamics", "glider count changed across f"): "no fault test yet",
-    ("dynamics", "jump intervals overlap mod n"): "no fault test yet",
-    ("dynamics", "landing staircase is not one step per level"): "no fault test yet",
-    ("dynamics", "more than one translate of a class fits"): "no fault test yet",
-    ("dynamics", "motion matrix determinant mismatch"): "no fault test yet",
-    ("dynamics", "shift positions carry equal bits"): "no fault test yet",
-    ("gliders", "glider count "): "no fault test yet",
-    ("gliders", "glider speeds do not sum to k for "): "no fault test yet",
-    ("gliders", "two gliders claim one position"): "no fault test yet",
-}
+UNREACHED: dict[tuple[str, str], str] = {}
 
 
 def _message_parts(node: ast.expr) -> tuple[str, ...] | None:
