@@ -148,22 +148,6 @@ def _closes_circle(u: int, n: int, r: int) -> bool:
     return r + _run(u, n, r) == (u & (1 << n) - 1).bit_length()
 
 
-def _glider_tail(o: int, z: int, n: int) -> tuple[int, int] | None:
-    """For the anchor on a run of matched 0s: (q, a) when that run is the
-    tail of a 1^a 0^a at q."""
-    back = n - (~z & (1 << n) - 1).bit_length()
-    a = back + _run(z, n, 0)
-    return (-back - a, a) if _run(o, n, -back - a) >= a else None
-
-
-def _glider_head(o: int, z: int, n: int) -> tuple[int, int] | None:
-    """For the anchor on a run of 1s: (q, a) when that run q..q+a-1 continues
-    as a 1^a 0^a."""
-    q = (~o & (1 << n) - 1).bit_length() - n
-    a = _run(o, n, q)
-    return (q, a) if _run(z, n, q + a) >= a else None
-
-
 def _rule1(n, k, o, z, u, speeds):
     ell = n - 2 * k
     if k < 2 or not (o >> 1 & z >> 2 & 1 and _run(u, n, 3) >= ell - 1):
@@ -171,46 +155,39 @@ def _rule1(n, k, o, z, u, speeds):
     return 1, 1, ell + 1, None
 
 
-def _rule2(n, k, o, z, u, speeds):
-    if (tail := _glider_tail(o, z, n)) is None:
-        return None
-    q, a = tail
-    if a % 2 or _run(u, n, q + 2 * a) < 3 or len(sp := speeds()) < 2 or sp[0] != a:
-        return None
-    return 2, q, q + 2 * a, q + 2 * a + 1
-
-
-def _rule3(n, k, o, z, u, speeds):
-    if (tail := _glider_tail(o, z, n)) is None:
-        return None
-    q, a = tail
+def _tail_rule(n, k, o, z, u, speeds):
+    """Rules 2 and 3, for the anchor on a run of matched 0s: that run is the
+    tail of a 1^a 0^a at q, a even, and the gap of unmatched 0s after the
+    block picks the family."""
+    back = n - (~z & (1 << n) - 1).bit_length()
+    a = back + _run(z, n, 0)
+    q = -back - a
     gap = _run(u, n, q + 2 * a)
-    if a % 2 or not 1 <= gap <= 2 or speeds()[0] != a:
+    if a % 2 or not gap or _run(o, n, q) < a or (sp := speeds())[0] != a:
         return None
-    return 3, q, q + 2 * a + gap - 1, None
+    if gap <= 2:
+        return 3, q, q + 2 * a + gap - 1, None
+    return (2, q, q + 2 * a, q + 2 * a + 1) if len(sp) >= 2 else None
 
 
-def _rule4(n, k, o, z, u, speeds):
-    if (head := _glider_head(o, z, n)) is None:
-        return None
-    q, a = head
-    if a % 2 == 0 or _run(u, n, q + 2 * a) < (n - 2 * k if a == 1 else 3):
-        return None
-    if len(sp := speeds()) < 2 or sp[0] != a:
-        return None
-    return 4, q, q + 2 * a, q + 2 * a + 1
-
-
-def _rule5(n, k, o, z, u, speeds):
-    if (head := _glider_head(o, z, n)) is None:
-        return None
-    q, a = head
+def _head_rule(n, k, o, z, u, speeds):
+    """Rules 4 and 5, for the anchor on a run of 1s: that run q..q+a-1
+    continues as a 1^a 0^a, a odd, and the gap of unmatched 0s after the
+    block picks the family."""
+    q = (~o & (1 << n) - 1).bit_length() - n
+    a = _run(o, n, q)
     gap = _run(u, n, q + 2 * a)
-    if a % 2 == 0 or gap == 0 or (a != 1 and gap > 2):
+    if a % 2 == 0 or not gap or _run(z, n, q + a) < a:
         return None
+    if gap >= (n - 2 * k if a == 1 else 3):
+        # rules 4 and 5 never both match: with a = 1 a gap of l = n - 2k
+        # holds every unmatched 0, so the next block would wrap around into
+        # the glider's own, which rule 5 refuses; a shorter gap leaves an
+        # unmatched 0 to end that block, so rule 5 needs no wrap test here
+        if len(sp := speeds()) < 2 or sp[0] != a:
+            return None
+        return 4, q, q + 2 * a, q + 2 * a + 1
     ws = q + 2 * a + gap
-    if ws + _run(o | z, n, ws) > q + n:
-        return None  # the next block wraps around into the glider's own
     if (sp := speeds())[0] != a:
         return None
     if a == 1 and len(sp) >= 3 and sp[1] < sp[2]:
@@ -269,7 +246,7 @@ def _rule9(n, k, o, z, u, speeds):
 
 
 # by the anchor's glyph: an unmatched 0, a 1 or a matched 0
-_RULES = ((_rule1,), (_rule4, _rule5, _rule6, _rule7, _rule8, _rule9), (_rule2, _rule3))
+_RULES = ((_rule1,), (_head_rule, _rule6, _rule7, _rule8, _rule9), (_tail_rule,))
 
 
 def _masks(bits: int, fx: int, n: int, p: int) -> tuple[int, int, int]:
@@ -334,7 +311,7 @@ def _match_bits(bits: int, n: int, k: int, p: int, fx: int, vx: tuple[int, ...] 
         raise InternalConsistencyError("two-way rule probe is not trackable") from exc
     # z lies on the image's orbit, and V is constant along an orbit
     oz, zz, uz = _masks(zb, _f_bits(zb, n), n, p)
-    if oz & 1 and _rule4(n, k, oz, zz, uz, part.speeds):
+    if oz & 1 and (probe := _head_rule(n, k, oz, zz, uz, part.speeds)) and probe[0] == 4:
         return family, src, (p + alt) % n, True
     return family, src, dst, False
 

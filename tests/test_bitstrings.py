@@ -444,17 +444,9 @@ def test_factor_rejects_a_faulty_period(fake, message, monkeypatch):
         cycle_factor(12, 4)
 
 
-def test_factor_faults_are_caught_in_optimized_mode():
+def test_factor_faults_are_caught_in_optimized_mode(optimized_cases):
     """The factor's checks are no asserts: python -O still runs them."""
-    here = Path(__file__).resolve().parent
-    src = str(Path(kneser.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         f"{here / 'test_bitstrings.py'}::test_factor_rejects_a_faulty_period"],
-        capture_output=True, text=True, cwd=here.parent,
-        env={**os.environ, "PYTHONPATH": src},
-    )
-    assert proc.returncode == 0 and "2 passed" in proc.stdout, proc.stdout + proc.stderr
+    optimized_cases("test_bitstrings.py::test_factor_rejects_a_faulty_period", passed=2)
 
 
 def test_factor_requires_sparse_side():

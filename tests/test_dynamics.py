@@ -405,11 +405,8 @@ def test_advance_rejects_a_glider_with_no_continuation(monkeypatch):
         advance(v("1001010000"))
 
 
-def test_continuation_check_survives_optimized_mode():
-    test = f"{Path(__file__).resolve()}::test_advance_rejects_a_glider_with_no_continuation"
-    _exits_cleanly("import pytest\n"
-                   f"raise SystemExit(pytest.main(['-q', '-p', 'no:cacheprovider', {test!r}]))\n",
-                   "-O")
+def test_continuation_check_survives_optimized_mode(optimized_cases):
+    optimized_cases("test_dynamics.py::test_advance_rejects_a_glider_with_no_continuation", passed=1)
 
 
 # advance steps from y = f(1001010000) = 0100101000, given a partition of y
@@ -670,11 +667,6 @@ def test_dynamics_rejects_a_faulty_kernel(fault, message, monkeypatch):
         fault(monkeypatch)
 
 
-def test_dynamics_faults_are_caught_in_optimized_mode():
+def test_dynamics_faults_are_caught_in_optimized_mode(optimized_cases):
     """The dynamics' checks are no asserts: python -O still runs them."""
-    test = f"{Path(__file__).resolve()}::test_dynamics_rejects_a_faulty_kernel"
-    src = str(Path(kneser.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider", test],
-                          capture_output=True, text=True, cwd=Path(__file__).resolve().parents[1],
-                          env={**os.environ, "PYTHONPATH": src})
-    assert proc.returncode == 0 and "12 passed" in proc.stdout, proc.stdout + proc.stderr
+    optimized_cases("test_dynamics.py::test_dynamics_rejects_a_faulty_kernel", passed=12)

@@ -667,17 +667,9 @@ def test_families_reject_a_faulty_kernel(fake, build, message, monkeypatch):
         build()
 
 
-def test_families_faults_are_caught_in_optimized_mode():
+def test_families_faults_are_caught_in_optimized_mode(optimized_cases):
     """The families' checks are no asserts: python -O still runs them."""
-    here = Path(__file__).resolve().parent
-    src = str(Path(kneser.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         f"{here / 'test_families.py'}::test_families_reject_a_faulty_kernel"],
-        capture_output=True, text=True, cwd=here.parent,
-        env={**os.environ, "PYTHONPATH": src},
-    )
-    assert proc.returncode == 0 and "2 passed" in proc.stdout, proc.stdout + proc.stderr
+    optimized_cases("test_families.py::test_families_reject_a_faulty_kernel", passed=2)
 
 
 # -- golden tours ----------------------------------------------------------------------------

@@ -311,11 +311,6 @@ def test_partition_rejects_a_faulty_kernel(fault, message, monkeypatch):
         fault(monkeypatch)
 
 
-def test_partition_faults_are_caught_in_optimized_mode():
+def test_partition_faults_are_caught_in_optimized_mode(optimized_cases):
     """The partition's checks are no asserts: python -O still runs them."""
-    test = f"{Path(__file__).resolve()}::test_partition_rejects_a_faulty_kernel"
-    src = str(Path(kneser.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider", test],
-                          capture_output=True, text=True, cwd=Path(__file__).resolve().parents[1],
-                          env={**os.environ, "PYTHONPATH": src})
-    assert proc.returncode == 0 and "3 passed" in proc.stdout, proc.stdout + proc.stderr
+    optimized_cases("test_gliders.py::test_partition_rejects_a_faulty_kernel", passed=3)

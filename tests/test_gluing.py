@@ -1,12 +1,8 @@
 import hashlib
-import os
 import random
-import subprocess
-import sys
 import tracemalloc
 from collections import Counter
 from math import comb, gcd
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +18,6 @@ from oracles import (
     tau_slow,
 )
 
-import kneser
 from kneser import bitstrings, dynamics, gluing
 from kneser.bitstrings import (
     Cycle,
@@ -685,20 +680,12 @@ def test_a_misplaced_splice_end_raises():
                     assemble_hamilton(plan._replace(at=at))
 
 
-def test_plan_and_walk_faults_are_caught_in_optimized_mode():
+def test_plan_and_walk_faults_are_caught_in_optimized_mode(optimized_cases):
     """The plan's and the walk's checks are no asserts: python -O still runs them."""
-    here = Path(__file__).resolve().parent
-    src = str(Path(kneser.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         f"{here / 'test_gluing.py'}::test_plan_rejects_a_faulty_kernel",
-         f"{here / 'test_gluing.py'}::test_rules_and_probe_reject_a_faulty_kernel",
-         f"{here / 'test_gluing.py'}::test_walk_rejects_a_factor_cycle_too_short_to_splice",
-         f"{here / 'test_gluing.py'}::test_walk_rejects_a_faulty_factor_cycle"],
-        capture_output=True, text=True, cwd=here.parent,
-        env={**os.environ, "PYTHONPATH": src},
-    )
-    assert proc.returncode == 0 and "16 passed" in proc.stdout, proc.stdout + proc.stderr
+    optimized_cases("test_gluing.py::test_plan_rejects_a_faulty_kernel",
+                    "test_gluing.py::test_rules_and_probe_reject_a_faulty_kernel",
+                    "test_gluing.py::test_walk_rejects_a_factor_cycle_too_short_to_splice",
+                    "test_gluing.py::test_walk_rejects_a_faulty_factor_cycle", passed=16)
 
 
 def _traced_peak(fn, *args) -> int:
